@@ -4,10 +4,10 @@
 // ~120 us with <0.1% loss; statistical testing flags the shift; overlay and
 // underlay checks find nothing; the RNIC flow-table dump reveals the
 // inconsistency; the RNIC is isolated and recovers within ~60 s.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/table.h"
 #include "core/harness.h"
 #include "core/metrics.h"
@@ -28,6 +28,9 @@ int main() {
     return t;
   }();
   cfg.hunter.inference.candidate_dp = {2, 4, 8};
+  // Keep every 30 s window of the 25-minute run in the flight recorder:
+  // the timeline below is read back from it.
+  cfg.obs.recorder.window_depth = 64;
   Experiment exp(cfg);
 
   cluster::TaskRequest req;
@@ -66,8 +69,12 @@ int main() {
   exp.events().run_all();
   exp.hunter().finalize();
 
-  // Reconstruct the latency timeline of the victim's first skeleton pair.
-  const auto pairs = exp.hunter().collector().pairs();
+  // The latency timeline of the victim's first skeleton pair, in sorted
+  // pair order, read back from the recorder's 30 s window summaries.
+  const auto& detector = exp.hunter().detector();
+  std::vector<EndpointPair> pairs;
+  detector.for_each_pair([&](const EndpointPair& p) { pairs.push_back(p); });
+  std::sort(pairs.begin(), pairs.end());
   EndpointPair shown{};
   for (const auto& p : pairs) {
     if (p.src != victim && p.dst != victim) continue;
@@ -79,28 +86,20 @@ int main() {
       break;
     }
   }
-  const auto& results = exp.hunter().collector().results_for(shown);
-  TablePrinter table({"window(s)", "mean RTT(us)", "loss"});
+  const auto windows =
+      exp.obs().recorder.windows_of(detector.find_handle(shown), shown);
+  TablePrinter table({"window(s)", "p50 RTT(us)", "loss"});
   // Timeline relative to 90 s before the onset, mirroring Figure 18's axis.
   const double t0 = onset.to_seconds() - 90.0;
-  double win_start = t0;
-  std::vector<double> rtts;
-  int sent = 0, lost = 0;
-  for (const auto& r : results) {
-    if (r.sent_at.to_seconds() < t0) continue;
-    if (r.sent_at.to_seconds() >= win_start + 60.0) {
-      table.add_row({TablePrinter::num(win_start - t0, 0),
-                     rtts.empty() ? "-" : TablePrinter::num(mean_of(rtts), 1),
-                     TablePrinter::pct(sent ? static_cast<double>(lost) / sent
-                                            : 0.0, 2)});
-      win_start += 60.0;
-      rtts.clear();
-      sent = 0;
-      lost = 0;
+  for (const auto& w : windows) {
+    if ((w.flags & obs::kWindowLong) != 0 || w.start.to_seconds() < t0) {
+      continue;
     }
-    ++sent;
-    if (r.delivered) rtts.push_back(r.rtt_us);
-    else ++lost;
+    table.add_row(
+        {TablePrinter::num(w.start.to_seconds() - t0, 0),
+         w.lost < w.sent ? TablePrinter::num(w.p50_us, 1) : "-",
+         TablePrinter::pct(w.sent ? static_cast<double>(w.lost) / w.sent : 0.0,
+                           2)});
   }
   table.print();
 

@@ -69,7 +69,7 @@ void Localizer::attach_obs(obs::Context* ctx) {
   }
 }
 
-TracerouteRefinement Localizer::refine_with_traceroute_ex(
+TracerouteRefinement Localizer::refine_with_traceroute(
     const std::vector<EndpointPair>& pairs,
     std::vector<sim::ComponentRef> voted, SimTime at) const {
   TracerouteRefinement out;
@@ -159,12 +159,6 @@ TracerouteRefinement Localizer::refine_with_traceroute_ex(
   if (!refined.empty()) out.culprits = std::move(refined);
   else out.culprits = std::move(voted);
   return out;
-}
-
-std::vector<sim::ComponentRef> Localizer::refine_with_traceroute(
-    const std::vector<EndpointPair>& pairs,
-    std::vector<sim::ComponentRef> voted, SimTime at) const {
-  return refine_with_traceroute_ex(pairs, std::move(voted), at).culprits;
 }
 
 OverlayVerdict Localizer::overlay_reachability(Endpoint src,
@@ -566,7 +560,7 @@ Localization Localizer::localize_impl(
 
   // Step 2: underlay physical intersection, refined by host-agent
   // traceroutes when several links tie.
-  auto refined = refine_with_traceroute_ex(
+  auto refined = refine_with_traceroute(
       anomalous_pairs, physical_intersection(anomalous_pairs, path_hints),
       at);
   loc.votes = physical_intersection_votes(anomalous_pairs, path_hints);

@@ -192,12 +192,7 @@ class Localizer {
   /// vote is weighted by the fraction of the pre-death prefix that
   /// responded, and overall hop coverage is reported for the confidence
   /// score / demotion threshold.
-  [[nodiscard]] TracerouteRefinement refine_with_traceroute_ex(
-      const std::vector<EndpointPair>& pairs,
-      std::vector<sim::ComponentRef> voted, SimTime at) const;
-
-  /// Culprits-only convenience wrapper around refine_with_traceroute_ex.
-  [[nodiscard]] std::vector<sim::ComponentRef> refine_with_traceroute(
+  [[nodiscard]] TracerouteRefinement refine_with_traceroute(
       const std::vector<EndpointPair>& pairs,
       std::vector<sim::ComponentRef> voted, SimTime at) const;
 

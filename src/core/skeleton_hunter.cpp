@@ -198,7 +198,7 @@ void SkeletonHunter::distribute_list(TaskId task) {
     for (const auto& p : m.current_list) {
       if (p.src.container == cid) slice.push_back(p);
     }
-    it->second.replace_ping_list(std::move(slice));
+    it->second.set_ping_list(std::move(slice));
   }
 }
 
@@ -450,26 +450,22 @@ void SkeletonHunter::tick() {
     }
   }
   // Probe: every agent runs its round regardless of analyzer health (the
-  // sidecars are separate processes). The round then crosses the telemetry
-  // channel; only what the channel delivers reaches the analyzer's result
-  // store and the anomaly detector.
-  scratch_.clear();
-  std::vector<probe::ProbeResult> round;
-  for (auto& [cid, agent] : agents_) {
-    auto results = agent.run_round(engine_, now, scratch_);
-    round.insert(round.end(), results.begin(), results.end());
-  }
+  // sidecars are separate processes), appending to one shared round buffer
+  // in agent order. The round then crosses the telemetry channel; only what
+  // the channel delivers reaches the anomaly detector.
+  round_.clear();
+  for (auto& [cid, agent] : agents_) agent.run_round(engine_, now, round_);
   if (!in_blackout_) {
-    telemetry_.transmit(round, now);
-    // Route the round once on this thread (collector + global handles),
-    // then fan the detector work across the analyzer shards. The batch
-    // returns events grouped by originating result in round order — the
-    // exact sequence sequential single-detector ingest produces — so the
-    // per-task buckets below are shard-count-invariant.
+    telemetry_.transmit(round_, now);
+    probes_delivered_ += round_.size();
+    // Route the round once on this thread (global handles), then fan the
+    // detector work across the analyzer shards. The batch returns events
+    // grouped by originating result in round order — the exact sequence
+    // sequential single-detector ingest produces — so the per-task buckets
+    // below are shard-count-invariant.
     batch_.clear();
-    batch_.reserve(round.size());
-    for (const auto& result : round) {
-      collector_.ingest(result);
+    batch_.reserve(round_.size());
+    for (const auto& result : round_) {
       batch_.push_back(ShardedDetector::BatchItem{
           detector_.handle_of(result.pair), result.seq, result.sent_at,
           result.delivered, result.rtt_us, result.path_id});
@@ -478,10 +474,10 @@ void SkeletonHunter::tick() {
     drain_windows();
     std::map<TaskId, std::vector<AnomalyEvent>> per_task_events;
     std::size_t cursor = 0;
-    for (std::size_t i = 0; i < round.size(); ++i) {
+    for (std::size_t i = 0; i < round_.size(); ++i) {
       const std::uint32_t fired = batch_fired_[i];
       if (fired > 0) {
-        const TaskId task = orch_.container(round[i].pair.src.container).task;
+        const TaskId task = orch_.container(round_[i].pair.src.container).task;
         auto& bucket = per_task_events[task];
         bucket.insert(bucket.end(), batch_events_.begin() + cursor,
                       batch_events_.begin() + cursor + fired);
@@ -503,11 +499,7 @@ void SkeletonHunter::tick() {
     }
     std::erase_if(cases_, [](const FailureCase& c) { return c.suppressed; });
   }
-  // Bound collector memory: anomaly windows never look back further than
-  // the long-term window.
-  if (++ticks_ % 512 == 0) {
-    collector_.trim_before(now - cfg_.detector.long_window * 2.0);
-  }
+  ++ticks_;
   if (now + cfg_.probe_interval <= end_) {
     events_.schedule_after(cfg_.probe_interval, [this] { tick(); });
   }
@@ -516,7 +508,6 @@ void SkeletonHunter::tick() {
 SkeletonHunter::Snapshot SkeletonHunter::checkpoint() const {
   Snapshot s;
   s.detector_ = detector_.snapshot();
-  s.collector_ = collector_;
   s.cases_ = cases_;
   s.blacklist_ = blacklist_;
   s.monitors_ = monitors_;
@@ -527,7 +518,6 @@ SkeletonHunter::Snapshot SkeletonHunter::checkpoint() const {
 
 void SkeletonHunter::restore(const Snapshot& snap) {
   detector_.restore(snap.detector_);
-  collector_ = snap.collector_;
   cases_ = snap.cases_;
   blacklist_ = snap.blacklist_;
   monitors_ = snap.monitors_;
@@ -543,7 +533,6 @@ void SkeletonHunter::cold_reset_analyzer() {
                               std::max<std::size_t>(1, cfg_.analyzer_shards),
                               shard_pool_.get());
   detector_.attach_obs(obs_);
-  collector_.clear();
   cases_.clear();
   blacklist_ = Blacklist{};
   // Collective diagnosis state (strikes, latches, pending hangs) dies with

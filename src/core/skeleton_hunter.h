@@ -184,15 +184,15 @@ class SkeletonHunter {
   [[nodiscard]] const std::vector<FailureCase>& failure_cases() const noexcept {
     return cases_;
   }
+  /// Probe results the telemetry channel delivered to the analyzer over the
+  /// whole run (results sent during a blackout never arrive). A plain
+  /// counter: checkpoint() and restore() leave it alone.
   [[nodiscard]] std::size_t total_probes() const noexcept {
-    return collector_.total_results();
+    return probes_delivered_;
   }
   /// Anomaly-detector ingest counters (probes, windows, LOF path split).
   [[nodiscard]] DetectorCounters detector_counters() const {
     return detector_.counters();
-  }
-  [[nodiscard]] const probe::Collector& collector() const noexcept {
-    return collector_;
   }
   /// Current directed-target count across a task's agents (Fig. 15/16).
   [[nodiscard]] std::size_t current_targets(TaskId task) const;
@@ -235,10 +235,10 @@ class SkeletonHunter {
 
   // --- gray telemetry & warm restart ---------------------------------------
   class Snapshot;
-  /// Serialize the analyzer state (detector windows + streaks, result
-  /// store, case registry, blacklist, task monitors) into an opaque
-  /// snapshot. Agents and the probe engine are NOT captured — the sidecars
-  /// are separate processes that keep running while the analyzer is down.
+  /// Serialize the analyzer state (detector windows + streaks, case
+  /// registry, blacklist, task monitors) into an opaque snapshot. Agents
+  /// and the probe engine are NOT captured — the sidecars are separate
+  /// processes that keep running while the analyzer is down.
   [[nodiscard]] Snapshot checkpoint() const;
   /// Warm-restart the analyzer from a snapshot taken by checkpoint().
   void restore(const Snapshot& snap);
@@ -315,7 +315,6 @@ class SkeletonHunter {
   SkeletonHunterConfig cfg_;
 
   probe::ProbeEngine engine_;
-  probe::Collector collector_;
   /// Worker pool driving the analyzer shards (null at 1 shard). Declared
   /// before detector_: the detector borrows it and must die first.
   std::unique_ptr<common::ThreadPool> shard_pool_;
@@ -351,9 +350,12 @@ class SkeletonHunter {
   /// duplicate opened) the moment the analyzer came back.
   SimTime last_restore_;
   std::unique_ptr<Snapshot> blackout_snapshot_;
-  /// Per-tick sink for raw agent results; only what survives the telemetry
-  /// channel reaches collector_ (the analyzer's store).
-  probe::Collector scratch_;
+  /// Per-tick probe round: every agent appends its results, the telemetry
+  /// channel rewrites it in place, and it is routed into batch_. Reused
+  /// across ticks.
+  std::vector<probe::ProbeResult> round_;
+  /// Results delivered to the analyzer so far (total_probes()).
+  std::size_t probes_delivered_ = 0;
   /// Per-tick batch-ingest scratch (routed items, fired events, per-item
   /// fired counts), reused across ticks.
   std::vector<ShardedDetector::BatchItem> batch_;
@@ -398,7 +400,6 @@ class SkeletonHunter {
    private:
     friend class SkeletonHunter;
     ShardedDetector::Snapshot detector_;
-    probe::Collector collector_;
     std::vector<FailureCase> cases_;
     Blacklist blacklist_;
     std::map<TaskId, TaskMonitor> monitors_;

@@ -5,41 +5,6 @@
 
 namespace skh::probe {
 
-void Collector::ingest(const ProbeResult& r) {
-  by_pair_[r.pair].push_back(r);
-  ++total_;
-}
-
-const std::vector<ProbeResult>& Collector::results_for(
-    const EndpointPair& pair) const {
-  static const std::vector<ProbeResult> kEmpty;
-  const auto it = by_pair_.find(pair);
-  return it == by_pair_.end() ? kEmpty : it->second;
-}
-
-std::vector<EndpointPair> Collector::pairs() const {
-  std::vector<EndpointPair> out;
-  out.reserve(by_pair_.size());
-  for (const auto& [pair, _] : by_pair_) out.push_back(pair);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void Collector::trim_before(SimTime cutoff) {
-  for (auto& [pair, results] : by_pair_) {
-    const auto it = std::find_if(
-        results.begin(), results.end(),
-        [&](const ProbeResult& r) { return r.sent_at >= cutoff; });
-    total_ -= static_cast<std::size_t>(it - results.begin());
-    results.erase(results.begin(), it);
-  }
-}
-
-void Collector::clear() {
-  by_pair_.clear();
-  total_ = 0;
-}
-
 Agent::Agent(ContainerId owner, std::vector<Endpoint> own_endpoints)
     : owner_(owner), own_endpoints_(std::move(own_endpoints)) {}
 
@@ -85,27 +50,20 @@ void Agent::deactivate_destination(ContainerId peer) {
   }
 }
 
-void Agent::replace_ping_list(std::vector<EndpointPair> pairs) {
-  set_ping_list(std::move(pairs));
-}
-
-std::vector<ProbeResult> Agent::run_round(ProbeEngine& engine, SimTime now,
-                                          Collector& sink) {
+void Agent::run_round(ProbeEngine& engine, SimTime now,
+                      std::vector<ProbeResult>& round) {
   const EngineConfig& cfg = engine.config();
   const std::size_t threshold = cfg.retry_failure_threshold;
-  std::vector<ProbeResult> out;
-  out.reserve(targets_.size());
   for (auto& t : targets_) {
     if (!t.active) continue;
     if (threshold > 0 && t.consecutive_failures >= threshold &&
         now < t.next_attempt) {
       continue;  // backed off; retry once next_attempt arrives
     }
-    out.push_back(engine.probe(t.pair.src, t.pair.dst, now));
-    out.back().seq = t.next_seq++;
-    sink.ingest(out.back());
+    round.push_back(engine.probe(t.pair.src, t.pair.dst, now));
+    round.back().seq = t.next_seq++;
     ++probes_sent_;
-    if (out.back().delivered) {
+    if (round.back().delivered) {
       t.consecutive_failures = 0;
       t.next_attempt = SimTime{};
     } else {
@@ -123,7 +81,6 @@ std::vector<ProbeResult> Agent::run_round(ProbeEngine& engine, SimTime now,
       }
     }
   }
-  return out;
 }
 
 std::size_t Agent::active_targets() const {

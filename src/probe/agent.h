@@ -17,30 +17,15 @@
 
 namespace skh::probe {
 
-/// Sink receiving probe results (the analyzer's ingestion path).
-class Collector {
- public:
-  void ingest(const ProbeResult& r);
-
-  [[nodiscard]] const std::vector<ProbeResult>& results_for(
-      const EndpointPair& pair) const;
-  [[nodiscard]] std::size_t total_results() const noexcept { return total_; }
-  [[nodiscard]] std::vector<EndpointPair> pairs() const;
-  /// Drop results older than `horizon` before `now` (bounded memory).
-  void trim_before(SimTime cutoff);
-  void clear();
-
- private:
-  std::unordered_map<EndpointPair, std::vector<ProbeResult>> by_pair_;
-  std::size_t total_ = 0;
-};
-
 class Agent {
  public:
   Agent(ContainerId owner, std::vector<Endpoint> own_endpoints);
 
-  /// Install the (inactive) ping list; pairs whose source is not one of this
-  /// agent's endpoints are rejected with std::invalid_argument.
+  /// Install or replace the ping list (preload, then runtime skeleton
+  /// replans). A target starts active only if its destination has already
+  /// registered, so replacing the list preserves registered peers'
+  /// activation. Pairs whose source is not one of this agent's endpoints are
+  /// rejected with std::invalid_argument.
   void set_ping_list(std::vector<EndpointPair> pairs);
 
   /// Registration: activate all targets destined to `peer`'s endpoints.
@@ -50,16 +35,13 @@ class Agent {
   /// Deregistration (peer stopping/crashed): deactivate its targets.
   void deactivate_destination(ContainerId peer);
 
-  /// Replace the target set with `pairs` (runtime skeleton optimization);
-  /// activation states of known destinations are preserved.
-  void replace_ping_list(std::vector<EndpointPair> pairs);
-
-  /// Probe every active target once; results go to `sink` and are also
-  /// returned for immediate analysis (saves the analyzer a rescan). When the
-  /// engine's retry backoff is enabled, targets past the consecutive-failure
-  /// threshold are skipped until their next scheduled attempt.
-  std::vector<ProbeResult> run_round(ProbeEngine& engine, SimTime now,
-                                     Collector& sink);
+  /// Probe every active target once, appending the results to `round` in
+  /// target order after whatever it already holds (the caller owns and
+  /// reuses the buffer across agents and ticks). When the engine's retry
+  /// backoff is enabled, targets past the consecutive-failure threshold are
+  /// skipped until their next scheduled attempt.
+  void run_round(ProbeEngine& engine, SimTime now,
+                 std::vector<ProbeResult>& round);
 
   [[nodiscard]] ContainerId owner() const noexcept { return owner_; }
   [[nodiscard]] std::size_t total_targets() const noexcept {

@@ -4,7 +4,7 @@
 #include <exception>
 #include <thread>
 
-#include "runner/pool.h"
+#include "common/pool.h"
 
 namespace skh::runner {
 
@@ -207,7 +207,7 @@ CampaignSet run_many(const CampaignConfig& cfg,
     // Slot-indexed writes: runs[i] belongs to seeds[i] no matter which
     // worker executes it or in what order jobs finish.
     std::vector<std::exception_ptr> errors(seeds.size());
-    ThreadPool pool(workers);
+    common::ThreadPool pool(workers);
     for (std::size_t i = 0; i < seeds.size(); ++i) {
       pool.submit([&cfg, &set, &errors, &seeds, i] {
         try {

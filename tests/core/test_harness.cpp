@@ -365,6 +365,26 @@ TEST(Experiment, CheckpointRestoreRoundTripIsBitIdentical) {
   }
 }
 
+TEST(Experiment, TotalProbesCountsEveryDeliveredResultOfALongRun) {
+  // A 90-minute campaign at a 5 s interval runs 1080 rounds; every result
+  // the analyzer ingested counts, however long ago it arrived.
+  ExperimentConfig cfg = small_config();
+  cfg.hunter.probe_interval = SimTime::seconds(5);
+  Experiment exp(cfg);
+  cluster::TaskRequest req;
+  req.num_containers = 2;
+  req.gpus_per_container = 8;
+  req.lifetime = SimTime::hours(2);
+  const auto task = exp.launch_task(req);
+  ASSERT_TRUE(task.has_value());
+  exp.run_to_running(*task);
+  exp.hunter().start(exp.events().now() + SimTime::minutes(90));
+  exp.events().run_all();
+  EXPECT_GT(exp.hunter().total_probes(), 0u);
+  EXPECT_EQ(exp.hunter().total_probes(),
+            exp.hunter().detector_counters().probes_ingested);
+}
+
 TEST(Experiment, DeterministicWithSameSeed) {
   auto run = [](std::uint64_t seed) {
     ExperimentConfig cfg = small_config();

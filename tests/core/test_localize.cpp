@@ -301,7 +301,7 @@ TEST_F(LocalizeTest, SingleBidirectionalPairIsNotDroppedAsUnlocalized) {
 
 // --- Traceroute refinement under partial results ---------------------------
 //
-// These exercise refine_with_traceroute_ex against the degenerate replays a
+// These exercise refine_with_traceroute against the degenerate replays a
 // gray measurement plane produces: pairs with no underlay hops at all,
 // paths whose every hop went silent, and deaths at the first/last hop of
 // the shortest possible (two-hop) path.
@@ -328,7 +328,7 @@ TEST_F(RefineTest, IntraHostPairsCarryNoUnderlayEvidence) {
   const std::vector<sim::ComponentRef> voted{
       link_ref(env_.topo.uplink_of(RnicId{0})),
       link_ref(env_.topo.uplink_of(RnicId{8}))};
-  const auto r = localizer_->refine_with_traceroute_ex(
+  const auto r = localizer_->refine_with_traceroute(
       {rnic_pair(a, b)}, voted, SimTime::minutes(1));
   EXPECT_TRUE(r.ran);
   EXPECT_DOUBLE_EQ(r.coverage, 1.0);
@@ -348,7 +348,7 @@ TEST_F(RefineTest, AllSilentHonestPathIsADeathAtTheFirstHop) {
   env_.faults.inject(sim::IssueType::kSwitchPortDown,
                      {sim::ComponentKind::kPhysicalLink, ua.value()},
                      SimTime::seconds(0), SimTime::hours(1));
-  const auto r = localizer_->refine_with_traceroute_ex(
+  const auto r = localizer_->refine_with_traceroute(
       {rnic_pair(a, b)}, {link_ref(ua), link_ref(ub)}, SimTime::minutes(1));
   EXPECT_TRUE(r.ran);
   ASSERT_EQ(r.culprits.size(), 1u);
@@ -365,7 +365,7 @@ TEST_F(RefineTest, DeathAtTheFinalHopVotesTheLastLink) {
   env_.faults.inject(sim::IssueType::kSwitchPortDown,
                      {sim::ComponentKind::kPhysicalLink, ub.value()},
                      SimTime::seconds(0), SimTime::hours(1));
-  const auto r = localizer_->refine_with_traceroute_ex(
+  const auto r = localizer_->refine_with_traceroute(
       {rnic_pair(a, b)}, {link_ref(ua), link_ref(ub)}, SimTime::minutes(1));
   EXPECT_TRUE(r.ran);
   EXPECT_DOUBLE_EQ(r.coverage, 1.0);
@@ -387,7 +387,7 @@ TEST_F(RefineTest, FullHopLossIsUndecidableAndKeepsTheTie) {
   plan.faults.push_back({sim::TelemetryFaultKind::kTracerouteHopLoss,
                          SimTime::seconds(0), SimTime::hours(1), 1.0});
   localizer_->attach_telemetry(&plan, RngStream{3});
-  const auto r = localizer_->refine_with_traceroute_ex(
+  const auto r = localizer_->refine_with_traceroute(
       {rnic_pair(a, b), rnic_pair(b, a)}, {link_ref(ua), link_ref(ub)},
       SimTime::minutes(1));
   localizer_->attach_telemetry(nullptr, RngStream{0});
@@ -412,7 +412,7 @@ TEST_F(RefineTest, PartialHopLossLowersCoverage) {
                          SimTime::seconds(0), SimTime::hours(1), 0.5});
   localizer_->attach_telemetry(&plan, RngStream{7});
   std::vector<EndpointPair> pairs(12, rnic_pair(a, b));
-  const auto r = localizer_->refine_with_traceroute_ex(
+  const auto r = localizer_->refine_with_traceroute(
       pairs, {link_ref(env_.topo.uplink_of(a)), link_ref(ub)},
       SimTime::minutes(1));
   localizer_->attach_telemetry(nullptr, RngStream{0});

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "probe/probe_types.h"
 
 namespace skh::probe {
@@ -11,44 +13,14 @@ Endpoint ep(std::uint32_t c, std::uint32_t r) {
   return Endpoint{ContainerId{c}, RnicId{r}};
 }
 
-TEST(Collector, IngestAndQuery) {
-  Collector col;
-  ProbeResult r;
-  r.pair = EndpointPair{ep(0, 0), ep(1, 8)};
-  r.sent_at = SimTime::seconds(1);
-  r.delivered = true;
-  r.rtt_us = 16.0;
-  col.ingest(r);
-  col.ingest(r);
-  EXPECT_EQ(col.total_results(), 2u);
-  EXPECT_EQ(col.results_for(r.pair).size(), 2u);
-  EXPECT_TRUE(col.results_for(EndpointPair{ep(1, 8), ep(0, 0)}).empty());
-  EXPECT_EQ(col.pairs().size(), 1u);
-}
-
-TEST(Collector, TrimDropsOldResults) {
-  Collector col;
-  for (int i = 0; i < 10; ++i) {
-    ProbeResult r;
-    r.pair = EndpointPair{ep(0, 0), ep(1, 8)};
-    r.sent_at = SimTime::seconds(i);
-    col.ingest(r);
+/// One pair's results from a round buffer, in append order.
+std::vector<ProbeResult> results_for(const std::vector<ProbeResult>& round,
+                                     const EndpointPair& pair) {
+  std::vector<ProbeResult> out;
+  for (const auto& r : round) {
+    if (r.pair == pair) out.push_back(r);
   }
-  col.trim_before(SimTime::seconds(5));
-  EXPECT_EQ(col.total_results(), 5u);
-  EXPECT_EQ(col.results_for(EndpointPair{ep(0, 0), ep(1, 8)}).front()
-                .sent_at.to_seconds(),
-            5.0);
-}
-
-TEST(Collector, ClearResetsEverything) {
-  Collector col;
-  ProbeResult r;
-  r.pair = EndpointPair{ep(0, 0), ep(1, 8)};
-  col.ingest(r);
-  col.clear();
-  EXPECT_EQ(col.total_results(), 0u);
-  EXPECT_TRUE(col.pairs().empty());
+  return out;
 }
 
 class AgentTest : public ::testing::Test {
@@ -95,7 +67,7 @@ TEST_F(AgentTest, ReplaceListPreservesActivation) {
   // stay active without a new registration round.
   agent_.set_ping_list(pairs_);
   agent_.activate_destination(ContainerId{1});
-  agent_.replace_ping_list({{ep(0, 0), ep(1, 8)}, {ep(0, 1), ep(2, 17)}});
+  agent_.set_ping_list({{ep(0, 0), ep(1, 8)}, {ep(0, 1), ep(2, 17)}});
   EXPECT_EQ(agent_.total_targets(), 2u);
   EXPECT_EQ(agent_.active_targets(), 1u);  // dst container 1 still active
 }
@@ -106,36 +78,73 @@ TEST_F(AgentTest, RegistrationBeforeListInstallStillApplies) {
   EXPECT_EQ(agent_.active_targets(), 1u);
 }
 
-TEST(AgentRound, ProbesOnlyActiveTargets) {
-  const auto cfg = [] {
-    topo::TopologyConfig c;
-    c.num_hosts = 4;
-    c.rails_per_host = 8;
-    c.hosts_per_segment = 2;
-    return c;
-  }();
-  const auto topo = topo::Topology::build(cfg);
-  overlay::OverlayNetwork overlay;
-  sim::FaultInjector faults;
-  const Endpoint a{ContainerId{0}, topo.rnic_of(HostId{0}, 0)};
-  const Endpoint b{ContainerId{1}, topo.rnic_of(HostId{1}, 0)};
-  const Endpoint c{ContainerId{2}, topo.rnic_of(HostId{2}, 0)};
-  overlay.attach_endpoint(a, HostId{0}, /*vni=*/0);
-  overlay.attach_endpoint(b, HostId{1}, /*vni=*/0);
-  overlay.attach_endpoint(c, HostId{2}, /*vni=*/0);
-  ProbeEngine engine{topo, overlay, faults, RngStream{3}};
-  Collector col;
+/// Three containers with one endpoint each, on hosts 0-2 of a 4-host
+/// fabric, for the round tests.
+class AgentRound : public ::testing::Test {
+ protected:
+  AgentRound()
+      : topo_(topo::Topology::build([] {
+          topo::TopologyConfig c;
+          c.num_hosts = 4;
+          c.rails_per_host = 8;
+          c.hosts_per_segment = 2;
+          return c;
+        }())),
+        a_{ContainerId{0}, topo_.rnic_of(HostId{0}, 0)},
+        b_{ContainerId{1}, topo_.rnic_of(HostId{1}, 0)},
+        c_{ContainerId{2}, topo_.rnic_of(HostId{2}, 0)},
+        engine_{topo_, overlay_, faults_, RngStream{3}} {
+    overlay_.attach_endpoint(a_, HostId{0}, /*vni=*/0);
+    overlay_.attach_endpoint(b_, HostId{1}, /*vni=*/0);
+    overlay_.attach_endpoint(c_, HostId{2}, /*vni=*/0);
+  }
 
-  Agent agent{ContainerId{0}, {a}};
-  agent.set_ping_list({{a, b}, {a, c}});
+  topo::Topology topo_;
+  overlay::OverlayNetwork overlay_;
+  sim::FaultInjector faults_;
+  Endpoint a_;
+  Endpoint b_;
+  Endpoint c_;
+  ProbeEngine engine_;
+};
+
+TEST_F(AgentRound, ProbesOnlyActiveTargets) {
+  std::vector<ProbeResult> round;
+  Agent agent{ContainerId{0}, {a_}};
+  agent.set_ping_list({{a_, b_}, {a_, c_}});
   agent.activate_destination(ContainerId{1});
-  agent.run_round(engine, SimTime::seconds(1), col);
-  EXPECT_EQ(col.total_results(), 1u);
+  agent.run_round(engine_, SimTime::seconds(1), round);
+  EXPECT_EQ(round.size(), 1u);
   EXPECT_EQ(agent.probes_sent(), 1u);
   agent.activate_destination(ContainerId{2});
-  agent.run_round(engine, SimTime::seconds(2), col);
-  EXPECT_EQ(col.total_results(), 3u);
+  agent.run_round(engine_, SimTime::seconds(2), round);
+  EXPECT_EQ(round.size(), 3u);
   EXPECT_EQ(agent.probes_sent(), 3u);
+}
+
+TEST_F(AgentRound, AppendsAfterExistingResultsInTargetOrder) {
+  // One buffer carries a whole tick: each agent appends behind the agents
+  // that ran before it, never clearing or reordering what is there.
+  Agent first{ContainerId{0}, {a_}};
+  first.set_ping_list({{a_, c_}, {a_, b_}});
+  first.activate_destination(ContainerId{1});
+  first.activate_destination(ContainerId{2});
+  Agent second{ContainerId{1}, {b_}};
+  second.set_ping_list({{b_, a_}});
+  second.activate_destination(ContainerId{0});
+
+  ProbeResult held;
+  held.pair = EndpointPair{c_, a_};
+  held.seq = 99;
+  std::vector<ProbeResult> round{held};
+  first.run_round(engine_, SimTime::seconds(1), round);
+  second.run_round(engine_, SimTime::seconds(1), round);
+  ASSERT_EQ(round.size(), 4u);
+  EXPECT_EQ(round[0].pair, held.pair);
+  EXPECT_EQ(round[0].seq, 99u);
+  EXPECT_EQ(round[1].pair, (EndpointPair{a_, c_}));
+  EXPECT_EQ(round[2].pair, (EndpointPair{a_, b_}));
+  EXPECT_EQ(round[3].pair, (EndpointPair{b_, a_}));
 }
 
 /// Two-endpoint world for the retry/backoff tests: agent at a (host 0)
@@ -184,23 +193,23 @@ class AgentRetryTest : public ::testing::Test {
   Endpoint a_;
   Endpoint b_;
   Agent agent_;
-  Collector col_;
+  std::vector<ProbeResult> round_;
 };
 
 TEST_F(AgentRetryTest, BacksOffAfterThresholdAndRetriesOnSchedule) {
   break_b(SimTime{}, SimTime::hours(10));
   auto eng = engine(/*threshold=*/2);
-  agent_.run_round(eng, SimTime::seconds(0), col_);  // failure 1: no backoff
-  agent_.run_round(eng, SimTime::seconds(1), col_);  // failure 2: backoff 5s
+  agent_.run_round(eng, SimTime::seconds(0), round_);  // failure 1: no backoff
+  agent_.run_round(eng, SimTime::seconds(1), round_);  // failure 2: backoff 5s
   EXPECT_EQ(agent_.probes_sent(), 2u);
   EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(2)), 1u);
 
-  agent_.run_round(eng, SimTime::seconds(2), col_);  // inside backoff: skipped
+  agent_.run_round(eng, SimTime::seconds(2), round_);  // in backoff: skipped
   EXPECT_EQ(agent_.probes_sent(), 2u);
 
   // next_attempt = 1s + 5s: the 6s round retries (and fails again, doubling
   // the backoff to 10s from now).
-  agent_.run_round(eng, SimTime::seconds(6), col_);
+  agent_.run_round(eng, SimTime::seconds(6), round_);
   EXPECT_EQ(agent_.probes_sent(), 3u);
   EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(15)), 1u);
   EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(16)), 0u);
@@ -209,13 +218,13 @@ TEST_F(AgentRetryTest, BacksOffAfterThresholdAndRetriesOnSchedule) {
 TEST_F(AgentRetryTest, DeliveredProbeResetsFailureState) {
   break_b(SimTime{}, SimTime::seconds(5));
   auto eng = engine(/*threshold=*/2);
-  agent_.run_round(eng, SimTime::seconds(0), col_);
-  agent_.run_round(eng, SimTime::seconds(1), col_);  // backed off until 6s
-  agent_.run_round(eng, SimTime::seconds(6), col_);  // fault gone: delivered
+  agent_.run_round(eng, SimTime::seconds(0), round_);
+  agent_.run_round(eng, SimTime::seconds(1), round_);  // backed off until 6s
+  agent_.run_round(eng, SimTime::seconds(6), round_);  // fault gone: delivered
   EXPECT_EQ(agent_.probes_sent(), 3u);
-  EXPECT_TRUE(col_.results_for({a_, b_}).back().delivered);
+  EXPECT_TRUE(round_.back().delivered);
   EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(7)), 0u);
-  agent_.run_round(eng, SimTime::seconds(7), col_);  // continuous again
+  agent_.run_round(eng, SimTime::seconds(7), round_);  // continuous again
   EXPECT_EQ(agent_.probes_sent(), 4u);
 }
 
@@ -225,22 +234,22 @@ TEST_F(AgentRetryTest, ReregistrationClearsBackoffImmediately) {
   // waiting out the backoff window.
   break_b(SimTime{}, SimTime::hours(10));
   auto eng = engine(/*threshold=*/2);
-  agent_.run_round(eng, SimTime::seconds(0), col_);
-  agent_.run_round(eng, SimTime::seconds(1), col_);
+  agent_.run_round(eng, SimTime::seconds(0), round_);
+  agent_.run_round(eng, SimTime::seconds(1), round_);
   EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(2)), 1u);
 
   agent_.activate_destination(ContainerId{1});  // re-registration
   EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(2)), 0u);
-  agent_.run_round(eng, SimTime::seconds(2), col_);
+  agent_.run_round(eng, SimTime::seconds(2), round_);
   EXPECT_EQ(agent_.probes_sent(), 3u);
 }
 
 TEST_F(AgentRetryTest, BackoffClampsAtConfiguredMax) {
   break_b(SimTime{}, SimTime::hours(10));
   auto eng = engine(/*threshold=*/1, SimTime::seconds(5), SimTime::seconds(12));
-  agent_.run_round(eng, SimTime::seconds(0), col_);    // fail 1: backoff 5s
-  agent_.run_round(eng, SimTime::seconds(5), col_);    // fail 2: backoff 10s
-  agent_.run_round(eng, SimTime::seconds(15), col_);   // fail 3: clamped 12s
+  agent_.run_round(eng, SimTime::seconds(0), round_);    // fail 1: backoff 5s
+  agent_.run_round(eng, SimTime::seconds(5), round_);    // fail 2: backoff 10s
+  agent_.run_round(eng, SimTime::seconds(15), round_);   // fail 3: clamped 12s
   EXPECT_EQ(agent_.probes_sent(), 3u);
   EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(26)), 1u);
   EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(27)), 0u);
@@ -252,7 +261,7 @@ TEST_F(AgentRetryTest, ThresholdZeroKeepsContinuousSampling) {
   break_b(SimTime{}, SimTime::hours(10));
   auto eng = engine(/*threshold=*/0);
   for (int s = 0; s < 5; ++s) {
-    agent_.run_round(eng, SimTime::seconds(s), col_);
+    agent_.run_round(eng, SimTime::seconds(s), round_);
   }
   EXPECT_EQ(agent_.probes_sent(), 5u);
   EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(5)), 0u);
@@ -302,18 +311,18 @@ TEST(AgentSequencing, StampsMonotonicPerPairSequenceNumbers) {
   overlay.attach_endpoint(b, HostId{1}, /*vni=*/0);
   overlay.attach_endpoint(c, HostId{2}, /*vni=*/0);
   ProbeEngine engine{topo, overlay, faults, RngStream{3}};
-  Collector col;
+  std::vector<ProbeResult> round;
 
   Agent agent{ContainerId{0}, {a}};
   agent.set_ping_list({{a, b}, {a, c}});
   agent.activate_destination(ContainerId{1});
   agent.activate_destination(ContainerId{2});
   for (int t = 1; t <= 3; ++t) {
-    agent.run_round(engine, SimTime::seconds(t), col);
+    agent.run_round(engine, SimTime::seconds(t), round);
   }
   // Each pair gets its own 1, 2, 3, ... stream, independent of the other.
-  const auto& ab = col.results_for({a, b});
-  const auto& ac = col.results_for({a, c});
+  const auto ab = results_for(round, {a, b});
+  const auto ac = results_for(round, {a, c});
   ASSERT_EQ(ab.size(), 3u);
   ASSERT_EQ(ac.size(), 3u);
   for (std::uint64_t i = 0; i < 3; ++i) {
@@ -323,10 +332,10 @@ TEST(AgentSequencing, StampsMonotonicPerPairSequenceNumbers) {
 
   // A skeleton replan keeps surviving pairs' sequence streams monotonic —
   // a reset to 1 would make post-replan results look like stale replays.
-  agent.replace_ping_list({{a, b}});
-  agent.run_round(engine, SimTime::seconds(4), col);
-  ASSERT_EQ(col.results_for({a, b}).size(), 4u);
-  EXPECT_EQ(col.results_for({a, b}).back().seq, 4u);
+  agent.set_ping_list({{a, b}});
+  agent.run_round(engine, SimTime::seconds(4), round);
+  ASSERT_EQ(results_for(round, {a, b}).size(), 4u);
+  EXPECT_EQ(results_for(round, {a, b}).back().seq, 4u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "runner/pool.h"
+#include "common/pool.h"
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@ namespace skh::runner {
 namespace {
 
 TEST(ThreadPool, RunsEveryJobExactlyOnce) {
-  ThreadPool pool(4);
+  common::ThreadPool pool(4);
   std::atomic<int> count{0};
   for (int i = 0; i < 100; ++i) {
     pool.submit([&] { count.fetch_add(1, std::memory_order_relaxed); });
@@ -22,7 +22,7 @@ TEST(ThreadPool, RunsEveryJobExactlyOnce) {
 }
 
 TEST(ThreadPool, SingleWorkerStillDrains) {
-  ThreadPool pool(1);
+  common::ThreadPool pool(1);
   std::atomic<int> count{0};
   for (int i = 0; i < 10; ++i) {
     pool.submit([&] { ++count; });
@@ -32,12 +32,12 @@ TEST(ThreadPool, SingleWorkerStillDrains) {
 }
 
 TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
-  ThreadPool pool(0);
+  common::ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
 }
 
 TEST(ThreadPool, WaitIsReusableAcrossBatches) {
-  ThreadPool pool(2);
+  common::ThreadPool pool(2);
   std::atomic<int> count{0};
   pool.submit([&] { ++count; });
   pool.wait();
@@ -50,7 +50,7 @@ TEST(ThreadPool, WaitIsReusableAcrossBatches) {
 
 TEST(ThreadPool, SlotIndexedWritesNeedNoSynchronization) {
   // The runner's usage pattern: each job owns one result slot.
-  ThreadPool pool(4);
+  common::ThreadPool pool(4);
   std::vector<int> results(64, -1);
   for (std::size_t i = 0; i < results.size(); ++i) {
     pool.submit([&results, i] { results[i] = static_cast<int>(i) * 2; });
@@ -64,7 +64,7 @@ TEST(ThreadPool, SlotIndexedWritesNeedNoSynchronization) {
 TEST(ThreadPool, DestructorJoinsCleanly) {
   std::atomic<int> count{0};
   {
-    ThreadPool pool(3);
+    common::ThreadPool pool(3);
     for (int i = 0; i < 20; ++i) pool.submit([&] { ++count; });
     pool.wait();
   }  // ~ThreadPool joins workers
