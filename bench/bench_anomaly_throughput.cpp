@@ -1,29 +1,27 @@
-// Streaming anomaly hot path vs the batch reference at fleet scale.
+// The streaming anomaly detector vs the batch reference at fleet scale.
 //
-// Part 1 replays pre-generated probe streams through both detector compute
-// paths, at 10k pairs (the paper's single-task fleet) and at 100k pairs
-// (ten concurrent tasks sharing one analyzer). The batch path goes through
-// the per-call ProbeResult API it shipped with: a pair hash per probe,
-// retained sample vectors copied and sorted at every window close, and the
-// LOF look-back refit from scratch each time. The streaming path uses
-// pre-resolved pair handles (stable FlatPairTable ids), one-cache-line
-// PairHot rows, strip-arena window samples, and the resident StreamingLof
-// model. The PR bar: >= 10x probe ingest throughput at 10k pairs, with
-// verdicts that match event-for-event (pair, kind, timestamp). The 100k
-// row is reported (and verdict-checked) but not throughput-gated: at that
-// scale the working set outgrows cache on purpose, and the number documents
-// how the hot path degrades, not a promise.
+// Part 1 replays pre-generated probe streams through the production
+// detector and through the batch reference (tests/support/
+// reference_detector.h), at 10k pairs (the paper's single-task fleet) and
+// at 100k pairs (ten concurrent tasks sharing one analyzer). The reference
+// pays a pair hash per probe, copies and sorts retained sample vectors at
+// every window close, and refits the LOF look-back from scratch each time.
+// The detector uses pre-resolved pair handles (stable FlatPairTable ids),
+// one-cache-line PairHot rows, strip-arena window samples, and the
+// resident StreamingLof model. The bar: >= 10x probe ingest throughput at
+// 10k pairs, with verdicts that match event-for-event (pair, kind,
+// timestamp). The 100k row is reported (and verdict-checked) but not
+// throughput-gated: at that scale the working set outgrows cache on
+// purpose, and the number documents how the hot path degrades, not a
+// promise.
 //
-// Part 2 snapshots the streaming detector mid-stream, restores into a
-// fresh instance, and replays the remaining rounds through both: events
-// must be identical to the bit (scores compared as doubles, not within a
+// Part 2 snapshots the detector mid-stream, restores into a fresh
+// instance, and replays the remaining rounds through both: events must be
+// identical to the bit (scores compared as doubles, not within a
 // tolerance), and pair handles must survive the round-trip unchanged.
 //
-// Part 3 re-runs fault-injection campaigns with each path and requires
-// bit-identical CampaignScores — the end-to-end guarantee that the hot
-// path changed nothing about what the system reports — and re-runs the
-// streaming campaigns across 1/4/16 runner threads, which must also be
-// bit-identical.
+// Part 3 re-runs fault-injection campaigns across 1/4/16 runner threads
+// and requires bit-identical CampaignScores.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -34,6 +32,7 @@
 #include "core/anomaly.h"
 #include "core/metrics.h"
 #include "runner/campaign_runner.h"
+#include "support/reference_detector.h"
 
 using namespace skh;
 using namespace skh::core;
@@ -66,11 +65,15 @@ std::vector<float> make_stream(std::size_t pairs, std::size_t rounds) {
   return s;
 }
 
+/// Unsequenced observation of one stream cell (negative rtt = lost).
+Observation observation(SimTime t, float v) {
+  return {0, t, v >= 0.0F, v >= 0.0F ? static_cast<double>(v) : 0.0};
+}
+
 double run_streaming(const std::vector<float>& stream, std::size_t pairs,
                      std::size_t rounds, std::vector<AnomalyEvent>& events,
                      DetectorCounters& counters) {
   DetectorConfig cfg;
-  cfg.streaming = true;
   // Plan-time sizing, exactly as the hunter does it after list distribution:
   // the flat table and the hot/cold/strip arenas are laid out once, and the
   // timed region below performs zero rehashes and zero arena growth.
@@ -85,9 +88,7 @@ double run_streaming(const std::vector<float>& stream, std::size_t pairs,
     const SimTime t = SimTime::seconds(static_cast<double>(r) * kIntervalS);
     const float* row = stream.data() + r * pairs;
     for (std::size_t p = 0; p < pairs; ++p) {
-      const float v = row[p];
-      (void)det.ingest(handles[p], t, v >= 0.0F,
-                       v >= 0.0F ? static_cast<double>(v) : 0.0, events);
+      (void)det.ingest(handles[p], observation(t, row[p]), events);
     }
   }
   const auto tail =
@@ -98,27 +99,20 @@ double run_streaming(const std::vector<float>& stream, std::size_t pairs,
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-double run_batch(const std::vector<float>& stream, std::size_t pairs,
-                 std::size_t rounds, std::vector<AnomalyEvent>& events,
-                 DetectorCounters& counters) {
+double run_reference(const std::vector<float>& stream, std::size_t pairs,
+                     std::size_t rounds, std::vector<AnomalyEvent>& events,
+                     DetectorCounters& counters) {
   DetectorConfig cfg;
-  cfg.streaming = false;
   cfg.expected_pairs = pairs;
-  AnomalyDetector det(cfg);
+  testutil::ReferenceDetector det(cfg);
   std::vector<EndpointPair> ps(pairs);
   for (std::size_t p = 0; p < pairs; ++p) ps[p] = pair_of(p, pairs);
   const auto t0 = std::chrono::steady_clock::now();
-  probe::ProbeResult pr;
   for (std::size_t r = 0; r < rounds; ++r) {
-    pr.sent_at = SimTime::seconds(static_cast<double>(r) * kIntervalS);
+    const SimTime t = SimTime::seconds(static_cast<double>(r) * kIntervalS);
     const float* row = stream.data() + r * pairs;
     for (std::size_t p = 0; p < pairs; ++p) {
-      const float v = row[p];
-      pr.pair = ps[p];
-      pr.delivered = v >= 0.0F;
-      pr.rtt_us = v >= 0.0F ? static_cast<double>(v) : 0.0;
-      const auto fired = det.ingest(pr);
-      events.insert(events.end(), fired.begin(), fired.end());
+      (void)det.ingest(ps[p], observation(t, row[p]), events);
     }
   }
   const auto tail =
@@ -159,48 +153,50 @@ bool identical_events(const std::vector<AnomalyEvent>& a,
 }
 
 struct ScaleResult {
-  double t_batch = 0.0;
+  double t_reference = 0.0;
   double t_streaming = 0.0;
   bool ok = false;
 };
 
-/// One Part-1 scale point: interleaved min-of-N for both paths plus the
-/// verdict- and accounting-identity checks. Interleaving the reps (b, s,
-/// b, s, ...) keeps a time-varying background load from biasing one path.
+/// One Part-1 scale point: interleaved min-of-N for both detectors plus the
+/// verdict- and accounting-identity checks. Interleaving the reps (r, s,
+/// r, s, ...) keeps a time-varying background load from biasing one side.
 ScaleResult run_scale(std::size_t pairs, std::size_t rounds, int reps,
                       TablePrinter& table) {
   const auto stream = make_stream(pairs, rounds);
   const auto probes = static_cast<double>(stream.size());
   ScaleResult res;
-  std::vector<AnomalyEvent> batch_events, streaming_events;
-  DetectorCounters bc, sc;
-  res.t_batch = run_batch(stream, pairs, rounds, batch_events, bc);
+  std::vector<AnomalyEvent> reference_events, streaming_events;
+  DetectorCounters rc, sc;
+  res.t_reference = run_reference(stream, pairs, rounds, reference_events, rc);
   res.t_streaming = run_streaming(stream, pairs, rounds, streaming_events, sc);
   for (int rep = 1; rep < reps; ++rep) {
     std::vector<AnomalyEvent> ev;
     DetectorCounters c;
-    res.t_batch = std::min(res.t_batch, run_batch(stream, pairs, rounds, ev, c));
+    res.t_reference =
+        std::min(res.t_reference, run_reference(stream, pairs, rounds, ev, c));
     ev.clear();
     res.t_streaming =
         std::min(res.t_streaming, run_streaming(stream, pairs, rounds, ev, c));
   }
-  const double speedup = res.t_batch / res.t_streaming;
+  const double speedup = res.t_reference / res.t_streaming;
   const std::string scale = std::to_string(pairs / 1000) + "k pairs";
-  table.add_row({scale, "batch (reference)", TablePrinter::num(res.t_batch, 3),
-                 TablePrinter::num(probes / res.t_batch / 1e6, 2) + "M",
-                 std::to_string(batch_events.size()), ""});
+  table.add_row({scale, "batch reference",
+                 TablePrinter::num(res.t_reference, 3),
+                 TablePrinter::num(probes / res.t_reference / 1e6, 2) + "M",
+                 std::to_string(reference_events.size()), ""});
   table.add_row({scale, "streaming", TablePrinter::num(res.t_streaming, 3),
                  TablePrinter::num(probes / res.t_streaming / 1e6, 2) + "M",
                  std::to_string(streaming_events.size()),
                  TablePrinter::num(speedup, 2) + "x"});
-  if (!same_verdicts(streaming_events, batch_events)) {
-    std::printf("FATAL: streaming and batch verdicts differ at %zu pairs\n",
-                pairs);
+  if (!same_verdicts(streaming_events, reference_events)) {
+    std::printf("FATAL: streaming and reference verdicts differ at %zu "
+                "pairs\n", pairs);
     return res;
   }
-  if (bc.short_windows_closed != sc.short_windows_closed ||
-      bc.samples_delivered != sc.samples_delivered) {
-    std::printf("FATAL: window accounting differs between paths at %zu "
+  if (rc.short_windows_closed != sc.short_windows_closed ||
+      rc.samples_delivered != sc.samples_delivered) {
+    std::printf("FATAL: window accounting differs from the reference at %zu "
                 "pairs\n", pairs);
     return res;
   }
@@ -216,15 +212,16 @@ ScaleResult run_scale(std::size_t pairs, std::size_t rounds, int reps,
 }  // namespace
 
 int main() {
-  print_banner("Anomaly-detector ingest throughput: streaming vs batch");
-  std::printf("interleaved min-of-N wall time per path; verdicts must match "
-              "event-for-event\n\n");
+  print_banner(
+      "Anomaly-detector ingest throughput: streaming vs batch reference");
+  std::printf("interleaved min-of-N wall time per detector; verdicts must "
+              "match event-for-event\n\n");
 
-  TablePrinter table({"scale", "path", "wall s", "probes/s", "events",
+  TablePrinter table({"scale", "detector", "wall s", "probes/s", "events",
                       "speedup"});
   // 9 interleaved reps on the gated row: the host this runs on shares its
   // cores, and min-of-N only converges on the true (noise-free) wall time
-  // for both paths once N spans a few scheduler interference periods.
+  // for both detectors once N spans a few scheduler interference periods.
   const ScaleResult r10k = run_scale(10000, 120, 9, table);
   if (!r10k.ok) return 1;
   const ScaleResult r100k = run_scale(100000, 60, 3, table);
@@ -232,7 +229,7 @@ int main() {
   std::printf("\n");
   table.print();
 
-  const double speedup = r10k.t_batch / r10k.t_streaming;
+  const double speedup = r10k.t_reference / r10k.t_streaming;
   std::printf("\n10k-pair speedup: %.2fx (gate: >= 10x)\n", speedup);
   if (speedup < 10.0) {
     std::printf("FATAL: speedup %.2fx below the 10x requirement\n", speedup);
@@ -246,7 +243,6 @@ int main() {
     constexpr std::size_t kPairs = 10000, kRounds = 120, kCut = kRounds / 2;
     const auto stream = make_stream(kPairs, kRounds);
     DetectorConfig cfg;
-    cfg.streaming = true;
     cfg.expected_pairs = kPairs;
     AnomalyDetector det(cfg);
     std::vector<AnomalyDetector::PairHandle> handles(kPairs);
@@ -263,9 +259,7 @@ int main() {
             SimTime::seconds(static_cast<double>(r) * kIntervalS);
         const float* row = stream.data() + r * kPairs;
         for (std::size_t p = 0; p < kPairs; ++p) {
-          const float v = row[p];
-          (void)d.ingest(hs[p], t, v >= 0.0F,
-                         v >= 0.0F ? static_cast<double>(v) : 0.0, ev);
+          (void)d.ingest(hs[p], observation(t, row[p]), ev);
         }
       }
     };
@@ -299,9 +293,9 @@ int main() {
                 "handles stable\n", kCut, tail_live.size());
   }
 
-  // Part 3: end-to-end campaign verdicts must be bit-identical — across
-  // detector paths, and across runner thread counts on the streaming path.
-  print_banner("Campaign verdict identity (streaming vs batch)");
+  // Part 3: end-to-end campaign verdicts must be bit-identical across
+  // runner thread counts.
+  print_banner("Campaign verdict identity across runner threads");
   runner::CampaignConfig cc;
   cc.topology.num_hosts = 16;
   cc.topology.rails_per_host = 4;
@@ -317,44 +311,30 @@ int main() {
   cc.drain = SimTime::minutes(10);
 
   const std::vector<std::uint64_t> seeds{0x5eedULL, 0xbeefULL, 0xf00dULL};
-  TablePrinter ct({"seed", "cases", "precision", "recall", "identical"});
-  for (const std::uint64_t seed : seeds) {
-    cc.hunter.detector.streaming = true;
-    const auto s = runner::run_campaign(cc, seed);
-    cc.hunter.detector.streaming = false;
-    const auto b = runner::run_campaign(cc, seed);
-    const bool same = s.score == b.score &&
-                      s.failure_cases == b.failure_cases &&
-                      s.probes_sent == b.probes_sent;
-    ct.add_row({std::to_string(seed), std::to_string(s.failure_cases),
+  const auto one = runner::run_many(cc, seeds, 1);
+  const auto four = runner::run_many(cc, seeds, 4);
+  const auto sixteen = runner::run_many(cc, seeds, 16);
+  const auto same = [](const runner::RunResult& a, const runner::RunResult& b) {
+    return a.score == b.score && a.failure_cases == b.failure_cases &&
+           a.probes_sent == b.probes_sent;
+  };
+  TablePrinter ct({"seed", "cases", "precision", "recall",
+                   "identical at 4/16 threads"});
+  bool all_same = true;
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    const auto& s = one.runs[i];
+    const bool ok = same(s, four.runs[i]) && same(s, sixteen.runs[i]);
+    all_same = all_same && ok;
+    ct.add_row({std::to_string(seeds[i]), std::to_string(s.failure_cases),
                 TablePrinter::num(100 * s.score.precision(), 1) + "%",
                 TablePrinter::num(100 * s.score.recall(), 1) + "%",
-                same ? "yes" : "NO (BUG)"});
-    if (!same) {
-      std::printf("FATAL: campaign verdicts differ at seed %llu\n",
-                  static_cast<unsigned long long>(seed));
-      return 1;
-    }
+                ok ? "yes" : "NO (BUG)"});
   }
   ct.print();
-  std::printf("\ncampaign verdicts bit-identical across detector paths\n");
-
-  cc.hunter.detector.streaming = true;
-  const auto one = runner::run_many(cc, seeds, 1);
-  for (const std::size_t n : {std::size_t{4}, std::size_t{16}}) {
-    const auto many = runner::run_many(cc, seeds, n);
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      if (!(one.runs[i].score == many.runs[i].score) ||
-          one.runs[i].failure_cases != many.runs[i].failure_cases ||
-          one.runs[i].probes_sent != many.runs[i].probes_sent) {
-        std::printf("FATAL: streaming campaign differs at %zu threads, "
-                    "seed %llu\n", n,
-                    static_cast<unsigned long long>(seeds[i]));
-        return 1;
-      }
-    }
+  if (!all_same) {
+    std::printf("FATAL: campaign verdicts differ across runner threads\n");
+    return 1;
   }
-  std::printf("streaming campaigns bit-identical across 1/4/16 runner "
-              "threads\n");
+  std::printf("\ncampaigns bit-identical across 1/4/16 runner threads\n");
   return 0;
 }

@@ -88,9 +88,10 @@ RunStats run(std::size_t shards) {
     const SimTime now =
         SimTime::seconds(static_cast<std::int64_t>(round * kIntervalS));
     for (std::size_t p = 0; p < kPairs; ++p) {
-      batch[p].seq = round;
-      batch[p].sent_at = now;
-      observe(p, round, batch[p].delivered, batch[p].rtt_us);
+      Observation& o = batch[p].obs;
+      o.seq = round;
+      o.sent_at = now;
+      observe(p, round, o.delivered, o.rtt_us);
     }
     det.ingest_batch(batch, events, fired);
     stats.events += events.size();

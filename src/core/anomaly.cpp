@@ -45,14 +45,10 @@ SimTime aligned_restart(SimTime boundary, SimTime t, SimTime window) {
   return SimTime::nanos(boundary.raw_nanos() + missed * w);
 }
 
-/// Window summary over pre-sorted samples, with the robust-scale clamp
-/// applied to the moment coordinates (mean/std/max): samples above
-/// p75 + max(iqr_mult * IQR, band_frac * p50) are winsorized to that cap.
-/// Percentiles are order statistics of the window body and stay raw. With
-/// iqr_mult == 0 (or no sample above the cap) this reproduces
-/// WindowAccumulator::summary()'s sorted-order moments exactly; both
-/// detector paths route through it, so their feature vectors agree
-/// bit-for-bit.
+}  // namespace
+
+// With iqr_mult == 0 (or no sample above the cap) this reproduces
+// WindowAccumulator::summary()'s sorted-order moments exactly.
 WindowSummary robust_summary(std::span<const double> sorted, double iqr_mult,
                              double band_frac) {
   WindowSummary s;
@@ -82,12 +78,8 @@ WindowSummary robust_summary(std::span<const double> sorted, double iqr_mult,
   return s;
 }
 
-}  // namespace
-
 AnomalyDetector::AnomalyDetector(DetectorConfig cfg)
     : cfg_(cfg),
-      stride_(static_cast<std::uint32_t>(
-          std::max<std::size_t>(1, cfg.window_sample_capacity))),
       index_(common::FlatTableConfig{cfg.expected_pairs,
                                      cfg.pair_table_fullness}),
       // One slot of slack beyond the live maximum (lookback + 1 entries):
@@ -99,7 +91,7 @@ AnomalyDetector::AnomalyDetector(DetectorConfig cfg)
   if (cfg_.expected_pairs > 0) {
     hot_.reserve(cfg_.expected_pairs);
     cold_.reserve(cfg_.expected_pairs);
-    samples_.reserve(cfg_.expected_pairs * stride_);
+    samples_.reserve(cfg_.expected_pairs * kStride);
     p50_.reserve(cfg_.expected_pairs * p50_stride_);
     if (cfg_.track_paths) paths_.reserve(cfg_.expected_pairs * kPathSlots);
   }
@@ -143,7 +135,7 @@ AnomalyDetector::PairHandle AnomalyDetector::handle_of(
       // values, but every read is bounded by the fresh LOF model's size).
       hot_.resize(id + 1);
       cold_.resize(id + 1);
-      samples_.resize(static_cast<std::size_t>(id + 1) * stride_, 0.0);
+      samples_.resize(static_cast<std::size_t>(id + 1) * kStride, 0.0);
       p50_.resize(static_cast<std::size_t>(id + 1) * p50_stride_, 0.0);
       if (cfg_.track_paths) {
         paths_.resize(static_cast<std::size_t>(id + 1) * kPathSlots);
@@ -159,7 +151,7 @@ void AnomalyDetector::reserve_pairs(std::size_t pairs) {
   if (pairs > hot_.capacity()) {
     hot_.reserve(pairs);
     cold_.reserve(pairs);
-    samples_.reserve(pairs * stride_);
+    samples_.reserve(pairs * kStride);
     p50_.reserve(pairs * p50_stride_);
     if (cfg_.track_paths) paths_.reserve(pairs * kPathSlots);
   }
@@ -215,29 +207,21 @@ std::size_t AnomalyDetector::retired_count() const noexcept {
   return n;
 }
 
-std::vector<AnomalyEvent> AnomalyDetector::ingest(const probe::ProbeResult& r) {
-  std::vector<AnomalyEvent> events;
-  (void)ingest(handle_of(r.pair), r.seq, r.sent_at, r.delivered, r.rtt_us,
-               r.path_id, events);
-  return events;
-}
-
-std::size_t AnomalyDetector::ingest(PairHandle h, std::uint64_t seq,
-                                    SimTime sent_at, bool delivered,
-                                    double rtt_us, std::uint32_t path_id,
+std::size_t AnomalyDetector::ingest(PairHandle h, const Observation& o,
                                     std::vector<AnomalyEvent>& out) {
   const std::size_t before = out.size();
+  const SimTime sent_at = o.sent_at;
   PairHot& st = hot_[h];
   m_probes_.inc();
 
   // Gray-telemetry rejection, before any window state is touched: a lying
   // delivery must not close windows, drag the grid, or double-count.
-  if (seq != 0) {
-    if (seq == st.last_seq && sent_at == st.last_sent) {
+  if (o.seq != 0) {
+    if (o.seq == st.last_seq && sent_at == st.last_sent) {
       m_dup_rejected_.inc();  // duplicated delivery: counted exactly once
       return 0;
     }
-    if (seq < st.last_seq && sent_at <= st.last_sent) {
+    if (o.seq < st.last_seq && sent_at <= st.last_sent) {
       m_stale_rejected_.inc();  // reordered straggler from an earlier round
       return 0;
     }
@@ -250,8 +234,8 @@ std::size_t AnomalyDetector::ingest(PairHandle h, std::uint64_t seq,
     m_stale_rejected_.inc();
     return 0;
   }
-  if (seq != 0) {
-    st.last_seq = seq;
+  if (o.seq != 0) {
+    st.last_seq = o.seq;
     st.last_sent = sent_at;
   }
   // A straggling result for a churn-retired pair revives it: analysis
@@ -286,24 +270,18 @@ std::size_t AnomalyDetector::ingest(PairHandle h, std::uint64_t seq,
   }
 
   ++st.short_sent;
-  if (delivered) {
+  if (o.delivered) {
     m_delivered_.inc();
-    if (cfg_.streaming) {
-      // Long-window accumulation is folded into the short-window close:
-      // the long window is a short-window multiple on the same grid, so
-      // every long close is preceded by the short close covering its tail.
-      const std::uint32_t c = st.short_count;
-      if (c < stride_) {
-        samples_[static_cast<std::size_t>(h) * stride_ + c] = rtt_us;
-      } else {
-        cold_[h].spill.push_back(rtt_us);
-      }
-      st.short_count = c + 1;
+    // Long-window accumulation is folded into the short-window close: the
+    // long window is a short-window multiple on the same grid, so every
+    // long close is preceded by the short close covering its tail.
+    const std::uint32_t c = st.short_count;
+    if (c < kStride) {
+      samples_[static_cast<std::size_t>(h) * kStride + c] = o.rtt_us;
     } else {
-      PairCold& cold = cold_[h];
-      cold.short_rtts.push_back(rtt_us);
-      cold.long_rtts.push_back(rtt_us);
+      cold_[h].spill.push_back(o.rtt_us);
     }
+    st.short_count = c + 1;
     st.fail_streak = 0;
     st.unreachable_alarmed = false;
   } else {
@@ -321,7 +299,7 @@ std::size_t AnomalyDetector::ingest(PairHandle h, std::uint64_t seq,
   // when off, a bounded slot update when on. Accumulated across windows —
   // a sprayed pair spreads each window's samples over up to spray_ways
   // members, so per-window member counts are too thin to judge alone.
-  if (cfg_.track_paths) note_path(h, path_id, delivered, rtt_us);
+  if (cfg_.track_paths) note_path(h, o.path_id, o.delivered, o.rtt_us);
   const std::size_t fired = out.size() - before;
   m_events_.add(fired);
   return fired;
@@ -425,8 +403,8 @@ void AnomalyDetector::evaluate_paths(PairHandle h, SimTime at,
 
 std::span<const double> AnomalyDetector::window_sorted(PairHandle h) {
   PairHot& hot = hot_[h];
-  double* strip = samples_.data() + static_cast<std::size_t>(h) * stride_;
-  if (hot.short_count <= stride_) {
+  double* strip = samples_.data() + static_cast<std::size_t>(h) * kStride;
+  if (hot.short_count <= kStride) {
     // The common case: the whole window fits its strip; sort in place,
     // no copies, no allocation, branchlessly (a strip holds at most 8
     // samples by default). Same multiset as the arrival-order accumulator
@@ -435,7 +413,7 @@ std::span<const double> AnomalyDetector::window_sorted(PairHandle h) {
     return {strip, hot.short_count};
   }
   const auto& spill = cold_[h].spill;
-  sort_scratch_.assign(strip, strip + stride_);
+  sort_scratch_.assign(strip, strip + kStride);
   sort_scratch_.insert(sort_scratch_.end(), spill.begin(), spill.end());
   std::sort(sort_scratch_.begin(), sort_scratch_.end());
   return {sort_scratch_.data(), sort_scratch_.size()};
@@ -472,25 +450,18 @@ void AnomalyDetector::close_short_window(PairHandle h, SimTime at,
       obs_->tracer.instant("detector", "window.short.insufficient", at,
                            hot.short_sent, hot.short_lost);
     }
-    if (!cfg_.streaming) {
-      // The batch path folded this window's samples into long_rtts at
-      // ingest; un-fold them so both paths starve the Z-test identically.
-      cold.long_rtts.resize(cold.long_rtts.size() - cold.short_rtts.size());
-    }
     log_window(cold.pair, w_start, at, hot.short_sent, hot.short_lost, 0.0f,
                0.0f, obs::kWindowInsufficient);
     hot.short_open = false;
     hot.short_count = 0;
     cold.spill.clear();
-    cold.short_rtts.clear();
     hot.short_sent = 0;
     hot.short_lost = 0;
     return;
   }
   // Sorted once, shared by the feature summary and the long-term fold.
   // Empty (and cheap) when nothing was delivered.
-  const std::span<const double> sorted =
-      cfg_.streaming ? window_sorted(h) : std::span<const double>{};
+  const std::span<const double> sorted = window_sorted(h);
   std::uint32_t log_flags = 0;
   float log_p50 = 0.0f;
   float log_score = 0.0f;
@@ -503,122 +474,86 @@ void AnomalyDetector::close_short_window(PairHandle h, SimTime at,
           AnomalyEvent{cold.pair, at, AnomalyKind::kPacketLoss, loss_rate});
       log_flags |= obs::kWindowLossFired;
     }
-    if (cfg_.streaming) {
-      if (sorted.size() >= cfg_.min_samples_per_window) {
-        const WindowSummary summary =
-            robust_summary(sorted, cfg_.rtt_clamp_iqr_mult,
-                           cfg_.rtt_clamp_band_frac);
-        cold.feature = {summary.p25,  summary.p50,    summary.p75,
-                        summary.min,  summary.mean,   summary.stddev,
-                        summary.max};
-        log_p50 = static_cast<float>(summary.p50);
-        if (!cold.lof) cold.lof.emplace(cfg_.lof, cfg_.lookback_windows + 1);
-        // The pair's magnitude-gate strip: look-back medians kept sorted
-        // (first region) and in window order (second region). Entry count
-        // is the LOF model's size — both are pushed and evicted in
-        // lock-step below.
-        double* const p50s =
-            p50_.data() + static_cast<std::size_t>(h) * p50_stride_;
-        double* const p50f = p50s + p50_cap_;
-        std::size_t p50n = cold.lof->size();
-        const bool scoreable = p50n >= cfg_.lof.k_neighbors + 1;
-        // Magnitude gate against the look-back median-of-medians; the
-        // sorted ring makes it O(1) instead of a copy + sort per close.
-        // (Read before the push below so the new window's own median
-        // cannot dilute its reference.)
-        const double ref_median = scoreable ? p50s[p50n / 2] : 0.0;
-        // Push first, then score the newest point in-model: the batch
-        // scorer appends its query to the reference before scoring, so
-        // `last_score` is the same number without a second distance pass.
-        cold.lof->push(cold.feature);
-        if (scoreable) {
-          // Only an upward shift is a failure symptom; a drop back toward
-          // normal (e.g. recovery against a fault-contaminated look-back)
-          // must not alarm. The event needs the shift gate AND the LOF
-          // gate, so test the O(1) magnitude gate first: on the healthy
-          // steady state (almost every close) it fails and the scoring
-          // pass is skipped outright — the model stays current either way
-          // because push/pop above and below maintain it regardless.
-          const double shift =
-              ref_median > 0.0 ? (summary.p50 - ref_median) / ref_median : 0.0;
-          if (shift >= cfg_.min_relative_shift) {
-            const double score = cold.lof->last_score();
-            log_score = static_cast<float>(score);
-            log_flags |= obs::kWindowScored;
-            if (obs_ != nullptr) {
-              obs_->tracer.instant("detector", "lof.score", at, 0, 0, score);
-            }
-            if (score > cfg_.lof.outlier_threshold) {
-              events.push_back(AnomalyEvent{cold.pair, at,
-                                            AnomalyKind::kLatencyShortTerm,
-                                            score});
-              log_flags |= obs::kWindowLofFired;
-            }
-          } else {
-            m_gate_skips_.inc();
-            if (obs_ != nullptr) {
-              obs_->tracer.instant("detector", "lof.gate_skip", at, 0, 0,
-                                   shift);
-            }
-          }
-        }
-        p50f[p50n] = summary.p50;
-        double* const ins = std::upper_bound(p50s, p50s + p50n, summary.p50);
-        std::copy_backward(ins, p50s + p50n, p50s + p50n + 1);
-        *ins = summary.p50;
-        ++p50n;
-        while (cold.lof->size() > cfg_.lookback_windows) {
-          cold.lof->pop_front();
-          const double evicted = p50f[0];
-          std::copy(p50f + 1, p50f + p50n, p50f);
-          double* const del = std::lower_bound(p50s, p50s + p50n, evicted);
-          std::copy(del + 1, p50s + p50n, del);
-          --p50n;
-        }
-      }
-    } else if (cold.short_rtts.size() >= cfg_.min_samples_per_window) {
-      std::vector<double> sorted_rtts = cold.short_rtts;
-      std::sort(sorted_rtts.begin(), sorted_rtts.end());
-      const auto summary =
-          robust_summary(sorted_rtts, cfg_.rtt_clamp_iqr_mult,
+    if (sorted.size() >= cfg_.min_samples_per_window) {
+      const WindowSummary summary =
+          robust_summary(sorted, cfg_.rtt_clamp_iqr_mult,
                          cfg_.rtt_clamp_band_frac);
-      const auto feature = summary.as_feature_vector();
+      cold.feature = {summary.p25,  summary.p50,    summary.p75,
+                      summary.min,  summary.mean,   summary.stddev,
+                      summary.max};
       log_p50 = static_cast<float>(summary.p50);
-      if (cold.lookback.size() >= cfg_.lof.k_neighbors + 1) {
-        const std::vector<std::vector<double>> reference(cold.lookback.begin(),
-                                                         cold.lookback.end());
-        const double score = ml::lof_score_of(feature, reference, cfg_.lof);
-        log_score = static_cast<float>(score);
-        log_flags |= obs::kWindowScored;
-        // Magnitude gate: index 1 of the feature vector is the median.
-        std::vector<double> medians;
-        medians.reserve(reference.size());
-        for (const auto& w : reference) medians.push_back(w[1]);
-        std::sort(medians.begin(), medians.end());
-        const double ref_median = medians[medians.size() / 2];
+      if (!cold.lof) cold.lof.emplace(cfg_.lof, cfg_.lookback_windows + 1);
+      // The pair's magnitude-gate strip: look-back medians kept sorted
+      // (first region) and in window order (second region). Entry count
+      // is the LOF model's size — both are pushed and evicted in
+      // lock-step below.
+      double* const p50s =
+          p50_.data() + static_cast<std::size_t>(h) * p50_stride_;
+      double* const p50f = p50s + p50_cap_;
+      std::size_t p50n = cold.lof->size();
+      const bool scoreable = p50n >= cfg_.lof.k_neighbors + 1;
+      // Magnitude gate against the look-back median-of-medians; the
+      // sorted ring makes it O(1) instead of a copy + sort per close.
+      // (Read before the push below so the new window's own median
+      // cannot dilute its reference.)
+      const double ref_median = scoreable ? p50s[p50n / 2] : 0.0;
+      // Push first, then score the newest point in-model: the batch
+      // scorer (`ml::lof_score_of`) appends its query to the reference
+      // before scoring, so `last_score` is the same number without a
+      // second distance pass.
+      cold.lof->push(cold.feature);
+      if (scoreable) {
+        // Only an upward shift is a failure symptom; a drop back toward
+        // normal (e.g. recovery against a fault-contaminated look-back)
+        // must not alarm. The event needs the shift gate AND the LOF
+        // gate, so test the O(1) magnitude gate first: on the healthy
+        // steady state (almost every close) it fails and the scoring
+        // pass is skipped outright — the model stays current either way
+        // because push/pop above and below maintain it regardless.
         const double shift =
             ref_median > 0.0 ? (summary.p50 - ref_median) / ref_median : 0.0;
-        if (score > cfg_.lof.outlier_threshold &&
-            shift >= cfg_.min_relative_shift) {
-          events.push_back(AnomalyEvent{cold.pair, at,
-                                        AnomalyKind::kLatencyShortTerm, score});
-          log_flags |= obs::kWindowLofFired;
+        if (shift >= cfg_.min_relative_shift) {
+          const double score = cold.lof->last_score();
+          log_score = static_cast<float>(score);
+          log_flags |= obs::kWindowScored;
+          if (obs_ != nullptr) {
+            obs_->tracer.instant("detector", "lof.score", at, 0, 0, score);
+          }
+          if (score > cfg_.lof.outlier_threshold) {
+            events.push_back(AnomalyEvent{cold.pair, at,
+                                          AnomalyKind::kLatencyShortTerm,
+                                          score});
+            log_flags |= obs::kWindowLofFired;
+          }
+        } else {
+          m_gate_skips_.inc();
+          if (obs_ != nullptr) {
+            obs_->tracer.instant("detector", "lof.gate_skip", at, 0, 0,
+                                 shift);
+          }
         }
       }
-      cold.lookback.push_back(feature);
-      while (cold.lookback.size() > cfg_.lookback_windows) {
-        cold.lookback.pop_front();
+      p50f[p50n] = summary.p50;
+      double* const ins = std::upper_bound(p50s, p50s + p50n, summary.p50);
+      std::copy_backward(ins, p50s + p50n, p50s + p50n + 1);
+      *ins = summary.p50;
+      ++p50n;
+      while (cold.lof->size() > cfg_.lookback_windows) {
+        cold.lof->pop_front();
+        const double evicted = p50f[0];
+        std::copy(p50f + 1, p50f + p50n, p50f);
+        double* const del = std::lower_bound(p50s, p50s + p50n, evicted);
+        std::copy(del + 1, p50s + p50n, del);
+        --p50n;
       }
     }
   }
-  if (cfg_.streaming) {
-    // Fold this window's delivered samples into the long-window
-    // accumulators exactly once, at close. Sorted rather than arrival
-    // order: Welford moments differ only in FP rounding.
-    cold.long_seen += sorted.size();
-    for (const double v : sorted) {
-      if (v > 0.0) cold.long_log.add(std::log(v));
-    }
+  // Fold this window's delivered samples into the long-window accumulators
+  // exactly once, at close. Sorted rather than arrival order: Welford
+  // moments differ only in FP rounding.
+  cold.long_seen += sorted.size();
+  for (const double v : sorted) {
+    if (v > 0.0) cold.long_log.add(std::log(v));
   }
   // Per-path differential pass piggybacks on the close cadence: the slots
   // accumulate across windows, so this is when enough members have enough
@@ -629,7 +564,6 @@ void AnomalyDetector::close_short_window(PairHandle h, SimTime at,
   hot.short_open = false;
   hot.short_count = 0;
   cold.spill.clear();
-  cold.short_rtts.clear();
   hot.short_sent = 0;
   hot.short_lost = 0;
 }
@@ -640,29 +574,20 @@ void AnomalyDetector::close_long_window(PairHandle h, SimTime at,
   PairCold& cold = cold_[h];
   m_long_closed_.inc();
   if (obs_ != nullptr) {
-    obs_->tracer.instant("detector", "window.long.close", at,
-                         cfg_.streaming ? cold.long_seen
-                                        : cold.long_rtts.size());
+    obs_->tracer.instant("detector", "window.long.close", at, cold.long_seen);
   }
-  const std::size_t n =
-      cfg_.streaming ? cold.long_seen : cold.long_rtts.size();
+  const std::size_t n = cold.long_seen;
   std::uint32_t log_flags = obs::kWindowLong;
   float log_score = 0.0f;
   if (n >= cfg_.min_samples_per_window) {
     if (!cold.baseline) {
       // First complete window: fit the log-normal baseline (time T of
       // Figure 14).
-      cold.baseline = cfg_.streaming ? ml::fit_lognormal(cold.long_log)
-                                     : ml::fit_lognormal(cold.long_rtts);
+      cold.baseline = ml::fit_lognormal(cold.long_log);
     } else {
-      const auto result = cfg_.streaming
-                              ? ml::z_test(*cold.baseline, cold.long_log,
-                                           cfg_.z_alpha)
-                              : ml::z_test(*cold.baseline, cold.long_rtts,
-                                           cfg_.z_alpha);
-      const auto window_fit = cfg_.streaming
-                                  ? ml::fit_lognormal(cold.long_log)
-                                  : ml::fit_lognormal(cold.long_rtts);
+      const auto result =
+          ml::z_test(*cold.baseline, cold.long_log, cfg_.z_alpha);
+      const auto window_fit = ml::fit_lognormal(cold.long_log);
       // Signed: only degradation (upward drift) is a failure; the recovery
       // window after a fault shifts downward and must not re-alarm.
       const double shift = std::exp(window_fit.mu - cold.baseline->mu) - 1.0;
@@ -689,7 +614,6 @@ void AnomalyDetector::close_long_window(PairHandle h, SimTime at,
   hot.long_open = false;
   cold.long_log = RunningStats{};
   cold.long_seen = 0;
-  cold.long_rtts.clear();
 }
 
 void AnomalyDetector::recycle(PairHandle h) {
@@ -744,12 +668,11 @@ std::vector<AnomalyEvent> AnomalyDetector::flush(SimTime now) {
 bool AnomalyDetector::extract_pair(const EndpointPair& pair, PairState& out) {
   const PairHandle h = index_.find(pair);
   if (h == common::FlatPairTable::kNoSlot) return false;
-  out.stride_ = stride_;
   out.p50_stride_ = p50_stride_;
   out.hot_ = hot_[h];
   out.cold_ = std::move(cold_[h]);
-  const double* strip = samples_.data() + static_cast<std::size_t>(h) * stride_;
-  out.samples_.assign(strip, strip + stride_);
+  const double* strip = samples_.data() + static_cast<std::size_t>(h) * kStride;
+  out.samples_.assign(strip, strip + kStride);
   const double* gate = p50_.data() + static_cast<std::size_t>(h) * p50_stride_;
   out.p50_.assign(gate, gate + p50_stride_);
   if (cfg_.track_paths) {
@@ -776,7 +699,7 @@ bool AnomalyDetector::extract_pair(const EndpointPair& pair, PairState& out) {
 }
 
 AnomalyDetector::PairHandle AnomalyDetector::adopt_pair(PairState&& st) {
-  if (st.stride_ != stride_ || st.p50_stride_ != p50_stride_ ||
+  if (st.p50_stride_ != p50_stride_ ||
       st.paths_.size() != (cfg_.track_paths ? kPathSlots : 0u)) {
     throw std::logic_error(
         "adopt_pair: strip geometry mismatch (detector configs differ)");
@@ -788,7 +711,7 @@ AnomalyDetector::PairHandle AnomalyDetector::adopt_pair(PairState&& st) {
   hot_[h] = st.hot_;
   cold_[h] = std::move(st.cold_);
   std::copy(st.samples_.begin(), st.samples_.end(),
-            samples_.begin() + static_cast<std::size_t>(h) * stride_);
+            samples_.begin() + static_cast<std::size_t>(h) * kStride);
   std::copy(st.p50_.begin(), st.p50_.end(),
             p50_.begin() + static_cast<std::size_t>(h) * p50_stride_);
   if (cfg_.track_paths) {
@@ -801,7 +724,6 @@ AnomalyDetector::PairHandle AnomalyDetector::adopt_pair(PairState&& st) {
 
 AnomalyDetector::Snapshot AnomalyDetector::snapshot() const {
   Snapshot s;
-  s.stride_ = stride_;
   s.index_ = index_;
   s.hot_ = hot_;
   s.cold_ = cold_;
@@ -813,7 +735,6 @@ AnomalyDetector::Snapshot AnomalyDetector::snapshot() const {
 }
 
 void AnomalyDetector::restore(const Snapshot& snap) {
-  stride_ = snap.stride_ != 0 ? snap.stride_ : stride_;
   index_ = snap.index_;
   hot_ = snap.hot_;
   cold_ = snap.cold_;

@@ -10,15 +10,14 @@
 //    healthy 30-minute window, with later 30-minute windows Z-tested
 //    against it (catches gradual drift the short-term LOF absorbs).
 //
-// Two compute paths produce those verdicts. The *streaming* path (default)
-// is the production hot path: window summaries accumulate incrementally
-// into per-pair sample strips, the LOF look-back model stays resident
-// across window closes (`ml::StreamingLof`), and long windows keep only
-// log-domain moments — no per-window copies, sorts, or refits. The *batch*
-// path recomputes everything from retained samples at each close and
-// serves as the reference implementation; both paths emit identical
-// verdicts (equality pinned by tests/core and re-checked by
-// bench_anomaly_throughput on campaign scenarios).
+// The detector computes those verdicts incrementally: window samples
+// accumulate into per-pair sample strips, the LOF look-back model stays
+// resident across window closes (`ml::StreamingLof`), and long windows
+// keep only log-domain moments — no per-window copies, sorts, or refits.
+// A batch reference that recomputes every verdict from retained raw
+// samples lives with the tests (tests/support/reference_detector.h); the
+// differential suites in tests/core and bench_anomaly_throughput pin the
+// two to identical verdicts.
 //
 // Pair storage is cache-resident by construction: pair resolution rides a
 // fixed-capacity `common::FlatPairTable` sized at plan time
@@ -33,7 +32,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -42,13 +40,13 @@
 #include <vector>
 
 #include "common/flat_table.h"
+#include "common/ids.h"
 #include "common/stats.h"
 #include "common/time.h"
 #include "ml/lof.h"
 #include "ml/stats_tests.h"
 #include "ml/streaming_lof.h"
 #include "obs/context.h"
-#include "probe/probe_types.h"
 
 namespace skh::core {
 
@@ -82,6 +80,27 @@ struct AnomalyEvent {
 /// what makes verdicts shard-count-invariant.
 void canonicalize_events(std::vector<AnomalyEvent>& events);
 
+/// One probe outcome for one pair, as the analyzer consumes it.
+struct Observation {
+  /// Agent-stamped per-pair sequence number; 0 = unsequenced, which
+  /// bypasses duplicate/reordering rejection.
+  std::uint64_t seq = 0;
+  SimTime sent_at;
+  bool delivered = false;
+  double rtt_us = 0.0;  ///< valid iff delivered
+  /// Equal-cost member the probe rode (0 = the default path); only read
+  /// when DetectorConfig::track_paths is on.
+  std::uint32_t path_id = 0;
+};
+
+/// Short-window feature summary over pre-sorted samples. Percentiles are
+/// order statistics of the raw samples; the moment coordinates (mean, std,
+/// max) use samples winsorized at p75 + max(iqr_mult * IQR, band_frac *
+/// p50), so one corrupted RTT cannot poison the look-back (iqr_mult 0
+/// disables the clamp).
+[[nodiscard]] WindowSummary robust_summary(std::span<const double> sorted,
+                                           double iqr_mult, double band_frac);
+
 struct DetectorConfig {
   SimTime short_window = SimTime::seconds(30);
   std::size_t lookback_windows = 10;  ///< 5 min of 30 s windows
@@ -107,9 +126,6 @@ struct DetectorConfig {
   std::size_t min_lost_per_window = 2;
   std::size_t min_samples_per_window = 5;
   int unreachable_streak = 3;
-  /// Select the incremental compute path (see file header). The batch path
-  /// is kept as the reference the streaming path is verified against.
-  bool streaming = true;
   /// Gray-telemetry quorum: a short window that observed fewer than this
   /// many probes is *insufficient* — it gets no loss verdict, no LOF
   /// push/score, and its samples are not fed to the long-term Z-test
@@ -132,18 +148,9 @@ struct DetectorConfig {
   std::size_t expected_pairs = 0;
   /// Occupied fraction the pair table is sized for (see FlatTableConfig).
   double pair_table_fullness = 0.5;
-  /// Per-pair sample-strip stride (doubles) in the streaming arena — the
-  /// per-window sample count that stays allocation-free. Windows with more
-  /// delivered samples spill the excess to a per-pair cold vector; verdicts
-  /// are unaffected. With 30 s windows at the 5 s campaign probe interval a
-  /// window holds 6 samples, so the default 8 covers it with exactly one
-  /// cache line per pair — a wider strip dilutes the arena across 4x the
-  /// lines and measurably slows ingest (see ARCHITECTURE.md, "Memory
-  /// layout & hot path").
-  std::size_t window_sample_capacity = 8;
   /// Per-path sub-series for sprayed/adaptive pairs: each pair keeps a
   /// bounded table of per-member {sent, lost, rtt} accumulators keyed by
-  /// ProbeResult.path_id, evaluated differentially at short-window closes
+  /// Observation::path_id, evaluated differentially at short-window closes
   /// (a member is anomalous relative to its siblings — the only way a gray
   /// ECMP member shows up when pair-level rates stay under threshold).
   /// Off by default: static ECMP sees one path per pair and pays nothing;
@@ -232,41 +239,22 @@ class AnomalyDetector {
 
   /// Pre-size the pair table (and the id-indexed state arrays) for
   /// `pairs` concurrent pairs. Called at plan/replan time, when the ping
-  /// lists fix the pair population; ingest after a sufficient reserve
-  /// performs zero rehashes and zero table allocations. Growth only.
+  /// lists fix the pair population; mapping pairs and ingesting their
+  /// first windows after a sufficient reserve performs zero rehashes and
+  /// zero heap allocations. Growth only.
   void reserve_pairs(std::size_t pairs);
 
-  /// Hot path: feed one probe result under a pre-resolved handle. Events
-  /// fired by this observation are appended to `out`; returns how many.
-  /// `seq` is the agent-stamped per-pair sequence number (0 = unsequenced,
-  /// which bypasses duplicate/reordering rejection): a result repeating the
-  /// last (seq, sent_at) is a duplicated delivery and is dropped; a result
-  /// whose seq AND timestamp both run backwards is a reordered straggler
-  /// and is dropped; any result timestamped before the open short window
-  /// (a skewed clock or a delivery delayed across a close) is stale and is
-  /// dropped — late lies must not drag the window grid backwards.
-  /// `path_id` is the equal-cost member the probe rode (ProbeResult
-  /// semantics); only read when cfg.track_paths is on.
-  std::size_t ingest(PairHandle h, std::uint64_t seq, SimTime sent_at,
-                     bool delivered, double rtt_us, std::uint32_t path_id,
+  /// Feed one observation under a pre-resolved handle. Window boundaries
+  /// are detected from the observation timestamps; events fired by this
+  /// observation are appended to `out`; returns how many. With a nonzero
+  /// `o.seq`, a result repeating the last (seq, sent_at) is a duplicated
+  /// delivery and is dropped, and a result whose seq AND timestamp both
+  /// run backwards is a reordered straggler and is dropped. Any result
+  /// timestamped before the open short window (a skewed clock or a
+  /// delivery delayed across a close) is stale and is dropped — late lies
+  /// must not drag the window grid backwards.
+  std::size_t ingest(PairHandle h, const Observation& o,
                      std::vector<AnomalyEvent>& out);
-
-  /// Single-path convenience overload (path id 0).
-  std::size_t ingest(PairHandle h, std::uint64_t seq, SimTime sent_at,
-                     bool delivered, double rtt_us,
-                     std::vector<AnomalyEvent>& out) {
-    return ingest(h, seq, sent_at, delivered, rtt_us, 0, out);
-  }
-
-  /// Unsequenced convenience overload (seq = 0, no rejection rules).
-  std::size_t ingest(PairHandle h, SimTime sent_at, bool delivered,
-                     double rtt_us, std::vector<AnomalyEvent>& out) {
-    return ingest(h, 0, sent_at, delivered, rtt_us, 0, out);
-  }
-
-  /// Feed one probe result. Window boundaries are detected from the result
-  /// timestamps; events fired by this observation are returned.
-  [[nodiscard]] std::vector<AnomalyEvent> ingest(const probe::ProbeResult& r);
 
   /// Churn integration: mark `pair` — whose endpoints vanished from the
   /// plan (container death, RNIC rebind on migration) — as retired. Its
@@ -334,9 +322,10 @@ class AnomalyDetector {
   /// leaves `out` untouched) if the pair is unknown.
   [[nodiscard]] bool extract_pair(const EndpointPair& pair, PairState& out);
   /// Insert a previously extracted pair. The pair must not already be
-  /// mapped here and the state's strip geometry must match this detector's
-  /// config (both throw std::logic_error — a rebalance that trips either
-  /// is a routing bug, not a data condition). Returns the new handle.
+  /// mapped here and the state's gate-strip and path-slot geometry must
+  /// match this detector's config (both throw std::logic_error — a
+  /// rebalance that trips either is a routing bug, not a data condition).
+  /// Returns the new handle.
   PairHandle adopt_pair(PairState&& st);
 
  private:
@@ -347,9 +336,8 @@ class AnomalyDetector {
   // land in the pair's fixed-stride strip of `samples_`. A fleet sweep
   // (every pair probed each round) therefore streams one hot line plus
   // one strip line per probe; everything else lives in `PairCold`, read
-  // only at window closes (and by the batch reference path, which retains
-  // raw samples). PairHot is trivially copyable on purpose: the snapshot
-  // of a 100k-pair detector copies the hot array as one memmove.
+  // only at window closes. PairHot is trivially copyable on purpose: the
+  // snapshot of a 100k-pair detector copies the hot array as one memmove.
   struct alignas(64) PairHot {
     // Short- and long-term windows under construction.
     SimTime short_start;
@@ -375,19 +363,16 @@ class AnomalyDetector {
 
   struct PairCold {
     EndpointPair pair;
-    std::vector<double> short_rtts;  // batch path
-    std::vector<double> spill;  // streaming path: strip overflow samples
-    // Look-back of closed-window feature vectors.
-    std::optional<ml::StreamingLof> lof;       // streaming path
-    std::deque<std::vector<double>> lookback;  // batch path
+    std::vector<double> spill;  ///< strip overflow samples
+    /// Look-back of closed-window feature vectors.
+    std::optional<ml::StreamingLof> lof;
     // Feature scratch inline (not a heap vector): a window close is
     // latency-bound on dependent line fetches, and the feature write is on
     // its critical path every close.
-    std::array<double, 7> feature{};  // streaming path: reused scratch
+    std::array<double, 7> feature{};
     // Long-term accumulators + fitted baseline.
-    RunningStats long_log;          // streaming path: moments of ln(rtt)
-    std::size_t long_seen = 0;      // streaming path: delivered samples
-    std::vector<double> long_rtts;  // batch path
+    RunningStats long_log;      ///< moments of ln(rtt)
+    std::size_t long_seen = 0;  ///< delivered samples
     std::optional<ml::LogNormalModel> baseline;
   };
 
@@ -440,16 +425,24 @@ class AnomalyDetector {
                   std::uint32_t sent, std::uint32_t lost, float p50_us,
                   float score, std::uint32_t flags);
 
+  /// Sample-strip stride (doubles per pair): the per-window sample count
+  /// that stays allocation-free. Windows with more delivered samples spill
+  /// the excess to `PairCold::spill`; verdicts are unaffected. With 30 s
+  /// windows at the 5 s campaign probe interval a window holds 6 samples,
+  /// so 8 covers it with exactly one cache line per pair — a wider strip
+  /// dilutes the arena across more lines and measurably slows ingest (see
+  /// ARCHITECTURE.md, "Memory layout & hot path").
+  static constexpr std::uint32_t kStride = 8;
+
   DetectorConfig cfg_;
-  std::uint32_t stride_;  ///< sample-strip stride (window_sample_capacity)
   common::FlatPairTable index_;
   // Dense, indexed by stable table id; hot_[h], cold_[h], and the strip
-  // samples_[h * stride_ ..] describe one pair.
+  // samples_[h * kStride ..] describe one pair.
   std::vector<PairHot> hot_;
   std::vector<PairCold> cold_;
-  /// Strip arena, 64-byte aligned so that with the default stride of 8
-  /// doubles every pair's strip is exactly one cache line — a probe dirties
-  /// one hot line and one strip line, nothing else.
+  /// Strip arena, 64-byte aligned so that every pair's strip is exactly
+  /// one cache line — a probe dirties one hot line and one strip line,
+  /// nothing else.
   std::vector<double, common::ArenaAllocator<double>> samples_;
   /// Magnitude-gate look-back medians, one fixed-stride strip per pair:
   /// the sorted ring (O(1) reference median) in the strip's first
@@ -507,7 +500,6 @@ class AnomalyDetector {
 
    private:
     friend class AnomalyDetector;
-    std::uint32_t stride_ = 0;  ///< strip geometry travels with the strips
     common::FlatPairTable index_;
     std::vector<PairHot> hot_;
     std::vector<PairCold> cold_;
@@ -530,11 +522,10 @@ class AnomalyDetector {
 
    private:
     friend class AnomalyDetector;
-    std::uint32_t stride_ = 0;      ///< sample-strip geometry checks
     std::uint32_t p50_stride_ = 0;  ///< magnitude-gate strip geometry
     PairHot hot_{};
     PairCold cold_;
-    std::vector<double> samples_;  ///< the pair's strip, stride_ doubles
+    std::vector<double> samples_;  ///< the pair's strip, kStride doubles
     std::vector<double> p50_;      ///< the pair's gate strip
     std::vector<PathSlot> paths_;  ///< kPathSlots slots iff track_paths
   };

@@ -62,7 +62,6 @@ ShardedDetector::ShardedDetector(DetectorConfig cfg, std::size_t n_shards,
   batch_cursor_item_.resize(n);
   batch_cursor_event_.resize(n);
   shard_items_.resize(n, 0);
-  batch_counts_.resize(n, 0);
   shard_items_published_.resize(n, 0);
 }
 
@@ -166,45 +165,22 @@ void ShardedDetector::reserve_pairs(std::size_t pairs) {
   for (auto& shard : shards_) shard->reserve_pairs(per);
 }
 
-std::size_t ShardedDetector::ingest(GlobalHandle h, std::uint64_t seq,
-                                    SimTime sent_at, bool delivered,
-                                    double rtt_us, std::uint32_t path_id,
-                                    std::vector<AnomalyEvent>& out) {
-  return shards_[shard_of_[h]]->ingest(local_of_[h], seq, sent_at, delivered,
-                                       rtt_us, path_id, out);
-}
-
 std::size_t ShardedDetector::ingest_batch(
     std::span<const BatchItem> items, std::vector<AnomalyEvent>& events,
     std::vector<std::uint32_t>& fired_per_item) {
   events.clear();
   fired_per_item.assign(items.size(), 0);
   const std::size_t n = shards_.size();
-  if (n == 1 || pool_ == nullptr) {
-    // Degenerate / poolless path: plain sequential ingest, zero overhead
-    // over the single detector it wraps.
+  if (n == 1) {
+    // Degenerate path: plain sequential ingest, zero overhead over the
+    // single detector it wraps.
+    AnomalyDetector& det = *shards_[0];
     for (std::size_t i = 0; i < items.size(); ++i) {
       const BatchItem& it = items[i];
       fired_per_item[i] = static_cast<std::uint32_t>(
-          ingest(it.handle, it.seq, it.sent_at, it.delivered, it.rtt_us,
-                 it.path_id, events));
+          det.ingest(local_of_[it.handle], it.obs, events));
     }
-    if (n == 1) {
-      shard_items_[0] += items.size();
-    } else {
-      // Poolless multi-shard: account identically to the pooled path so
-      // the load/skew series are a function of routing, not pool presence.
-      std::fill(batch_counts_.begin(), batch_counts_.end(), 0);
-      for (const BatchItem& it : items) ++batch_counts_[shard_of_[it.handle]];
-      std::uint64_t max_items = 0;
-      for (std::size_t s = 0; s < n; ++s) {
-        shard_items_[s] += batch_counts_[s];
-        max_items = std::max(max_items, batch_counts_[s]);
-      }
-      if (!items.empty()) {
-        merge_stall_items_ += max_items * n - items.size();
-      }
-    }
+    shard_items_[0] += items.size();
     return events.size();
   }
   for (std::size_t s = 0; s < n; ++s) {
@@ -231,21 +207,25 @@ std::size_t ShardedDetector::ingest_batch(
     merge_stall_items_ += static_cast<std::uint64_t>(max_items) * n -
                           items.size();
   }
+  const auto run_shard = [this, items](std::size_t s) {
+    AnomalyDetector& det = *shards_[s];
+    auto& fired = batch_fired_[s];
+    auto& out = batch_events_[s];
+    for (const std::size_t i : batch_items_[s]) {
+      const BatchItem& it = items[i];
+      fired.push_back(static_cast<std::uint32_t>(
+          det.ingest(local_of_[it.handle], it.obs, out)));
+    }
+  };
   for (std::size_t s = 0; s < n; ++s) {
     if (batch_items_[s].empty()) continue;
-    pool_->submit([this, items, s] {
-      AnomalyDetector& det = *shards_[s];
-      auto& fired = batch_fired_[s];
-      auto& out = batch_events_[s];
-      for (const std::size_t i : batch_items_[s]) {
-        const BatchItem& it = items[i];
-        fired.push_back(static_cast<std::uint32_t>(
-            det.ingest(local_of_[it.handle], it.seq, it.sent_at, it.delivered,
-                       it.rtt_us, it.path_id, out)));
-      }
-    });
+    if (pool_ != nullptr) {
+      pool_->submit([&run_shard, s] { run_shard(s); });
+    } else {
+      run_shard(s);
+    }
   }
-  pool_->wait();
+  if (pool_ != nullptr) pool_->wait();
   // Merge by original item index: shard streams interleave back into the
   // exact event sequence sequential ingest would have produced.
   for (std::size_t i = 0; i < items.size(); ++i) {

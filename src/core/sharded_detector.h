@@ -19,9 +19,10 @@
 //  2. *Order-preserving batches.* `ingest_batch` partitions a probe round
 //     by shard, preserving round order within each shard (same-pair
 //     results always land in the same shard, so per-pair order holds),
-//     runs one job per shard on the worker pool, and merges fired events
-//     back by original item index — reproducing the exact event sequence
-//     a single detector ingesting the round sequentially would emit.
+//     runs one job per shard (on the worker pool, or inline without one),
+//     and merges fired events back by original item index — reproducing
+//     the exact event sequence a single detector ingesting the round
+//     sequentially would emit.
 //  3. *Canonical tails.* `flush` closes windows shard by shard (local
 //     slot order) and then sorts the merged events with
 //     `canonicalize_events`; any shard count sorts the same event set to
@@ -78,8 +79,8 @@ class ShardRing {
 };
 
 /// Detector-shaped facade over N pair-space shards. Drop-in for
-/// `AnomalyDetector` in the hunter: same handle/ingest/retire/flush/
-/// snapshot surface, same counters, plus the batch entry point and the
+/// `AnomalyDetector` in the hunter: same handle/retire/flush/snapshot
+/// surface, same counters, with ingest by probe-round batch, plus the
 /// rebalance API. N == 1 degenerates to a thin wrapper around one
 /// detector (no pool dispatch, direct obs attach).
 class ShardedDetector {
@@ -94,13 +95,7 @@ class ShardedDetector {
   /// One probe observation, pre-routed (`handle` from `handle_of`).
   struct BatchItem {
     GlobalHandle handle = 0;
-    std::uint64_t seq = 0;
-    SimTime sent_at;
-    bool delivered = false;
-    double rtt_us = 0.0;
-    /// Equal-cost member the probe rode (see ProbeResult::path_id); feeds
-    /// the per-path sub-series when `DetectorConfig::track_paths` is on.
-    std::uint32_t path_id = 0;
+    Observation obs;
   };
 
   /// See AnomalyDetector::attach_obs. With one shard the context is
@@ -135,25 +130,14 @@ class ShardedDetector {
   /// across shards. Growth only.
   void reserve_pairs(std::size_t pairs);
 
-  /// Single-observation ingest (tests, small flows). The batch entry point
-  /// below is the campaign hot path. The 7-arg form carries the equal-cost
-  /// member id; the 6-arg form stamps path 0.
-  std::size_t ingest(GlobalHandle h, std::uint64_t seq, SimTime sent_at,
-                     bool delivered, double rtt_us, std::uint32_t path_id,
-                     std::vector<AnomalyEvent>& out);
-  std::size_t ingest(GlobalHandle h, std::uint64_t seq, SimTime sent_at,
-                     bool delivered, double rtt_us,
-                     std::vector<AnomalyEvent>& out) {
-    return ingest(h, seq, sent_at, delivered, rtt_us, 0, out);
-  }
-
-  /// Ingest one probe round. Items are partitioned by shard (round order
-  /// preserved within each shard) and ingested with one pool job per
-  /// shard; `events` receives every fired event grouped by originating
-  /// item in item order — the exact sequence sequential single-detector
-  /// ingest would produce — and `fired_per_item[i]` says how many of them
-  /// item i contributed. Both outputs are overwritten. Returns the total
-  /// number of events fired.
+  /// Ingest one probe round — the facade's only ingest call. Items are
+  /// partitioned by shard (round order preserved within each shard) and
+  /// ingested with one job per shard, on the pool when there is one and
+  /// inline otherwise; `events` receives every fired event grouped by
+  /// originating item in item order — the exact sequence sequential
+  /// single-detector ingest would produce — and `fired_per_item[i]` says
+  /// how many of them item i contributed. Both outputs are overwritten.
+  /// Returns the total number of events fired.
   std::size_t ingest_batch(std::span<const BatchItem> items,
                            std::vector<AnomalyEvent>& events,
                            std::vector<std::uint32_t>& fired_per_item);
@@ -241,8 +225,7 @@ class ShardedDetector {
   // wasted waiting on the most-loaded shard: sum over batches of
   // (max shard items × shards − total items). Zero means perfectly even
   // routing; growth is the data a `migrate_range` decision wants.
-  std::vector<std::uint64_t> shard_items_;     ///< batch items routed, per shard
-  std::vector<std::uint64_t> batch_counts_;    ///< per-batch scratch
+  std::vector<std::uint64_t> shard_items_;  ///< batch items routed, per shard
   std::uint64_t merge_stall_items_ = 0;
   std::uint64_t merge_stall_published_ = 0;
   std::vector<std::uint64_t> shard_items_published_;

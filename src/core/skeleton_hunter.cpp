@@ -467,8 +467,9 @@ void SkeletonHunter::tick() {
     batch_.reserve(round_.size());
     for (const auto& result : round_) {
       batch_.push_back(ShardedDetector::BatchItem{
-          detector_.handle_of(result.pair), result.seq, result.sent_at,
-          result.delivered, result.rtt_us, result.path_id});
+          detector_.handle_of(result.pair),
+          {result.seq, result.sent_at, result.delivered, result.rtt_us,
+           result.path_id}});
     }
     detector_.ingest_batch(batch_, batch_events_, batch_fired_);
     drain_windows();

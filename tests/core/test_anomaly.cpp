@@ -3,16 +3,79 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "support/reference_detector.h"
+
+namespace {
+
+// Heap-allocation counting for the allocation-free ingest contract. The
+// replacements below serve every allocation in this test binary (plain and
+// std::align_val_t forms: the detector arenas allocate 64-byte aligned);
+// they count only while an AllocationCounter is alive, on any thread.
+std::atomic<int> g_alloc_scopes{0};
+std::atomic<std::uint64_t> g_allocs{0};
+
+void* counted_alloc(std::size_t n, std::size_t align) {
+  if (g_alloc_scopes.load(std::memory_order_relaxed) > 0) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (n == 0) n = 1;
+  void* p = align <= alignof(std::max_align_t)
+                ? std::malloc(n)
+                : std::aligned_alloc(align, (n + align - 1) / align * align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+/// Counts heap allocations made while it is alive.
+class AllocationCounter {
+ public:
+  AllocationCounter() : start_(g_allocs.load()) { g_alloc_scopes.fetch_add(1); }
+  ~AllocationCounter() { g_alloc_scopes.fetch_sub(1); }
+  AllocationCounter(const AllocationCounter&) = delete;
+  AllocationCounter& operator=(const AllocationCounter&) = delete;
+  [[nodiscard]] std::uint64_t count() const { return g_allocs.load() - start_; }
+
+ private:
+  std::uint64_t start_;
+};
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n, 0); }
+void* operator new[](std::size_t n) { return counted_alloc(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace skh::core {
 namespace {
+
+using testutil::ReferenceDetector;
 
 EndpointPair pair() {
   return {{ContainerId{0}, RnicId{0}}, {ContainerId{1}, RnicId{8}}};
@@ -23,23 +86,39 @@ EndpointPair pair_n(std::uint32_t i) {
           {ContainerId{2 * i + 1}, RnicId{16 * i + 8}}};
 }
 
-probe::ProbeResult result(double t_seconds, bool delivered, double rtt = 16.0) {
-  probe::ProbeResult r;
-  r.pair = pair();
-  r.sent_at = SimTime::seconds(t_seconds);
-  r.delivered = delivered;
-  r.rtt_us = rtt;
-  return r;
+/// Unsequenced observation at `t_seconds`.
+Observation obs(double t_seconds, bool delivered, double rtt = 16.0) {
+  return {0, SimTime::seconds(t_seconds), delivered, rtt};
+}
+
+/// Feed one observation of pair `p`; fired events are appended to `out`.
+/// The production detector resolves a handle first, the batch reference
+/// takes the pair itself.
+std::size_t feed(AnomalyDetector& det, const EndpointPair& p,
+                 const Observation& o, std::vector<AnomalyEvent>& out) {
+  return det.ingest(det.handle_of(p), o, out);
+}
+std::size_t feed(ReferenceDetector& ref, const EndpointPair& p,
+                 const Observation& o, std::vector<AnomalyEvent>& out) {
+  return ref.ingest(p, o, out);
+}
+
+/// Feed one observation of pair(); returns the events it fired.
+template <typename Det>
+std::vector<AnomalyEvent> feed(Det& det, const Observation& o) {
+  std::vector<AnomalyEvent> out;
+  (void)feed(det, pair(), o, out);
+  return out;
 }
 
 /// Feed `seconds` of healthy 1 Hz probes starting at t0; returns events.
-std::vector<AnomalyEvent> feed_healthy(AnomalyDetector& det, double t0,
-                                       double seconds, RngStream& rng) {
+template <typename Det>
+std::vector<AnomalyEvent> feed_healthy(Det& det, double t0, double seconds,
+                                       RngStream& rng) {
   std::vector<AnomalyEvent> all;
   for (double t = t0; t < t0 + seconds; t += 1.0) {
     const double rtt = 16.0 * std::exp(rng.normal(0.0, 0.05));
-    const auto evts = det.ingest(result(t, true, rtt));
-    all.insert(all.end(), evts.begin(), evts.end());
+    (void)feed(det, pair(), obs(t, true, rtt), all);
   }
   return all;
 }
@@ -55,8 +134,7 @@ TEST(Anomaly, UnreachableStreakFiresOnce) {
   AnomalyDetector det;
   std::vector<AnomalyEvent> all;
   for (int i = 0; i < 10; ++i) {
-    const auto evts = det.ingest(result(i, false));
-    all.insert(all.end(), evts.begin(), evts.end());
+    (void)feed(det, pair(), obs(i, false), all);
   }
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0].kind, AnomalyKind::kUnreachable);
@@ -65,12 +143,11 @@ TEST(Anomaly, UnreachableStreakFiresOnce) {
 
 TEST(Anomaly, RecoveryRearmsUnreachable) {
   AnomalyDetector det;
-  for (int i = 0; i < 5; ++i) (void)det.ingest(result(i, false));
-  (void)det.ingest(result(5, true));
+  for (int i = 0; i < 5; ++i) (void)feed(det, obs(i, false));
+  (void)feed(det, obs(5, true));
   std::vector<AnomalyEvent> all;
   for (int i = 6; i < 10; ++i) {
-    const auto evts = det.ingest(result(i, false));
-    all.insert(all.end(), evts.begin(), evts.end());
+    (void)feed(det, pair(), obs(i, false), all);
   }
   EXPECT_EQ(all.size(), 1u);  // fires again after recovery
 }
@@ -82,8 +159,7 @@ TEST(Anomaly, WindowLossRateFires) {
   // 30s window with 20% loss; losses spread out so no streak of 3 forms.
   for (int i = 0; i < 35; ++i) {
     const bool lost = (i % 5 == 0);
-    const auto evts = det.ingest(result(i, !lost, 16.0));
-    all.insert(all.end(), evts.begin(), evts.end());
+    (void)feed(det, pair(), obs(i, !lost, 16.0), all);
   }
   ASSERT_FALSE(all.empty());
   EXPECT_EQ(all[0].kind, AnomalyKind::kPacketLoss);
@@ -99,8 +175,7 @@ TEST(Anomaly, ShortTermLatencyShiftFires) {
   std::vector<AnomalyEvent> all;
   for (double t = 400; t < 480; t += 1.0) {
     const double rtt = 120.0 * std::exp(rng.normal(0.0, 0.05));
-    const auto evts = det.ingest(result(t, true, rtt));
-    all.insert(all.end(), evts.begin(), evts.end());
+    (void)feed(det, pair(), obs(t, true, rtt), all);
   }
   ASSERT_FALSE(all.empty());
   EXPECT_EQ(all[0].kind, AnomalyKind::kLatencyShortTerm);
@@ -115,7 +190,7 @@ TEST(Anomaly, TransientSpikeInOneWindowOnly) {
   (void)feed_healthy(det, 0, 400, rng);
   std::size_t events_during = 0;
   for (double t = 400; t < 430; t += 1.0) {
-    events_during += det.ingest(result(t, true, 40.0)).size();
+    events_during += feed(det, obs(t, true, 40.0)).size();
   }
   // Back to healthy for 10 minutes: no further short-term alarms.
   const auto after = feed_healthy(det, 430, 600, rng);
@@ -138,8 +213,7 @@ TEST(Anomaly, LongTermGradualDriftFires) {
   for (double t = 0; t < 5400; t += 1.0) {
     const double drift = 1.0 + 0.01 * (t / 60.0);
     const double rtt = 16.0 * drift * std::exp(rng.normal(0.0, 0.05));
-    const auto evts = det.ingest(result(t, true, rtt));
-    all.insert(all.end(), evts.begin(), evts.end());
+    (void)feed(det, pair(), obs(t, true, rtt), all);
   }
   bool long_term = false;
   for (const auto& e : all) {
@@ -156,8 +230,7 @@ TEST(Anomaly, StableLongTermPassesZTest) {
   std::vector<AnomalyEvent> all;
   for (double t = 0; t < 7200; t += 1.0) {
     const double rtt = 16.0 * std::exp(rng.normal(0.0, 0.08));
-    const auto evts = det.ingest(result(t, true, rtt));
-    all.insert(all.end(), evts.begin(), evts.end());
+    (void)feed(det, pair(), obs(t, true, rtt), all);
   }
   for (const auto& e : all) {
     EXPECT_NE(e.kind, AnomalyKind::kLatencyLongTerm);
@@ -168,7 +241,7 @@ TEST(Anomaly, FlushClosesOpenWindows) {
   AnomalyDetector det;
   for (int i = 0; i < 20; ++i) {
     // 50% loss in a window that never closes on its own.
-    (void)det.ingest(result(i, i % 2 == 0, 16.0));
+    (void)feed(det, obs(i, i % 2 == 0, 16.0));
   }
   const auto events = det.flush(SimTime::seconds(30));
   bool loss = false;
@@ -184,8 +257,8 @@ TEST(Anomaly, SparseSamplesSkipAnalysis) {
   std::vector<AnomalyEvent> all;
   for (int w = 0; w < 10; ++w) {
     // 2 probes per 30s window, one lost (50% loss but too few samples).
-    auto e1 = det.ingest(result(w * 30.0, true, 16.0));
-    auto e2 = det.ingest(result(w * 30.0 + 10, false));
+    auto e1 = feed(det, obs(w * 30.0, true, 16.0));
+    auto e2 = feed(det, obs(w * 30.0 + 10, false));
     all.insert(all.end(), e1.begin(), e1.end());
     all.insert(all.end(), e2.begin(), e2.end());
   }
@@ -197,16 +270,12 @@ TEST(Anomaly, SparseSamplesSkipAnalysis) {
 TEST(Anomaly, PairsAreIndependent) {
   AnomalyDetector det;
   // Pair A fails; pair B stays healthy and must not alarm.
-  probe::ProbeResult healthy;
-  healthy.pair = {{ContainerId{2}, RnicId{16}}, {ContainerId{3}, RnicId{24}}};
-  healthy.delivered = true;
-  healthy.rtt_us = 16.0;
+  const EndpointPair healthy{{ContainerId{2}, RnicId{16}},
+                             {ContainerId{3}, RnicId{24}}};
   std::vector<AnomalyEvent> b_events;
   for (int i = 0; i < 10; ++i) {
-    (void)det.ingest(result(i, false));
-    healthy.sent_at = SimTime::seconds(i);
-    const auto evts = det.ingest(healthy);
-    b_events.insert(b_events.end(), evts.begin(), evts.end());
+    (void)feed(det, obs(i, false));
+    (void)feed(det, healthy, obs(i, true), b_events);
   }
   EXPECT_TRUE(b_events.empty());
 }
@@ -217,9 +286,9 @@ TEST(Anomaly, RolloverStampsNominalBoundary) {
   AnomalyDetector det;
   for (int i = 0; i < 20; ++i) {
     // 20% loss spread out so no unreachable streak forms.
-    (void)det.ingest(result(i, i % 5 != 0, 16.0));
+    (void)feed(det, obs(i, i % 5 != 0, 16.0));
   }
-  const auto events = det.ingest(result(100.0, true, 16.0));
+  const auto events = feed(det, obs(100.0, true, 16.0));
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].kind, AnomalyKind::kPacketLoss);
   EXPECT_DOUBLE_EQ(events[0].detected_at.to_seconds(), 30.0);
@@ -232,15 +301,12 @@ TEST(Anomaly, GapSpanningWindowsRealignsGrid) {
   AnomalyDetector det;
   std::vector<AnomalyEvent> all;
   for (int i = 0; i < 20; ++i) {
-    const auto evts = det.ingest(result(i, i % 5 != 0, 16.0));
-    all.insert(all.end(), evts.begin(), evts.end());
+    (void)feed(det, pair(), obs(i, i % 5 != 0, 16.0), all);
   }
   for (int i = 0; i < 20; ++i) {
-    const auto evts = det.ingest(result(100.0 + i, i % 5 != 0, 16.0));
-    all.insert(all.end(), evts.begin(), evts.end());
+    (void)feed(det, pair(), obs(100.0 + i, i % 5 != 0, 16.0), all);
   }
-  const auto evts = det.ingest(result(121.0, true, 16.0));
-  all.insert(all.end(), evts.begin(), evts.end());
+  (void)feed(det, pair(), obs(121.0, true, 16.0), all);
   std::vector<double> loss_times;
   for (const auto& e : all) {
     if (e.kind == AnomalyKind::kPacketLoss) {
@@ -255,12 +321,11 @@ TEST(Anomaly, GapSpanningWindowsRealignsGrid) {
 TEST(Anomaly, FlushSkipsPartialLongWindow) {
   // Regression (S2): flush used to evaluate still-open windows regardless
   // of elapsed time, so a few seconds of post-rollover samples could fire
-  // a 30-minute Z-test alarm on a 10-second window.
-  for (const bool streaming : {true, false}) {
-    DetectorConfig cfg;
-    cfg.streaming = streaming;
-    cfg.lof.outlier_threshold = 1e9;  // isolate the long-term detector
-    AnomalyDetector det(cfg);
+  // a 30-minute Z-test alarm on a 10-second window. Checked on the
+  // detector and on the batch reference alike.
+  DetectorConfig cfg;
+  cfg.lof.outlier_threshold = 1e9;  // isolate the long-term detector
+  const auto check = [](auto&& det) {
     RngStream rng{7};
     (void)feed_healthy(det, 0, 1800, rng);
     std::vector<AnomalyEvent> all;
@@ -268,19 +333,20 @@ TEST(Anomaly, FlushSkipsPartialLongWindow) {
     // loud enough that the old flush would reject the Z-test on it.
     for (double t = 1800; t < 1808; t += 1.0) {
       const double rtt = 40.0 * std::exp(rng.normal(0.0, 0.05));
-      const auto evts = det.ingest(result(t, true, rtt));
-      all.insert(all.end(), evts.begin(), evts.end());
+      (void)feed(det, pair(), obs(t, true, rtt), all);
     }
     const auto flushed = det.flush(SimTime::seconds(1810));
     all.insert(all.end(), flushed.begin(), flushed.end());
     for (const auto& e : all) {
       EXPECT_NE(e.kind, AnomalyKind::kLatencyLongTerm);
     }
-  }
+  };
+  check(AnomalyDetector(cfg));
+  check(ReferenceDetector(cfg));
 }
 
 TEST(Anomaly, StreamingMatchesBatchVerdicts) {
-  // The streaming hot path and the batch reference must emit identical
+  // The streaming detector and the batch reference must emit identical
   // verdicts — same events, kinds, pairs, and timestamps — on one shared
   // multi-pair stream covering all three window verdict kinds.
   struct Sample {
@@ -303,26 +369,18 @@ TEST(Anomaly, StreamingMatchesBatchVerdicts) {
     }
   }
 
-  const auto run = [&stream](bool streaming) {
-    DetectorConfig cfg;
-    cfg.streaming = streaming;
-    AnomalyDetector det(cfg);
-    std::vector<AnomalyDetector::PairHandle> handles;
-    for (std::uint32_t p = 0; p < 4; ++p) {
-      handles.push_back(det.handle_of(pair_n(p)));
-    }
+  const auto run = [&stream](auto&& det) {
     std::vector<AnomalyEvent> events;
     for (const auto& s : stream) {
-      (void)det.ingest(handles[s.pair], SimTime::seconds(s.t), s.delivered,
-                       s.rtt, events);
+      (void)feed(det, pair_n(s.pair), obs(s.t, s.delivered, s.rtt), events);
     }
     const auto tail = det.flush(SimTime::seconds(7200));
     events.insert(events.end(), tail.begin(), tail.end());
     return std::pair{events, det.counters()};
   };
 
-  const auto [streaming_events, sc] = run(true);
-  const auto [batch_events, bc] = run(false);
+  const auto [streaming_events, sc] = run(AnomalyDetector{});
+  const auto [batch_events, bc] = run(ReferenceDetector{});
 
   ASSERT_FALSE(streaming_events.empty());
   ASSERT_EQ(streaming_events.size(), batch_events.size());
@@ -352,9 +410,8 @@ TEST(Anomaly, StreamingMatchesBatchVerdicts) {
   EXPECT_EQ(sc.short_windows_closed, bc.short_windows_closed);
   EXPECT_EQ(sc.long_windows_closed, bc.long_windows_closed);
   EXPECT_EQ(sc.events_emitted, streaming_events.size());
+  EXPECT_EQ(bc.events_emitted, batch_events.size());
   EXPECT_GT(sc.lof_fast_path + sc.lof_fallback, 0u);
-  EXPECT_EQ(bc.lof_fast_path, 0u);
-  EXPECT_EQ(bc.lof_fallback, 0u);
 }
 
 TEST(AnomalyDefenses, DuplicatesAndStaleReplaysDoNotChangeVerdicts) {
@@ -371,14 +428,15 @@ TEST(AnomalyDefenses, DuplicatesAndStaleReplaysDoNotChangeVerdicts) {
       const bool lost = t >= 300 && t < 360 && rng.uniform() < 0.5;
       const double rtt = lost ? 0.0 : 16.0 * std::exp(rng.normal(0.0, 0.05));
       ++seq;
-      (void)det.ingest(h, seq, SimTime::seconds(t), !lost, rtt, events);
+      const Observation o{seq, SimTime::seconds(t), !lost, rtt};
+      (void)det.ingest(h, o, events);
       if (inject_junk) {
         // An exact duplicate of what was just delivered...
-        (void)det.ingest(h, seq, SimTime::seconds(t), !lost, rtt, events);
+        (void)det.ingest(h, o, events);
         // ...and a straggler from ten rounds ago with an absurd RTT.
         if (seq > 10) {
-          (void)det.ingest(h, seq - 10, SimTime::seconds(t - 10), true,
-                           123.0, events);
+          (void)det.ingest(h, {seq - 10, SimTime::seconds(t - 10), true, 123.0},
+                           events);
         }
       }
     }
@@ -409,33 +467,36 @@ TEST(AnomalyDefenses, QuorumSkipsStarvedWindows) {
   // 3 samples per 30 s window, 2 of them lost: 67% loss — screams
   // packet-loss unless the quorum recognizes the window as starved by the
   // measurement plane and refuses to analyze it.
-  const auto run = [](std::size_t quorum, bool streaming) {
+  const auto config = [](std::size_t quorum) {
     DetectorConfig cfg;
-    cfg.streaming = streaming;
     cfg.window_quorum = quorum;
     cfg.min_samples_per_window = 2;
-    AnomalyDetector det(cfg);
-    const auto h = det.handle_of(pair());
+    return cfg;
+  };
+  const auto run = [](auto&& det) {
     std::vector<AnomalyEvent> events;
     std::uint64_t seq = 0;
     for (int w = 0; w < 20; ++w) {
       const double base = w * 30.0;
-      (void)det.ingest(h, ++seq, SimTime::seconds(base), true, 16.0, events);
-      (void)det.ingest(h, ++seq, SimTime::seconds(base + 1), false, 0.0,
-                       events);
-      (void)det.ingest(h, ++seq, SimTime::seconds(base + 2), false, 0.0,
-                       events);
+      (void)feed(det, pair(), {++seq, SimTime::seconds(base), true, 16.0},
+                 events);
+      (void)feed(det, pair(), {++seq, SimTime::seconds(base + 1), false, 0.0},
+                 events);
+      (void)feed(det, pair(), {++seq, SimTime::seconds(base + 2), false, 0.0},
+                 events);
     }
     const auto tail = det.flush(SimTime::seconds(620));
     events.insert(events.end(), tail.begin(), tail.end());
     return std::pair{events, det.counters()};
   };
-  for (const bool streaming : {true, false}) {
-    const auto [gated, gc] = run(5, streaming);
-    EXPECT_TRUE(gated.empty()) << "streaming=" << streaming;
+  for (const bool reference : {false, true}) {
+    const auto [gated, gc] = reference ? run(ReferenceDetector(config(5)))
+                                       : run(AnomalyDetector(config(5)));
+    EXPECT_TRUE(gated.empty()) << "reference=" << reference;
     EXPECT_GE(gc.windows_insufficient, 19u);
-    const auto [open, oc] = run(0, streaming);
-    EXPECT_FALSE(open.empty()) << "streaming=" << streaming;
+    const auto [open, oc] = reference ? run(ReferenceDetector(config(0)))
+                                      : run(AnomalyDetector(config(0)));
+    EXPECT_FALSE(open.empty()) << "reference=" << reference;
     EXPECT_EQ(oc.windows_insufficient, 0u);
   }
 }
@@ -444,31 +505,29 @@ TEST(AnomalyDefenses, CorruptedRttsRaiseNothingOnAHealthyPath) {
   // 10% of samples multiplied 50x (bit-flipped RTTs): the robust-scale
   // clamp winsorizes the moment features, so neither the short-term LOF
   // nor the long-term Z-test may page anyone for a healthy path.
-  const auto run = [](bool corrupt, bool streaming) {
-    DetectorConfig cfg;
-    cfg.streaming = streaming;
-    AnomalyDetector det(cfg);
-    const auto h = det.handle_of(pair());
+  const auto run = [](bool corrupt, auto&& det) {
     std::vector<AnomalyEvent> events;
     RngStream rng{11};
     std::uint64_t seq = 0;
     for (double t = 0; t < 2400; t += 1.0) {
       double rtt = 16.0 * std::exp(rng.normal(0.0, 0.05));
       if (rng.uniform() < 0.1 && corrupt) rtt *= 50.0;
-      (void)det.ingest(h, ++seq, SimTime::seconds(t), true, rtt, events);
+      (void)feed(det, pair(), {++seq, SimTime::seconds(t), true, rtt}, events);
     }
     const auto tail = det.flush(SimTime::seconds(2400));
     events.insert(events.end(), tail.begin(), tail.end());
     return events;
   };
-  for (const bool streaming : {true, false}) {
-    EXPECT_TRUE(run(false, streaming).empty()) << "streaming=" << streaming;
-    EXPECT_TRUE(run(true, streaming).empty()) << "streaming=" << streaming;
+  for (const bool corrupt : {false, true}) {
+    EXPECT_TRUE(run(corrupt, AnomalyDetector{}).empty())
+        << "corrupt=" << corrupt;
+    EXPECT_TRUE(run(corrupt, ReferenceDetector{}).empty())
+        << "reference, corrupt=" << corrupt;
   }
 }
 
 TEST(AnomalyDefenses, StreamingMatchesBatchUnderGrayTelemetry) {
-  // The streaming/batch verdict identity must survive with every defense
+  // The detector/reference verdict identity must survive with every defense
   // engaged: quorum-starved windows, duplicated and stale deliveries, and
   // corrupted RTTs, on top of a real loss burst that fires events.
   struct Sample {
@@ -505,24 +564,20 @@ TEST(AnomalyDefenses, StreamingMatchesBatchUnderGrayTelemetry) {
     }
   }
 
-  const auto run = [&stream](bool streaming) {
-    DetectorConfig cfg;
-    cfg.streaming = streaming;
-    cfg.window_quorum = 5;
-    AnomalyDetector det(cfg);
-    const AnomalyDetector::PairHandle handles[2] = {
-        det.handle_of(pair_n(0)), det.handle_of(pair_n(1))};
+  const auto run = [&stream](auto&& det) {
     std::vector<AnomalyEvent> events;
     for (const auto& s : stream) {
-      (void)det.ingest(handles[s.pair], s.seq, SimTime::seconds(s.t),
-                       s.delivered, s.rtt, events);
+      (void)feed(det, pair_n(s.pair),
+                 {s.seq, SimTime::seconds(s.t), s.delivered, s.rtt}, events);
     }
     const auto tail = det.flush(SimTime::seconds(1800));
     events.insert(events.end(), tail.begin(), tail.end());
     return std::pair{events, det.counters()};
   };
-  const auto [se, sc] = run(true);
-  const auto [be, bc] = run(false);
+  DetectorConfig cfg;
+  cfg.window_quorum = 5;
+  const auto [se, sc] = run(AnomalyDetector(cfg));
+  const auto [be, bc] = run(ReferenceDetector(cfg));
   ASSERT_FALSE(se.empty());
   ASSERT_EQ(se.size(), be.size());
   for (std::size_t i = 0; i < se.size(); ++i) {
@@ -560,13 +615,13 @@ TEST(AnomalyDefenses, SnapshotRestoreResumesBitIdentically) {
   const auto h = live.handle_of(pair());
   std::vector<AnomalyEvent> live_events;
   for (const auto& [s, t, d, r] : head) {
-    (void)live.ingest(h, s, SimTime::seconds(t), d, r, live_events);
+    (void)live.ingest(h, {s, SimTime::seconds(t), d, r}, live_events);
   }
   const auto snap = live.snapshot();
 
   // The live detector continues...
   for (const auto& [s, t, d, r] : tail) {
-    (void)live.ingest(h, s, SimTime::seconds(t), d, r, live_events);
+    (void)live.ingest(h, {s, SimTime::seconds(t), d, r}, live_events);
   }
   const auto live_tail = live.flush(SimTime::seconds(1200));
   live_events.insert(live_events.end(), live_tail.begin(), live_tail.end());
@@ -578,7 +633,8 @@ TEST(AnomalyDefenses, SnapshotRestoreResumesBitIdentically) {
   EXPECT_EQ(h2, h);  // the pair index survives the snapshot
   std::vector<AnomalyEvent> restored_events;
   for (const auto& [s, t, d, r] : tail) {
-    (void)restored.ingest(h2, s, SimTime::seconds(t), d, r, restored_events);
+    (void)restored.ingest(h2, {s, SimTime::seconds(t), d, r},
+                          restored_events);
   }
   const auto rest_tail = restored.flush(SimTime::seconds(1200));
   restored_events.insert(restored_events.end(), rest_tail.begin(),
@@ -601,14 +657,21 @@ TEST(AnomalyDefenses, SnapshotRestoreResumesBitIdentically) {
 
 TEST(AnomalyChurn, ReservePairsMakesIngestAllocationFree) {
   // The plan-time contract end to end: after reserve_pairs(N), mapping
-  // and feeding N pairs performs zero table rebuilds.
+  // and feeding N pairs performs zero table rebuilds and zero heap
+  // allocations.
   AnomalyDetector det;
   det.reserve_pairs(256);
   std::vector<AnomalyEvent> out;
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    const auto h = det.handle_of(pair_n(i));
-    (void)det.ingest(h, SimTime::seconds(1.0), true, 16.0, out);
+  std::uint64_t allocs = 0;
+  {
+    const AllocationCounter counter;
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const auto h = det.handle_of(pair_n(i));
+      (void)det.ingest(h, obs(1.0, true), out);
+    }
+    allocs = counter.count();
   }
+  EXPECT_EQ(allocs, 0U);
   EXPECT_EQ(det.pair_count(), 256U);
   EXPECT_EQ(det.pair_table().stats().grows, 0U);
   EXPECT_EQ(det.pair_table().stats().purges, 0U);
@@ -622,7 +685,7 @@ TEST(AnomalyChurn, StragglerRevivesRetiredPairWithContinuity) {
   std::uint64_t seq = 0;
   for (double t = 0; t < 90; t += 1.0) {
     const double rtt = 16.0 * std::exp(rng.normal(0.0, 0.05));
-    (void)det.ingest(h, ++seq, SimTime::seconds(t), true, rtt, out);
+    (void)det.ingest(h, {++seq, SimTime::seconds(t), true, rtt}, out);
   }
   det.retire_pair(pair());
   EXPECT_EQ(det.retired_count(), 1U);
@@ -631,7 +694,7 @@ TEST(AnomalyChurn, StragglerRevivesRetiredPairWithContinuity) {
   // A replayed duplicate of the last delivery must NOT revive the pair:
   // rejection runs before revival, and a lying delivery is not evidence
   // the endpoints came back.
-  (void)det.ingest(h, seq, SimTime::seconds(89.0), true, 16.0, out);
+  (void)det.ingest(h, {seq, SimTime::seconds(89.0), true, 16.0}, out);
   EXPECT_EQ(det.counters().duplicates_rejected, 1U);
   EXPECT_EQ(det.retired_count(), 1U);
 
@@ -639,7 +702,7 @@ TEST(AnomalyChurn, StragglerRevivesRetiredPairWithContinuity) {
   // same handle, history intact: the duplicate above was only recognized
   // because the pre-retirement sequence state survived parking.
   EXPECT_EQ(det.handle_of(pair()), h);
-  (void)det.ingest(h, ++seq, SimTime::seconds(90.0), true, 16.0, out);
+  (void)det.ingest(h, {++seq, SimTime::seconds(90.0), true, 16.0}, out);
   EXPECT_EQ(det.retired_count(), 0U);
 }
 
@@ -650,7 +713,7 @@ TEST(AnomalyChurn, FlushRecyclesRetiredSlotsForReuse) {
   std::vector<AnomalyDetector::PairHandle> hs;
   for (std::uint32_t i = 0; i < 8; ++i) {
     hs.push_back(det.handle_of(pair_n(i)));
-    (void)det.ingest(hs.back(), SimTime::seconds(1.0), true, 16.0, out);
+    (void)det.ingest(hs.back(), obs(1.0, true), out);
   }
   det.retire_pair(pair_n(3));
   det.retire_pair(pair_n(6));
@@ -684,7 +747,7 @@ TEST(AnomalyChurn, SnapshotCarriesParkedStateBitIdentically) {
   for (double t = 0; t < 300; t += 1.0) {
     for (std::uint32_t i = 0; i < 4; ++i) {
       const double rtt = 16.0 * std::exp(rng.normal(0.0, 0.05));
-      (void)live.ingest(hs[i], SimTime::seconds(t), true, rtt, live_events);
+      (void)live.ingest(hs[i], obs(t, true, rtt), live_events);
     }
   }
   live.retire_pair(pair_n(1));
@@ -721,8 +784,10 @@ TEST(AnomalyPaths, OffByDefaultAndPairEventsStayPathAgnostic) {
   std::uint64_t seq = 0;
   for (int i = 0; i < 35; ++i) {
     // 20% loss, round-robin over 4 "members" the detector must not track.
-    (void)det.ingest(h, ++seq, SimTime::seconds(i), i % 5 != 0, 16.0,
-                     static_cast<std::uint32_t>(i % 4), all);
+    (void)det.ingest(h,
+                     {++seq, SimTime::seconds(i), i % 5 != 0, 16.0,
+                      static_cast<std::uint32_t>(i % 4)},
+                     all);
   }
   ASSERT_FALSE(all.empty());
   for (const auto& e : all) {
@@ -745,7 +810,7 @@ TEST(AnomalyPaths, GrayMemberFiresPathScopedLossOnly) {
     const std::uint32_t member = static_cast<std::uint32_t>(i % 8);
     bool delivered = true;
     if (member == 2 && (member2_count++ % 4) == 0) delivered = false;
-    (void)det.ingest(h, ++seq, SimTime::seconds(i), delivered, 16.0, member,
+    (void)det.ingest(h, {++seq, SimTime::seconds(i), delivered, 16.0, member},
                      all);
   }
   const auto tail = det.flush(SimTime::seconds(480));
@@ -775,7 +840,7 @@ TEST(AnomalyPaths, SlowMemberFiresPathScopedLatencyShift) {
   for (int i = 0; i < 240; ++i) {
     const std::uint32_t member = static_cast<std::uint32_t>(i % 4);
     const double rtt = member == 1 ? 24.0 : 16.0;  // one member 1.5x slower
-    (void)det.ingest(h, ++seq, SimTime::seconds(i), true, rtt, member, all);
+    (void)det.ingest(h, {++seq, SimTime::seconds(i), true, rtt, member}, all);
   }
   bool member_latency = false;
   for (const auto& e : all) {
@@ -803,7 +868,7 @@ TEST(AnomalyPaths, SnapshotAndMigrationCarryPathAccumulators) {
       const std::uint32_t member = static_cast<std::uint32_t>(i % 8);
       bool delivered = true;
       if (member == 2 && (m2++ % 4) == 0) delivered = false;
-      (void)det.ingest(h, ++seq, SimTime::seconds(i), delivered, 16.0, member,
+      (void)det.ingest(h, {++seq, SimTime::seconds(i), delivered, 16.0, member},
                        out);
     }
   };

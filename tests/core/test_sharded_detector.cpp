@@ -46,6 +46,10 @@ struct Obs {
   double t;
   bool delivered;
   double rtt;
+
+  [[nodiscard]] Observation observation() const {
+    return {seq, SimTime::seconds(t), delivered, rtt};
+  }
 };
 
 std::vector<Obs> synthetic_campaign(std::uint32_t n_pairs, double seconds) {
@@ -84,9 +88,8 @@ std::vector<AnomalyEvent> replay(ShardedDetector& det,
     batch.clear();
     while (next < obs.size() && obs[next].t <= t) {
       const Obs& o = obs[next++];
-      batch.push_back(ShardedDetector::BatchItem{
-          det.handle_of(pair_n(o.pair)), o.seq, SimTime::seconds(o.t),
-          o.delivered, o.rtt});
+      batch.push_back(ShardedDetector::BatchItem{det.handle_of(pair_n(o.pair)),
+                                                 o.observation()});
     }
     det.ingest_batch(batch, events, fired);
     all.insert(all.end(), events.begin(), events.end());
@@ -125,8 +128,8 @@ TEST(ShardedDetector, EventStreamInvariantAcrossShardCounts) {
   AnomalyDetector ref;
   std::vector<AnomalyEvent> ref_events;
   for (const Obs& o : obs) {
-    (void)ref.ingest(ref.handle_of(pair_n(o.pair)), o.seq,
-                     SimTime::seconds(o.t), o.delivered, o.rtt, ref_events);
+    (void)ref.ingest(ref.handle_of(pair_n(o.pair)), o.observation(),
+                     ref_events);
   }
   auto ref_tail = ref.flush(SimTime::seconds(kSeconds));
   canonicalize_events(ref_tail);
@@ -134,12 +137,18 @@ TEST(ShardedDetector, EventStreamInvariantAcrossShardCounts) {
   const auto want = keys_of(ref_events);
   ASSERT_FALSE(want.empty()) << "synthetic campaign fired no anomalies";
 
+  // With a pool the shard jobs run concurrently; without one they run
+  // inline, through the same partition and merge.
   common::ThreadPool pool(4);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4},
-                                   std::size_t{16}}) {
-    ShardedDetector det({}, shards, &pool);
-    const auto events = replay(det, obs, kPairs, kSeconds);
-    EXPECT_EQ(keys_of(events), want) << "at " << shards << " shards";
+  common::ThreadPool* const pools[] = {&pool, nullptr};
+  for (common::ThreadPool* p : pools) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4},
+                                     std::size_t{16}}) {
+      ShardedDetector det({}, shards, p);
+      const auto events = replay(det, obs, kPairs, kSeconds);
+      EXPECT_EQ(keys_of(events), want)
+          << "at " << shards << " shards, pool " << (p != nullptr);
+    }
   }
 }
 
@@ -176,9 +185,8 @@ TEST(ShardedDetector, MigrationPreservesVerdictsAndCounters) {
     batch.clear();
     while (next < obs.size() && obs[next].t <= t) {
       const Obs& o = obs[next++];
-      batch.push_back(ShardedDetector::BatchItem{
-          det.handle_of(pair_n(o.pair)), o.seq, SimTime::seconds(o.t),
-          o.delivered, o.rtt});
+      batch.push_back(ShardedDetector::BatchItem{det.handle_of(pair_n(o.pair)),
+                                                 o.observation()});
     }
     det.ingest_batch(batch, events, fired);
     all.insert(all.end(), events.begin(), events.end());
@@ -218,9 +226,8 @@ TEST(ShardedDetector, SnapshotRestoreResumesBitIdentically) {
     batch.clear();
     while (next < obs.size() && obs[next].t <= t) {
       const Obs& o = obs[next++];
-      batch.push_back(ShardedDetector::BatchItem{
-          det.handle_of(pair_n(o.pair)), o.seq, SimTime::seconds(o.t),
-          o.delivered, o.rtt});
+      batch.push_back(ShardedDetector::BatchItem{det.handle_of(pair_n(o.pair)),
+                                                 o.observation()});
     }
     det.ingest_batch(batch, events, fired);
   }
@@ -234,9 +241,8 @@ TEST(ShardedDetector, SnapshotRestoreResumesBitIdentically) {
       batch.clear();
       while (cursor < obs.size() && obs[cursor].t <= t) {
         const Obs& o = obs[cursor++];
-        batch.push_back(ShardedDetector::BatchItem{
-            d.handle_of(pair_n(o.pair)), o.seq, SimTime::seconds(o.t),
-            o.delivered, o.rtt});
+        batch.push_back(ShardedDetector::BatchItem{d.handle_of(pair_n(o.pair)),
+                                                   o.observation()});
       }
       d.ingest_batch(batch, events, fired);
       all.insert(all.end(), events.begin(), events.end());
@@ -259,11 +265,14 @@ TEST(ShardedDetector, SnapshotRestoreResumesBitIdentically) {
 TEST(ShardedDetector, RetireAndFlushRecycleGlobalIds) {
   common::ThreadPool pool(2);
   ShardedDetector det({}, 4, &pool);
-  std::vector<AnomalyEvent> out;
+  std::vector<ShardedDetector::BatchItem> batch;
   for (std::uint32_t i = 0; i < 8; ++i) {
-    (void)det.ingest(det.handle_of(pair_n(i)), 1 + i, SimTime::seconds(0),
-                     true, 16.0, out);
+    batch.push_back({det.handle_of(pair_n(i)),
+                     {1 + i, SimTime::seconds(0), true, 16.0}});
   }
+  std::vector<AnomalyEvent> events;
+  std::vector<std::uint32_t> fired;
+  det.ingest_batch(batch, events, fired);
   EXPECT_EQ(det.pair_count(), 8u);
   det.retire_pair(pair_n(3));
   det.retire_pair(pair_n(5));
