@@ -2,13 +2,20 @@
 //
 // Replays the same synthetic probe campaign — 100k pairs, one batch per
 // probing round, loss bursts and RTT shifts on a deterministic subset —
-// through ShardedDetector at 1, 4, and 16 shards, and reports probes/s
-// for each. Numbers are REPORT-ONLY: the speedup depends on the host's
-// core count (a single-core CI box will show ~1x and that is fine). What
-// is enforced is the identity contract the sharding is built on: every
-// shard count must emit the bit-identical event stream, fingerprinted
-// per round and checked at the end. The byte-for-byte campaign-level
-// version of that check lives in ctest as shard.identity_gate.
+// through ShardedDetector at 1, 4, and 16 shards, two ways per shard
+// count:
+//  - "ingest": handles resolved once up front, rounds through
+//    `ingest_batch` alone — the shard fan-out by itself;
+//  - "routed": each round the way the hunter drives it — `handle_of` per
+//    result, `ingest_batch`, then `drain_window_log` with window logging
+//    on — so the calling thread's routing and drain work is timed too
+//    (route ns per probe, drain ms per window-closing round).
+// Numbers are REPORT-ONLY: the speedup depends on the host's core count
+// (a single-core box shows ~1x and that is fine). What is enforced is the
+// identity contract the sharding is built on: every row must emit the
+// bit-identical event stream, fingerprinted per round and checked at the
+// end. The byte-for-byte campaign-level version of that check lives in
+// ctest as shard.identity_gate.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -18,6 +25,7 @@
 #include "common/pool.h"
 #include "common/rng.h"
 #include "core/sharded_detector.h"
+#include "obs/context.h"
 
 using namespace skh;
 using namespace skh::core;
@@ -51,7 +59,15 @@ struct RunStats {
   double probes_per_s = 0.0;
   std::uint64_t events = 0;
   std::uint64_t fingerprint = 0;
+  double route_s = 0.0;       ///< handle_of, routed rounds only
+  double drain_s = 0.0;       ///< drain_window_log, routed rounds only
+  std::size_t closing = 0;    ///< rounds whose drain returned records
 };
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 std::uint64_t mix_event(std::uint64_t fp, const AnomalyEvent& e) {
   fp = seed_mix(fp, static_cast<std::uint64_t>(e.detected_at.raw_nanos()));
@@ -65,21 +81,26 @@ std::uint64_t mix_event(std::uint64_t fp, const AnomalyEvent& e) {
   return seed_mix(fp, bits);
 }
 
-RunStats run(std::size_t shards) {
+RunStats run(std::size_t shards, bool routed) {
   DetectorConfig cfg;
   cfg.expected_pairs = kPairs;
   const std::size_t workers = std::min<std::size_t>(
       shards, std::max(1u, std::thread::hardware_concurrency()));
   common::ThreadPool pool(workers);
   ShardedDetector det(cfg, shards, shards > 1 ? &pool : nullptr);
+  obs::Context ctx;
+  if (routed) det.attach_obs(&ctx);  // window logging on, as in the hunter
   det.reserve_pairs(kPairs);
 
+  std::vector<EndpointPair> pairs(kPairs);
   std::vector<ShardedDetector::BatchItem> batch(kPairs);
   for (std::size_t p = 0; p < kPairs; ++p) {
-    batch[p].handle = det.handle_of(pair_of(p));
+    pairs[p] = pair_of(p);
+    if (!routed) batch[p].handle = det.handle_of(pairs[p]);
   }
   std::vector<AnomalyEvent> events;
   std::vector<std::uint32_t> fired;
+  std::vector<obs::WindowRecord> records;
 
   RunStats stats;
   stats.fingerprint = 0x5348415244ULL;
@@ -87,6 +108,13 @@ RunStats run(std::size_t shards) {
   for (std::size_t round = 0; round < kRounds; ++round) {
     const SimTime now =
         SimTime::seconds(static_cast<std::int64_t>(round * kIntervalS));
+    if (routed) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (std::size_t p = 0; p < kPairs; ++p) {
+        batch[p].handle = det.handle_of(pairs[p]);
+      }
+      stats.route_s += seconds_since(t0);
+    }
     for (std::size_t p = 0; p < kPairs; ++p) {
       Observation& o = batch[p].obs;
       o.seq = round;
@@ -94,6 +122,13 @@ RunStats run(std::size_t shards) {
       observe(p, round, o.delivered, o.rtt_us);
     }
     det.ingest_batch(batch, events, fired);
+    if (routed) {
+      records.clear();
+      const auto t0 = std::chrono::steady_clock::now();
+      det.drain_window_log(records);
+      stats.drain_s += seconds_since(t0);
+      stats.closing += records.empty() ? 0 : 1;
+    }
     stats.events += events.size();
     for (const auto& e : events) {
       stats.fingerprint = mix_event(stats.fingerprint, e);
@@ -103,10 +138,8 @@ RunStats run(std::size_t shards) {
       SimTime::seconds(static_cast<std::int64_t>(kRounds * kIntervalS)));
   for (const auto& e : tail) stats.fingerprint = mix_event(stats.fingerprint, e);
   stats.events += tail.size();
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - start;
-  stats.probes_per_s =
-      static_cast<double>(kPairs * kRounds) / std::max(dt.count(), 1e-9);
+  stats.probes_per_s = static_cast<double>(kPairs * kRounds) /
+                       std::max(seconds_since(start), 1e-9);
   return stats;
 }
 
@@ -116,21 +149,34 @@ int main() {
   std::printf("Sharded detector ingest, %zu pairs x %zu rounds "
               "(%u hardware threads)\n\n",
               kPairs, kRounds, std::thread::hardware_concurrency());
-  std::printf("  %-8s %14s %10s %10s  %s\n", "shards", "probes/s", "events",
-              "speedup", "fingerprint");
-  RunStats base{};
+  std::printf("  %-7s %-7s %14s %10s %9s %15s %14s  %s\n", "shards", "round",
+              "probes/s", "events", "speedup", "route ns/probe",
+              "drain ms/close", "fingerprint");
+  RunStats base[2]{};
   bool identical = true;
   for (const std::size_t shards : {1UL, 4UL, 16UL}) {
-    const RunStats s = run(shards);
-    if (shards == 1) base = s;
-    identical = identical && s.fingerprint == base.fingerprint &&
-                s.events == base.events;
-    std::printf("  %-8zu %14.0f %10llu %9.2fx  %016llx\n", shards,
-                s.probes_per_s, static_cast<unsigned long long>(s.events),
-                s.probes_per_s / base.probes_per_s,
-                static_cast<unsigned long long>(s.fingerprint));
+    for (const bool routed : {false, true}) {
+      const RunStats s = run(shards, routed);
+      if (shards == 1) base[routed] = s;
+      identical = identical && s.fingerprint == base[0].fingerprint &&
+                  s.events == base[0].events;
+      char route[32] = "-", drain[32] = "-";
+      if (routed) {
+        std::snprintf(route, sizeof route, "%.1f",
+                      s.route_s * 1e9 / static_cast<double>(kPairs * kRounds));
+        std::snprintf(drain, sizeof drain, "%.2f",
+                      s.drain_s * 1e3 /
+                          static_cast<double>(std::max<std::size_t>(
+                              s.closing, 1)));
+      }
+      std::printf("  %-7zu %-7s %14.0f %10llu %8.2fx %15s %14s  %016llx\n",
+                  shards, routed ? "routed" : "ingest", s.probes_per_s,
+                  static_cast<unsigned long long>(s.events),
+                  s.probes_per_s / base[routed].probes_per_s, route, drain,
+                  static_cast<unsigned long long>(s.fingerprint));
+    }
   }
-  std::printf("\nevent streams across shard counts: %s\n",
+  std::printf("\nevent streams across shard counts and round kinds: %s\n",
               identical ? "identical" : "DIVERGED");
   return identical ? 0 : 1;
 }

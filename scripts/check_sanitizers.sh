@@ -12,8 +12,10 @@
 # partial-result edge cases in test_localize, the gray-telemetry defense
 # paths in test_anomaly, the pair retire/revive/recycle churn paths, and
 # the detector/hunter snapshot round-trips, and the sharded-detector
-# batch partition/merge, pair migration, and snapshot paths in
-# test_sharded_detector),
+# batch partition and sparse event merge, pair migration, snapshot paths,
+# the order-learned handle_of successor array read against stale,
+# recycled and restored ids, and the in-place per-shard window-log sort
+# and heap merge in test_sharded_detector),
 # obs (per-thread shard cells — including the bound-cell
 # pointer-stability and registration-token regression tests — the trace
 # ring, the flight recorder's per-pair window rings under wrap and slot

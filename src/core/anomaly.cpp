@@ -167,11 +167,6 @@ void AnomalyDetector::set_window_logging(bool on) {
   if (on) window_log_.reserve(window_log_cap_);
 }
 
-void AnomalyDetector::drain_window_log(std::vector<obs::WindowRecord>& out) {
-  out.insert(out.end(), window_log_.begin(), window_log_.end());
-  window_log_.clear();
-}
-
 void AnomalyDetector::log_window(const EndpointPair& pair, SimTime start,
                                  SimTime end, std::uint32_t sent,
                                  std::uint32_t lost, float p50_us, float score,

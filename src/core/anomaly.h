@@ -221,15 +221,20 @@ class AnomalyDetector {
   /// Enable/disable the closed-window log feeding the flight recorder and
   /// the window-residence latency histogram. Off by default; the sharded
   /// facade turns it on when an obs context is attached. The log is
-  /// bounded (see `drain_window_log`), costs one bounded push per window
-  /// close when on, and nothing when off.
+  /// bounded (see `window_log`), costs one bounded push per window close
+  /// when on, and nothing when off.
   void set_window_logging(bool on);
 
-  /// Move every logged closed-window record into `out` (appended) and
-  /// clear the log. The log's capacity is sized at `reserve_pairs` so a
+  /// The logged closed-window records since the last `clear_window_log`,
+  /// in close order, viewed in place: the reader may reorder them (the
+  /// sharded facade sorts a shard's log before merging it) and then
+  /// clears. The log's capacity is sized at `reserve_pairs` so a
   /// full-fleet flush (at most two windows per pair) never drops; drops —
-  /// possible only if the caller stops draining — are counted.
-  void drain_window_log(std::vector<obs::WindowRecord>& out);
+  /// possible only if the reader stops clearing — are counted.
+  [[nodiscard]] std::span<obs::WindowRecord> window_log() noexcept {
+    return window_log_;
+  }
+  void clear_window_log() noexcept { window_log_.clear(); }
   [[nodiscard]] std::uint64_t window_log_drops() const noexcept {
     return window_log_drops_;
   }

@@ -7,6 +7,23 @@
 #include "common/rng.h"
 
 namespace skh::core {
+namespace {
+
+// Canonical window-log order, same rationale as canonicalize_events:
+// (end, start, pair, flags) is a total order over a drain — a pair closes
+// at most one window of each kind per boundary — so any shard count yields
+// the same sequence. A lambda, so std::sort and std::is_sorted inline it.
+constexpr auto window_before = [](const obs::WindowRecord& a,
+                                  const obs::WindowRecord& b) {
+  if (a.end != b.end) return a.end < b.end;
+  if (a.start != b.start) return a.start < b.start;
+  if (a.pair != b.pair) return a.pair < b.pair;
+  // A flush can close a pair's short and long window at the same boundary
+  // with the same start; the long flag breaks the tie.
+  return a.flags < b.flags;
+};
+
+}  // namespace
 
 ShardRing::ShardRing(std::size_t n_shards, std::size_t vnodes)
     : n_shards_(std::max<std::size_t>(1, n_shards)) {
@@ -59,8 +76,8 @@ ShardedDetector::ShardedDetector(DetectorConfig cfg, std::size_t n_shards,
   batch_items_.resize(n);
   batch_events_.resize(n);
   batch_fired_.resize(n);
-  batch_cursor_item_.resize(n);
-  batch_cursor_event_.resize(n);
+  cursor_.resize(n);
+  runs_.reserve(n);
   shard_items_.resize(n, 0);
   shard_items_published_.resize(n, 0);
 }
@@ -137,19 +154,31 @@ void ShardedDetector::sync_obs() {
 
 ShardedDetector::GlobalHandle ShardedDetector::handle_of(
     const EndpointPair& pair) {
+  // Rounds list their pairs in the order of the round before, so the id
+  // that followed the last one returned is usually the answer. A placed id
+  // whose pair matches is exactly what the router would return.
+  if (last_ < next_of_.size()) {
+    const GlobalHandle next = next_of_[last_];
+    if (next < pair_of_.size() && shard_of_[next] != kUnplaced &&
+        pair_of_[next] == pair) {
+      return last_ = next;
+    }
+  }
   const auto [gid, inserted] = router_.insert(pair);
   if (inserted) {
     if (gid >= shard_of_.size()) {
       shard_of_.resize(gid + 1, kUnplaced);
       local_of_.resize(gid + 1);
       pair_of_.resize(gid + 1);
+      next_of_.resize(gid + 1, common::FlatPairTable::kNoSlot);
     }
     const std::size_t s = ring_.shard_of(gid);
     shard_of_[gid] = static_cast<std::uint32_t>(s);
     local_of_[gid] = shards_[s]->handle_of(pair);
     pair_of_[gid] = pair;
   }
-  return gid;
+  if (last_ < next_of_.size()) next_of_[last_] = gid;
+  return last_ = gid;
 }
 
 void ShardedDetector::reserve_pairs(std::size_t pairs) {
@@ -158,6 +187,7 @@ void ShardedDetector::reserve_pairs(std::size_t pairs) {
     shard_of_.reserve(pairs);
     local_of_.reserve(pairs);
     pair_of_.reserve(pairs);
+    next_of_.reserve(pairs);
   }
   const std::size_t n = shards_.size();
   const std::size_t per =
@@ -187,8 +217,7 @@ std::size_t ShardedDetector::ingest_batch(
     batch_items_[s].clear();
     batch_events_[s].clear();
     batch_fired_[s].clear();
-    batch_cursor_item_[s] = 0;
-    batch_cursor_event_[s] = 0;
+    cursor_[s] = 0;
   }
   // Partition by owning shard, preserving round order within each shard —
   // same-pair results share a shard, so per-pair ingest order (the only
@@ -213,8 +242,10 @@ std::size_t ShardedDetector::ingest_batch(
     auto& out = batch_events_[s];
     for (const std::size_t i : batch_items_[s]) {
       const BatchItem& it = items[i];
-      fired.push_back(static_cast<std::uint32_t>(
-          det.ingest(local_of_[it.handle], it.obs, out)));
+      const auto first = static_cast<std::uint32_t>(out.size());
+      const auto count = static_cast<std::uint32_t>(
+          det.ingest(local_of_[it.handle], it.obs, out));
+      if (count > 0) fired.push_back(Fired{i, first, count});
     }
   };
   for (std::size_t s = 0; s < n; ++s) {
@@ -226,39 +257,62 @@ std::size_t ShardedDetector::ingest_batch(
     }
   }
   if (pool_ != nullptr) pool_->wait();
-  // Merge by original item index: shard streams interleave back into the
-  // exact event sequence sequential ingest would have produced.
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const std::size_t s = shard_of_[items[i].handle];
-    const std::uint32_t fired = batch_fired_[s][batch_cursor_item_[s]++];
-    if (fired > 0) {
-      const auto begin =
-          batch_events_[s].begin() +
-          static_cast<std::ptrdiff_t>(batch_cursor_event_[s]);
-      events.insert(events.end(), begin, begin + fired);
-      batch_cursor_event_[s] += fired;
+  // Merge by original item index: each shard's fired items are in round
+  // order, so a k-way merge of them interleaves the shard streams back into
+  // the exact event sequence sequential ingest would have produced.
+  for (;;) {
+    std::size_t best = n;
+    for (std::size_t s = 0; s < n; ++s) {
+      if (cursor_[s] == batch_fired_[s].size()) continue;
+      if (best == n || batch_fired_[s][cursor_[s]].item <
+                           batch_fired_[best][cursor_[best]].item) {
+        best = s;
+      }
     }
-    fired_per_item[i] = fired;
+    if (best == n) break;
+    const Fired& f = batch_fired_[best][cursor_[best]++];
+    const auto begin = batch_events_[best].begin() + f.first;
+    events.insert(events.end(), begin, begin + f.count);
+    fired_per_item[f.item] = f.count;
   }
   return events.size();
 }
 
 void ShardedDetector::drain_window_log(std::vector<obs::WindowRecord>& out) {
-  const std::size_t first = out.size();
-  for (auto& shard : shards_) shard->drain_window_log(out);
-  // Canonical order, same rationale as canonicalize_events: (end, start,
-  // pair) is a total order over the drained set — a pair closes at most one
-  // window per boundary — so any shard count sorts to the same sequence.
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-            [](const obs::WindowRecord& a, const obs::WindowRecord& b) {
-              if (a.end != b.end) return a.end < b.end;
-              if (a.start != b.start) return a.start < b.start;
-              if (a.pair != b.pair) return a.pair < b.pair;
-              // A flush can close a pair's short and long window at the
-              // same boundary with the same start; the long flag breaks
-              // the tie.
-              return a.flags < b.flags;
-            });
+  // A shard logs in close order, which is already canonical when its
+  // rounds listed their pairs in canonical order and closed one kind of
+  // window; otherwise sort that shard's log in place.
+  runs_.clear();
+  for (auto& shard : shards_) {
+    const auto log = shard->window_log();
+    if (!std::is_sorted(log.begin(), log.end(), window_before)) {
+      std::sort(log.begin(), log.end(), window_before);
+    }
+    if (!log.empty()) runs_.push_back({log.data(), log.data() + log.size()});
+  }
+  // K-way merge of the sorted logs straight into `out`, through a binary
+  // heap of run heads with the earliest on top. The comparator is a total
+  // order, so this is the sequence a sort of the union yields.
+  const auto later = [](const Run& a, const Run& b) {
+    return window_before(*b.head, *a.head);
+  };
+  std::make_heap(runs_.begin(), runs_.end(), later);
+  while (runs_.size() > 1) {
+    Run& top = runs_.front();
+    out.push_back(*top.head++);
+    if (top.head == top.end) {
+      top = runs_.back();
+      runs_.pop_back();
+    }
+    // Sift the new top down to its place.
+    for (std::size_t i = 0, c = 1; c < runs_.size(); i = c, c = 2 * i + 1) {
+      if (c + 1 < runs_.size() && later(runs_[c], runs_[c + 1])) ++c;
+      if (!later(runs_[i], runs_[c])) break;
+      std::swap(runs_[i], runs_[c]);
+    }
+  }
+  if (!runs_.empty()) out.insert(out.end(), runs_[0].head, runs_[0].end);
+  for (auto& shard : shards_) shard->clear_window_log();
 }
 
 std::uint64_t ShardedDetector::window_log_drops() const {
@@ -280,9 +334,10 @@ std::vector<AnomalyEvent> ShardedDetector::flush(SimTime now) {
     events.insert(events.end(), tail.begin(), tail.end());
   }
   // Reconcile the router with shard-side recycling: a pair whose shard
-  // slot was recycled (still retired at flush) gives its global id back.
-  // Ascending id order — a pure function of the id set, so the router's
-  // free list (and thus future id reuse) is shard-count-invariant.
+  // slot was recycled (still retired at flush) gives its global id back,
+  // unmapped and unplaced together (the handle_of invariant). Ascending id
+  // order — a pure function of the id set, so the router's free list (and
+  // thus future id reuse) is shard-count-invariant.
   for (GlobalHandle gid = 0; gid < shard_of_.size(); ++gid) {
     if (shard_of_[gid] == kUnplaced) continue;
     const auto& shard = *shards_[shard_of_[gid]];
@@ -354,6 +409,9 @@ void ShardedDetector::restore(const Snapshot& snap) {
   shard_of_ = snap.shard_of_;
   local_of_ = snap.local_of_;
   pair_of_ = snap.pair_of_;
+  // The routing hints survive as they are: handle_of checks every guess
+  // against the restored router/pair_of_ pair.
+  next_of_.resize(shard_of_.size(), common::FlatPairTable::kNoSlot);
 }
 
 }  // namespace skh::core

@@ -26,7 +26,18 @@
 //  3. *Canonical tails.* `flush` closes windows shard by shard (local
 //     slot order) and then sorts the merged events with
 //     `canonicalize_events`; any shard count sorts the same event set to
-//     the same sequence.
+//     the same sequence. `drain_window_log` likewise emits the closed
+//     windows in one canonical order.
+//
+// Calling-thread cost scales with what changed, not with the round size.
+// A probe round lists the plan's pairs in the same order as the round
+// before, so `handle_of` learns each id's successor and confirms a guess
+// with sequential reads of dense per-id arrays instead of a random
+// router-table miss; the event merge visits only the items that fired; and
+// the window-log drain merges per-shard logs that already arrive sorted.
+// Input that breaks the order (telemetry reordering, drops and duplicates,
+// replans) only falls back to the table lookup or a per-shard sort — never
+// to other output.
 //
 // Rebalance rides the PR-5 state machinery: `migrate_range` moves a
 // global-id range between shards via `AnomalyDetector::extract_pair` /
@@ -109,7 +120,11 @@ class ShardedDetector {
   void sync_obs();
 
   /// Get-or-create the global handle for a pair; assigns placement for
-  /// newly discovered pairs via the ring.
+  /// newly discovered pairs via the ring. Order-learned: the id returned
+  /// after the previous call's id last time is tried first, and accepted
+  /// only if it is placed and names `pair` — the router maps every placed
+  /// id's pair to that id, so a hit is exactly the id a table lookup
+  /// returns. A miss does the lookup and records the successor.
   [[nodiscard]] GlobalHandle handle_of(const EndpointPair& pair);
 
   /// Find-only lookup: the global handle of a mapped pair, or
@@ -120,9 +135,13 @@ class ShardedDetector {
   }
 
   /// Collect every shard's closed-window log (see
-  /// AnomalyDetector::drain_window_log), appended to `out` in canonical
-  /// order — sorted by (end, start, pair) — so the drained stream is
-  /// shard-count-invariant. Summed drop count via `window_log_drops`.
+  /// AnomalyDetector::window_log), appended to `out` in canonical order —
+  /// sorted by (end, start, pair, flags) — so the drained stream is
+  /// shard-count-invariant, and clear the logs. A shard's log is sorted in
+  /// place only when it is out of order (a round that listed its pairs out
+  /// of order, or closed short and long windows together); the sorted logs
+  /// are then k-way merged straight into `out`. Summed drop count via
+  /// `window_log_drops`.
   void drain_window_log(std::vector<obs::WindowRecord>& out);
   [[nodiscard]] std::uint64_t window_log_drops() const;
 
@@ -136,8 +155,10 @@ class ShardedDetector {
   /// inline otherwise; `events` receives every fired event grouped by
   /// originating item in item order — the exact sequence sequential
   /// single-detector ingest would produce — and `fired_per_item[i]` says
-  /// how many of them item i contributed. Both outputs are overwritten.
-  /// Returns the total number of events fired.
+  /// how many of them item i contributed (zero-filled, one entry per
+  /// item). Shard jobs note only the items that fired, so the merge after
+  /// the jobs costs the events fired, not the round size. Both outputs are
+  /// overwritten. Returns the total number of events fired.
   std::size_t ingest_batch(std::span<const BatchItem> items,
                            std::vector<AnomalyEvent>& events,
                            std::vector<std::uint32_t>& fired_per_item);
@@ -204,17 +225,38 @@ class ShardedDetector {
   common::FlatPairTable router_;  ///< pair -> global id, discovery order
   // Dense by global id: owning shard, local handle there, and the pair
   // itself (recycle needs key lookups without re-deriving from shards).
+  // Invariant: for every placed id g (shard_of_[g] != kUnplaced) the router
+  // maps pair_of_[g] to g — handle_of sets both, flush clears both, restore
+  // copies both.
   std::vector<std::uint32_t> shard_of_;
   std::vector<AnomalyDetector::PairHandle> local_of_;
   std::vector<EndpointPair> pair_of_;
+  // Order-learned routing hints, not analysis state (no snapshot): the id
+  // handle_of returned right after returning g, and the id it returned
+  // last. Checked against the invariant above before use.
+  std::vector<GlobalHandle> next_of_;
+  GlobalHandle last_ = common::FlatPairTable::kNoSlot;
 
+  /// An item that fired during a batch: its index in the round and its
+  /// events' range in the shard's event scratch.
+  struct Fired {
+    std::size_t item;
+    std::uint32_t first;
+    std::uint32_t count;
+  };
   // Reused batch scratch (one entry per shard): item indices, fired
-  // events, and per-item fired counts for the merge-by-item-index step.
+  // events, and the items that fired, in item order, for the sparse merge.
   std::vector<std::vector<std::size_t>> batch_items_;
   std::vector<std::vector<AnomalyEvent>> batch_events_;
-  std::vector<std::vector<std::uint32_t>> batch_fired_;
-  std::vector<std::size_t> batch_cursor_item_;
-  std::vector<std::size_t> batch_cursor_event_;
+  std::vector<std::vector<Fired>> batch_fired_;
+  /// Per-shard read position of the fired-item merge.
+  std::vector<std::size_t> cursor_;
+  /// The unread part of one shard's sorted window log, during a drain.
+  struct Run {
+    const obs::WindowRecord* head;
+    const obs::WindowRecord* end;
+  };
+  std::vector<Run> runs_;  ///< heap of non-empty runs, capacity = shards
 
   obs::Context* obs_ = nullptr;
   DetectorCounters published_;  ///< registry-series totals already synced

@@ -526,6 +526,38 @@ TEST(AnomalyDefenses, CorruptedRttsRaiseNothingOnAHealthyPath) {
   }
 }
 
+TEST(AnomalyDefenses, RttClampShapesTheShortTermScore) {
+  // Every look-back window carries one 50x RTT outlier, then the path
+  // shifts up 50%. The shifted window must fire, with the LOF score the
+  // reference computes over clamped features: without the clamp the
+  // outliers inflate the look-back's mean/std/max coordinates and the same
+  // window scores differently.
+  const auto run = [](auto&& det) {
+    std::vector<AnomalyEvent> events;
+    RngStream rng{29};
+    std::uint64_t seq = 0;
+    for (double t = 0; t < 480; t += 1.0) {
+      const bool shifted = t >= 420;
+      double rtt = (shifted ? 24.0 : 16.0) * std::exp(rng.normal(0.0, 0.05));
+      if (!shifted && static_cast<int>(t) % 30 == 7) rtt *= 50.0;
+      (void)feed(det, pair(), {++seq, SimTime::seconds(t), true, rtt}, events);
+    }
+    return events;
+  };
+  const auto got = run(AnomalyDetector{});
+  const auto want = run(ReferenceDetector{});
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(want[0].kind, AnomalyKind::kLatencyShortTerm);
+  EXPECT_EQ(want[0].detected_at.raw_nanos(), SimTime::seconds(450).raw_nanos());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kind, want[i].kind);
+    EXPECT_EQ(got[i].detected_at.raw_nanos(), want[i].detected_at.raw_nanos());
+    EXPECT_NEAR(got[i].score, want[i].score,
+                1e-6 * std::max(1.0, std::abs(want[i].score)));
+  }
+}
+
 TEST(AnomalyDefenses, StreamingMatchesBatchUnderGrayTelemetry) {
   // The detector/reference verdict identity must survive with every defense
   // engaged: quorum-starved windows, duplicated and stale deliveries, and

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <tuple>
 #include <vector>
 
 #include "common/pool.h"
 #include "common/rng.h"
+#include "obs/context.h"
 
 namespace skh::core {
 namespace {
@@ -97,6 +100,39 @@ std::vector<AnomalyEvent> replay(ShardedDetector& det,
   const auto tail = det.flush(SimTime::seconds(seconds));
   all.insert(all.end(), tail.begin(), tail.end());
   return all;
+}
+
+/// The order a probe round lists its pairs in.
+enum class RoundOrder { kCanonical, kReversed, kShuffled };
+
+/// Reorder one round's observations (pair-ascending, as generated) in
+/// place; a shuffled round draws its own permutation from `round_no`.
+void reorder(std::vector<Obs>& round, RoundOrder order,
+             std::uint64_t round_no) {
+  if (order == RoundOrder::kReversed) {
+    std::reverse(round.begin(), round.end());
+  } else if (order == RoundOrder::kShuffled) {
+    RngStream rng{seed_mix(round_no, 0x53485546)};
+    std::shuffle(round.begin(), round.end(), rng.engine());
+  }
+}
+
+/// Comparable projection of a closed-window record (WindowRecord has no
+/// operator==), every field included.
+using WindowKey = std::tuple<std::int64_t, std::int64_t, EndpointPair,
+                             std::uint32_t, std::uint32_t, std::uint32_t,
+                             float, float>;
+
+WindowKey key_of(const obs::WindowRecord& w) {
+  return {w.end.raw_nanos(), w.start.raw_nanos(), w.pair, w.flags,
+          w.sent,            w.lost,              w.p50_us, w.score};
+}
+
+/// The drain contract's order, stated independently of the facade:
+/// (end, start, pair, flags).
+bool canonical_before(const obs::WindowRecord& a, const obs::WindowRecord& b) {
+  return std::tuple{a.end, a.start, a.pair, a.flags} <
+         std::tuple{b.end, b.start, b.pair, b.flags};
 }
 
 TEST(ShardRing, DeterministicAndCovering) {
@@ -285,6 +321,229 @@ TEST(ShardedDetector, RetireAndFlushRecycleGlobalIds) {
   const auto gid = det.handle_of(pair_n(100));
   EXPECT_LT(gid, 8u);
   EXPECT_EQ(det.pair_count(), 7u);
+}
+
+// The window-log drain is one canonical sequence whatever produced it:
+// every drain equals a sort of the same records, and the drained stream is
+// the same at 1, 4 and 16 shards, pooled or inline, whether the rounds list
+// their pairs in canonical order (each shard's log arrives sorted),
+// reversed, or shuffled (each shard sorts its own log). Every fourth short
+// close also closes the long window, and the flush tail is drained too.
+TEST(ShardedDetector, WindowLogDrainIsCanonicalAtAnyShardCount) {
+  constexpr std::uint32_t kPairs = 40;
+  constexpr double kSeconds = 420.0;
+  DetectorConfig cfg;
+  cfg.long_window = SimTime::seconds(120);
+  const auto obs = synthetic_campaign(kPairs, kSeconds);
+
+  // Drains of one run, one entry per round plus the flush tail.
+  const auto run = [&](std::size_t shards, common::ThreadPool* pool,
+                       RoundOrder order) {
+    obs::Context ctx;
+    ShardedDetector det(cfg, shards, pool);
+    det.attach_obs(&ctx);
+    det.reserve_pairs(kPairs);
+    std::vector<std::vector<WindowKey>> drains;
+    std::vector<Obs> round;
+    std::vector<ShardedDetector::BatchItem> batch;
+    std::vector<AnomalyEvent> events;
+    std::vector<std::uint32_t> fired;
+    std::vector<obs::WindowRecord> records;
+    const auto drain = [&] {
+      records.clear();
+      det.drain_window_log(records);
+      auto sorted = records;
+      std::sort(sorted.begin(), sorted.end(), canonical_before);
+      std::vector<WindowKey> got, want;
+      for (const auto& w : records) got.push_back(key_of(w));
+      for (const auto& w : sorted) want.push_back(key_of(w));
+      EXPECT_EQ(got, want) << "drain " << drains.size() << " at " << shards
+                           << " shards, pool " << (pool != nullptr)
+                           << ", order " << static_cast<int>(order);
+      drains.push_back(std::move(got));
+    };
+    std::size_t next = 0;
+    for (double t = 0.0; t < kSeconds; t += 1.0) {
+      round.clear();
+      while (next < obs.size() && obs[next].t <= t) {
+        round.push_back(obs[next++]);
+      }
+      reorder(round, order, static_cast<std::uint64_t>(t));
+      batch.clear();
+      for (const Obs& o : round) {
+        batch.push_back({det.handle_of(pair_n(o.pair)), o.observation()});
+      }
+      det.ingest_batch(batch, events, fired);
+      drain();
+    }
+    // Flush late enough that the tail holds the last short window and the
+    // last long one.
+    (void)det.flush(SimTime::seconds(kSeconds + 60.0));
+    drain();
+    EXPECT_EQ(det.window_log_drops(), 0u);
+    return drains;
+  };
+
+  const auto want = run(1, nullptr, RoundOrder::kCanonical);
+  std::size_t records = 0, long_rounds = 0;
+  for (const auto& d : want) {
+    records += d.size();
+    bool any_long = false, any_short = false;
+    for (const auto& w : d) {
+      const bool is_long = (std::get<3>(w) & obs::kWindowLong) != 0;
+      any_long |= is_long;
+      any_short |= !is_long;
+    }
+    long_rounds += any_long && any_short ? 1 : 0;
+  }
+  ASSERT_GT(records, 0u);
+  EXPECT_GE(long_rounds, 3u) << "no round closed short and long windows";
+  EXPECT_FALSE(want.back().empty()) << "the flush tail drained nothing";
+
+  common::ThreadPool pool(4);
+  common::ThreadPool* const pools[] = {&pool, nullptr};
+  for (common::ThreadPool* p : pools) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4},
+                                     std::size_t{16}}) {
+      for (const RoundOrder order : {RoundOrder::kCanonical,
+                                     RoundOrder::kReversed,
+                                     RoundOrder::kShuffled}) {
+        EXPECT_EQ(run(shards, p, order), want)
+            << "at " << shards << " shards, pool " << (p != nullptr)
+            << ", order " << static_cast<int>(order);
+      }
+    }
+  }
+}
+
+// Routing scenario for HandleOfMatchesRouterUnderAnyOrder, 1 s rounds.
+constexpr std::size_t kMixInRound = 40;   ///< odd pairs < 32 first sighted
+constexpr std::size_t kSnapRound = 90;    ///< snapshot taken
+constexpr std::size_t kRecycleRound = 120;  ///< retire + flush + re-sight
+constexpr std::size_t kMigrateRound = 150;  ///< migrate_range
+constexpr std::size_t kRestoreRound = 170;  ///< back to the snapshot, once
+constexpr std::size_t kRoutingRounds = 300;
+
+/// The pairs probed in round t, in canonical (pair-ascending) order. Even
+/// pairs below 64 run from the start and odd pairs below 32 join at
+/// kMixInRound. At kRecycleRound the pairs i % 8 == 2 are retired and
+/// flushed: those with i % 16 == 2 are probed again in the same round (so
+/// the id they had is unplaced while the last round's order still points
+/// at it), the rest are gone, and pairs 64..75 appear, taking recycled ids.
+std::vector<std::uint32_t> routing_round(std::size_t t) {
+  std::vector<std::uint32_t> live;
+  for (std::uint32_t i = 0; i < 76; ++i) {
+    const bool first_wave = i < 64 && i % 2 == 0;
+    const bool mixed_in = i < 32 && i % 2 == 1 && t >= kMixInRound;
+    const bool gone = i % 16 == 10 && t >= kRecycleRound;
+    const bool fresh = i >= 64 && t >= kRecycleRound;
+    if ((first_wave && !gone) || mixed_in || fresh) live.push_back(i);
+  }
+  return live;
+}
+
+/// Pair i's observation in round t: a pure function. Pairs i % 7 == 0 lose
+/// probes for 20 rounds; pairs i % 5 == 0 shift their RTT late in the run.
+Observation routing_obs(std::uint32_t i, std::size_t t) {
+  const std::uint64_t h = seed_mix(std::uint64_t{i} * 7919 + t, 0x524F5554);
+  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
+  const double v = static_cast<double>(seed_mix(h, 1) >> 11) * 0x1.0p-53;
+  const bool lossy = i % 7 == 0 && t >= 100 && t < 120;
+  const bool shifted = i % 5 == 0 && t >= 230;
+  return {t + 1, SimTime::seconds(static_cast<std::int64_t>(t)),
+          !(lossy && u < 0.6), (shifted ? 30.0 : 16.0) * (1.0 + 0.1 * v)};
+}
+
+// handle_of learns each round's pair order; whatever the rounds do to that
+// order, every id it returns must be the router's id for the pair, and the
+// per-pair verdicts must be those of an in-order run. The scenario breaks
+// the learned order every way the hunter can: per-round shuffles, first
+// sightings mixed into known pairs, retire + flush recycling (a recycled id
+// then names a different pair, and a re-sighted pair's old id is unplaced),
+// a restore to an older snapshot (learned successors name ids that mean
+// something else again), and a migrate_range.
+TEST(ShardedDetector, HandleOfMatchesRouterUnderAnyOrder) {
+  DetectorConfig cfg;
+  cfg.short_window = SimTime::seconds(10);
+  cfg.long_window = SimTime::seconds(60);
+  using Streams = std::map<EndpointPair, std::vector<EventKey>>;
+
+  const auto run = [&](std::size_t shards, common::ThreadPool* pool,
+                       bool shuffled) {
+    ShardedDetector det(cfg, shards, pool);
+    Streams streams, at_snap;
+    ShardedDetector::Snapshot snap;
+    std::vector<ShardedDetector::BatchItem> batch;
+    std::vector<AnomalyEvent> events;
+    std::vector<std::uint32_t> fired;
+    std::size_t wrong = 0, calls = 0;
+    bool restored = false;
+    const auto record = [&streams](const std::vector<AnomalyEvent>& evs) {
+      for (const auto& e : evs) streams[e.pair].push_back(key_of(e));
+    };
+    for (std::size_t t = 0; t < kRoutingRounds; ++t) {
+      const SimTime now = SimTime::seconds(static_cast<std::int64_t>(t));
+      if (t == kSnapRound && !restored) {
+        snap = det.snapshot();
+        at_snap = streams;
+      }
+      if (t == kRestoreRound && !restored) {
+        det.restore(snap);
+        streams = at_snap;
+        restored = true;
+        t = kSnapRound - 1;
+        continue;
+      }
+      if (t == kRecycleRound) {
+        for (std::uint32_t i = 2; i < 64; i += 8) det.retire_pair(pair_n(i));
+        record(det.flush(now));
+      }
+      if (t == kMigrateRound) {
+        const std::size_t moved = det.migrate_range(0, 24, shards - 1);
+        if (shards > 1) {
+          EXPECT_GT(moved, 0u);
+        }
+      }
+      auto live = routing_round(t);
+      if (shuffled) {
+        RngStream rng{seed_mix(t, 0x524F4C4C)};
+        std::shuffle(live.begin(), live.end(), rng.engine());
+      }
+      batch.clear();
+      for (const std::uint32_t i : live) {
+        const auto gid = det.handle_of(pair_n(i));
+        ++calls;
+        if (gid != det.find_handle(pair_n(i))) ++wrong;
+        batch.push_back({gid, routing_obs(i, t)});
+      }
+      det.ingest_batch(batch, events, fired);
+      record(events);
+    }
+    record(det.flush(SimTime::seconds(kRoutingRounds)));
+    EXPECT_EQ(wrong, 0u) << "of " << calls << " handle_of calls at " << shards
+                         << " shards, shuffled " << shuffled;
+    return streams;
+  };
+
+  const Streams want = run(1, nullptr, false);
+  std::size_t events = 0;
+  std::set<int> kinds;
+  for (const auto& [pair, evs] : want) {
+    events += evs.size();
+    for (const auto& e : evs) kinds.insert(std::get<5>(e));
+  }
+  ASSERT_GT(events, 0u);
+  EXPECT_TRUE(kinds.count(static_cast<int>(AnomalyKind::kPacketLoss)));
+  EXPECT_TRUE(kinds.count(static_cast<int>(AnomalyKind::kLatencyShortTerm)));
+
+  common::ThreadPool pool(4);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    for (const bool shuffled : {false, true}) {
+      common::ThreadPool* const p = shards > 1 ? &pool : nullptr;
+      EXPECT_EQ(run(shards, p, shuffled), want)
+          << "at " << shards << " shards, shuffled " << shuffled;
+    }
+  }
 }
 
 // for_each_pair iterates the router, so retirement sweeps (the hunter's
