@@ -7,8 +7,8 @@
 // pays a pair hash per probe, copies and sorts retained sample vectors at
 // every window close, and refits the LOF look-back from scratch each time.
 // The detector uses pre-resolved pair handles (stable FlatPairTable ids),
-// one-cache-line PairHot rows, strip-arena window samples, and the
-// resident StreamingLof model. The bar: >= 10x probe ingest throughput at
+// one-cache-line PairHot rows, strip-arena window samples, and resident
+// look-back blocks scored in place by one StreamingLof workspace. The bar: >= 10x probe ingest throughput at
 // 10k pairs, with verdicts that match event-for-event (pair, kind,
 // timestamp). The 100k row is reported (and verdict-checked) but not
 // throughput-gated: at that scale the working set outgrows cache on

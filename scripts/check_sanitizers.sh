@@ -5,8 +5,8 @@
 # memory-heaviest suites: common (window accumulators, the lock-protected
 # log sink, and the FlatPairTable differential fuzz — 20k mixed ops
 # crossing grow/purge rebuilds, tombstone probe chains, and id recycling
-# under ASan), ml (the LOF point ring and the lazily materialized
-# distance-matrix scratch), core (the detector hot path with its
+# under ASan), ml (the LOF ring's push/pop over a caller-owned block and
+# the shared scoring workspace's distance matrix), core (the detector hot path with its
 # flattened pair storage and reused buffers,
 # the churn degrade/re-infer lifecycle, the traceroute-refinement
 # partial-result edge cases in test_localize, the gray-telemetry defense

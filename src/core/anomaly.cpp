@@ -1,6 +1,7 @@
 #include "core/anomaly.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -82,17 +83,18 @@ AnomalyDetector::AnomalyDetector(DetectorConfig cfg)
     : cfg_(cfg),
       index_(common::FlatTableConfig{cfg.expected_pairs,
                                      cfg.pair_table_fullness}),
-      // One slot of slack beyond the live maximum (lookback + 1 entries):
-      // within a close the new median is inserted before the oldest is
-      // evicted. Stride rounds both regions together up to whole lines.
-      p50_cap_(static_cast<std::uint32_t>(cfg.lookback_windows + 2)),
-      p50_stride_((2 * p50_cap_ + 7) & ~7U),
+      // A close pushes the new window before evicting the oldest, so the
+      // ring holds up to lookback + 1 points (the constructor rejects
+      // depths a LofRing cannot index). A slot's feature plus its sorted
+      // median make 8 doubles, so every block is a whole number of lines.
+      lof_(cfg.lof, cfg.lookback_windows + 1, kFeatureDim),
+      lookback_stride_(lof_.slots() * (kFeatureDim + 1)),
       own_registry_(std::make_unique<obs::MetricsRegistry>()) {
   if (cfg_.expected_pairs > 0) {
     hot_.reserve(cfg_.expected_pairs);
     cold_.reserve(cfg_.expected_pairs);
     samples_.reserve(cfg_.expected_pairs * kStride);
-    p50_.reserve(cfg_.expected_pairs * p50_stride_);
+    lookback_.reserve(cfg_.expected_pairs * lookback_stride_);
     if (cfg_.track_paths) paths_.reserve(cfg_.expected_pairs * kPathSlots);
   }
   bind_metrics(*own_registry_);
@@ -131,12 +133,13 @@ AnomalyDetector::PairHandle AnomalyDetector::handle_of(
   if (inserted) {
     if (id >= hot_.size()) {
       // Fresh id: extend the id-indexed arrays. A recycled id reuses its
-      // slot, already reset by `recycle` (its p50 strip may hold stale
-      // values, but every read is bounded by the fresh LOF model's size).
+      // slot, already reset by `recycle` (its look-back block may hold
+      // stale values, but every read is bounded by the reset ring).
       hot_.resize(id + 1);
       cold_.resize(id + 1);
       samples_.resize(static_cast<std::size_t>(id + 1) * kStride, 0.0);
-      p50_.resize(static_cast<std::size_t>(id + 1) * p50_stride_, 0.0);
+      lookback_.resize(static_cast<std::size_t>(id + 1) * lookback_stride_,
+                       0.0);
       if (cfg_.track_paths) {
         paths_.resize(static_cast<std::size_t>(id + 1) * kPathSlots);
       }
@@ -152,7 +155,7 @@ void AnomalyDetector::reserve_pairs(std::size_t pairs) {
     hot_.reserve(pairs);
     cold_.reserve(pairs);
     samples_.reserve(pairs * kStride);
-    p50_.reserve(pairs * p50_stride_);
+    lookback_.reserve(pairs * lookback_stride_);
     if (cfg_.track_paths) paths_.reserve(pairs * kPathSlots);
   }
   // A campaign-end flush closes at most a short and a long window per pair;
@@ -421,15 +424,27 @@ void AnomalyDetector::close_short_window(PairHandle h, SimTime at,
   const SimTime w_start = hot.short_start;
   // At fleet scale a close misses on every line it touches, serially:
   // nothing keeps 10k+ pairs' cold state cached between 30 s window
-  // boundaries. Both addresses below are computable without loading
-  // anything, so start the fetches now and let the strip sort and summary
-  // (which need neither) overlap them.
+  // boundaries. Every address below is computable from the hot line
+  // alone, so start the fetches now and let the strip sort and summary
+  // (which need none of them) overlap them.
   const auto* cold_bytes = reinterpret_cast<const unsigned char*>(&cold);
   for (std::size_t off = 0; off < sizeof(PairCold); off += 64) {
     __builtin_prefetch(cold_bytes + off, 1);
   }
-  __builtin_prefetch(p50_.data() + static_cast<std::size_t>(h) * p50_stride_,
-                     1);
+  // The look-back lines a close touches: the sorted medians, the slot the
+  // push writes, and the head slot's median an eviction reads. Each range
+  // spans at most two lines, so its first and last double cover it.
+  double* const pts =
+      lookback_.data() + static_cast<std::size_t>(h) * lookback_stride_;
+  double* const p50s = pts + lof_.slots() * kFeatureDim;
+  ml::LofRing& ring = hot.lookback;
+  const double* const push_at =
+      pts + lof_.slot(ring, ring.size) * kFeatureDim;
+  __builtin_prefetch(p50s, 1);
+  __builtin_prefetch(p50s + lof_.slots() - 1, 1);
+  __builtin_prefetch(push_at, 1);
+  __builtin_prefetch(push_at + kFeatureDim - 1, 1);
+  __builtin_prefetch(pts + lof_.slot(ring, 0) * kFeatureDim + kFeatureP50);
   m_short_closed_.inc();
   if (obs_ != nullptr) {
     obs_->tracer.instant("detector", "window.short.close", at, hot.short_sent,
@@ -473,42 +488,39 @@ void AnomalyDetector::close_short_window(PairHandle h, SimTime at,
       const WindowSummary summary =
           robust_summary(sorted, cfg_.rtt_clamp_iqr_mult,
                          cfg_.rtt_clamp_band_frac);
-      cold.feature = {summary.p25,  summary.p50,    summary.p75,
-                      summary.min,  summary.mean,   summary.stddev,
-                      summary.max};
+      const std::array<double, kFeatureDim> feature{
+          summary.p25,  summary.p50,    summary.p75, summary.min,
+          summary.mean, summary.stddev, summary.max};
       log_p50 = static_cast<float>(summary.p50);
-      if (!cold.lof) cold.lof.emplace(cfg_.lof, cfg_.lookback_windows + 1);
-      // The pair's magnitude-gate strip: look-back medians kept sorted
-      // (first region) and in window order (second region). Entry count
-      // is the LOF model's size — both are pushed and evicted in
-      // lock-step below.
-      double* const p50s =
-          p50_.data() + static_cast<std::size_t>(h) * p50_stride_;
-      double* const p50f = p50s + p50_cap_;
-      std::size_t p50n = cold.lof->size();
+      // The sorted medians hold one entry per ring point — both are pushed
+      // and evicted in lock-step below.
+      std::size_t p50n = ring.size;
       const bool scoreable = p50n >= cfg_.lof.k_neighbors + 1;
       // Magnitude gate against the look-back median-of-medians; the
-      // sorted ring makes it O(1) instead of a copy + sort per close.
+      // sorted medians make it O(1) instead of a copy + sort per close.
       // (Read before the push below so the new window's own median
       // cannot dilute its reference.)
       const double ref_median = scoreable ? p50s[p50n / 2] : 0.0;
-      // Push first, then score the newest point in-model: the batch
+      // Push first, then score the newest point in-ring: the batch
       // scorer (`ml::lof_score_of`) appends its query to the reference
       // before scoring, so `last_score` is the same number without a
       // second distance pass.
-      cold.lof->push(cold.feature);
+      lof_.push(ring, pts, feature);
       if (scoreable) {
         // Only an upward shift is a failure symptom; a drop back toward
         // normal (e.g. recovery against a fault-contaminated look-back)
         // must not alarm. The event needs the shift gate AND the LOF
         // gate, so test the O(1) magnitude gate first: on the healthy
         // steady state (almost every close) it fails and the scoring
-        // pass is skipped outright — the model stays current either way
-        // because push/pop above and below maintain it regardless.
+        // pass is skipped outright — the look-back stays current either
+        // way, because the push above and the eviction below run
+        // regardless.
         const double shift =
             ref_median > 0.0 ? (summary.p50 - ref_median) / ref_median : 0.0;
         if (shift >= cfg_.min_relative_shift) {
-          const double score = cold.lof->last_score();
+          const double score = lof_.last_score(ring, pts);
+          ++lof_scores_;
+          lof_kdist_rebuilds_ += ring.size;
           log_score = static_cast<float>(score);
           log_flags |= obs::kWindowScored;
           if (obs_ != nullptr) {
@@ -528,18 +540,17 @@ void AnomalyDetector::close_short_window(PairHandle h, SimTime at,
           }
         }
       }
-      p50f[p50n] = summary.p50;
       double* const ins = std::upper_bound(p50s, p50s + p50n, summary.p50);
       std::copy_backward(ins, p50s + p50n, p50s + p50n + 1);
       *ins = summary.p50;
       ++p50n;
-      while (cold.lof->size() > cfg_.lookback_windows) {
-        cold.lof->pop_front();
-        const double evicted = p50f[0];
-        std::copy(p50f + 1, p50f + p50n, p50f);
+      if (ring.size > cfg_.lookback_windows) {
+        // The evicted window's median is its ring point's p50 coordinate.
+        const double evicted =
+            pts[lof_.slot(ring, 0) * kFeatureDim + kFeatureP50];
+        lof_.pop_front(ring);
         double* const del = std::lower_bound(p50s, p50s + p50n, evicted);
         std::copy(del + 1, p50s + p50n, del);
-        --p50n;
       }
     }
   }
@@ -612,15 +623,7 @@ void AnomalyDetector::close_long_window(PairHandle h, SimTime at,
 }
 
 void AnomalyDetector::recycle(PairHandle h) {
-  PairCold& cold = cold_[h];
-  if (cold.lof) {
-    // The per-pair LOF counters die with the model; carry them so
-    // `counters()` totals stay monotonic across recycling.
-    lof_fast_carry_ += cold.lof->fast_path_scores();
-    lof_fallback_carry_ += cold.lof->fallback_scores();
-    lof_rebuild_carry_ += cold.lof->kdist_rebuilds();
-  }
-  index_.erase(cold.pair);
+  index_.erase(cold_[h].pair);
   index_.free_id(h);
   hot_[h] = PairHot{};
   cold_[h] = PairCold{};
@@ -663,13 +666,13 @@ std::vector<AnomalyEvent> AnomalyDetector::flush(SimTime now) {
 bool AnomalyDetector::extract_pair(const EndpointPair& pair, PairState& out) {
   const PairHandle h = index_.find(pair);
   if (h == common::FlatPairTable::kNoSlot) return false;
-  out.p50_stride_ = p50_stride_;
   out.hot_ = hot_[h];
   out.cold_ = std::move(cold_[h]);
   const double* strip = samples_.data() + static_cast<std::size_t>(h) * kStride;
   out.samples_.assign(strip, strip + kStride);
-  const double* gate = p50_.data() + static_cast<std::size_t>(h) * p50_stride_;
-  out.p50_.assign(gate, gate + p50_stride_);
+  const double* block =
+      lookback_.data() + static_cast<std::size_t>(h) * lookback_stride_;
+  out.lookback_.assign(block, block + lookback_stride_);
   if (cfg_.track_paths) {
     const PathSlot* ps =
         paths_.data() + static_cast<std::size_t>(h) * kPathSlots;
@@ -678,8 +681,7 @@ bool AnomalyDetector::extract_pair(const EndpointPair& pair, PairState& out) {
     out.paths_.clear();
   }
   // Annul any parking: a parked pair that migrates is the new home's to
-  // retire (or revive). The LOF model moved out above, so no counter carry:
-  // its path counts travel with it and reappear in the adopter's totals.
+  // retire (or revive).
   parked_.erase(std::remove(parked_.begin(), parked_.end(), h),
                 parked_.end());
   index_.erase(pair);
@@ -694,7 +696,7 @@ bool AnomalyDetector::extract_pair(const EndpointPair& pair, PairState& out) {
 }
 
 AnomalyDetector::PairHandle AnomalyDetector::adopt_pair(PairState&& st) {
-  if (st.p50_stride_ != p50_stride_ ||
+  if (st.lookback_.size() != lookback_stride_ ||
       st.paths_.size() != (cfg_.track_paths ? kPathSlots : 0u)) {
     throw std::logic_error(
         "adopt_pair: strip geometry mismatch (detector configs differ)");
@@ -707,8 +709,8 @@ AnomalyDetector::PairHandle AnomalyDetector::adopt_pair(PairState&& st) {
   cold_[h] = std::move(st.cold_);
   std::copy(st.samples_.begin(), st.samples_.end(),
             samples_.begin() + static_cast<std::size_t>(h) * kStride);
-  std::copy(st.p50_.begin(), st.p50_.end(),
-            p50_.begin() + static_cast<std::size_t>(h) * p50_stride_);
+  std::copy(st.lookback_.begin(), st.lookback_.end(),
+            lookback_.begin() + static_cast<std::size_t>(h) * lookback_stride_);
   if (cfg_.track_paths) {
     std::copy(st.paths_.begin(), st.paths_.end(),
               paths_.begin() + static_cast<std::size_t>(h) * kPathSlots);
@@ -723,7 +725,7 @@ AnomalyDetector::Snapshot AnomalyDetector::snapshot() const {
   s.hot_ = hot_;
   s.cold_ = cold_;
   s.samples_ = samples_;
-  s.p50_ = p50_;
+  s.lookback_ = lookback_;
   s.paths_ = paths_;
   s.parked_ = parked_;
   return s;
@@ -734,7 +736,7 @@ void AnomalyDetector::restore(const Snapshot& snap) {
   hot_ = snap.hot_;
   cold_ = snap.cold_;
   samples_ = snap.samples_;
-  p50_ = snap.p50_;
+  lookback_ = snap.lookback_;
   paths_ = snap.paths_;
   parked_ = snap.parked_;
 }
@@ -750,16 +752,8 @@ DetectorCounters AnomalyDetector::counters() const {
   c.windows_insufficient = metrics_->counter_total(id_insufficient_);
   c.duplicates_rejected = metrics_->counter_total(id_dup_rejected_);
   c.stale_rejected = metrics_->counter_total(id_stale_rejected_);
-  c.lof_fast_path = lof_fast_carry_;
-  c.lof_fallback = lof_fallback_carry_;
-  c.lof_kdist_rebuilds = lof_rebuild_carry_;
-  for (const auto& cold : cold_) {
-    if (cold.lof) {
-      c.lof_fast_path += cold.lof->fast_path_scores();
-      c.lof_fallback += cold.lof->fallback_scores();
-      c.lof_kdist_rebuilds += cold.lof->kdist_rebuilds();
-    }
-  }
+  c.lof_fast_path = lof_scores_;
+  c.lof_kdist_rebuilds = lof_kdist_rebuilds_;
   return c;
 }
 

@@ -11,8 +11,9 @@
 //    against it (catches gradual drift the short-term LOF absorbs).
 //
 // The detector computes those verdicts incrementally: window samples
-// accumulate into per-pair sample strips, the LOF look-back model stays
-// resident across window closes (`ml::StreamingLof`), and long windows
+// accumulate into per-pair sample strips, each pair's LOF look-back stays
+// resident across window closes as one fixed-stride block scored in place
+// by the detector's one `ml::StreamingLof` workspace, and long windows
 // keep only log-domain moments — no per-window copies, sorts, or refits.
 // A batch reference that recomputes every verdict from retained raw
 // samples lives with the tests (tests/support/reference_detector.h); the
@@ -24,13 +25,13 @@
 // (`reserve_pairs`), and per-pair state is an SoA split indexed by the
 // table's stable ids — a contiguous 64-byte-aligned `PairHot` array (one
 // cache line per pair, all a rollover-free probe touches), a fixed-stride
-// sample-strip arena, and a parallel cold array read only at window
-// closes. The layout contract (slot states, probing, capacity math,
-// handle stability across churn and snapshot/restore) is documented in
-// ARCHITECTURE.md under "Memory layout & hot path".
+// sample-strip arena, a fixed-stride look-back arena, and a parallel cold
+// array, the last two read only at window closes. The layout contract
+// (slot states, probing, capacity math, handle stability across churn and
+// snapshot/restore) is documented in ARCHITECTURE.md under "Memory layout
+// & hot path".
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -103,7 +104,10 @@ struct Observation {
 
 struct DetectorConfig {
   SimTime short_window = SimTime::seconds(30);
-  std::size_t lookback_windows = 10;  ///< 5 min of 30 s windows
+  /// 5 min of 30 s windows. The ring holds one window more than this, so
+  /// the constructor throws std::invalid_argument above
+  /// ml::StreamingLof::kMaxSlots - 1.
+  std::size_t lookback_windows = 10;
   ml::LofConfig lof{3, 1.8};
   /// LOF is a *relative* density score: on a tight healthy population even
   /// microscopic deviations score high. A window is only anomalous when its
@@ -166,14 +170,14 @@ struct DetectorCounters {
   std::uint64_t samples_delivered = 0;
   std::uint64_t short_windows_closed = 0;
   std::uint64_t long_windows_closed = 0;
-  std::uint64_t lof_fast_path = 0;  ///< streaming scores read from the
-                                    ///< cached densities (incl. in-model
-                                    ///< `last_score` reads)
-  std::uint64_t lof_fallback = 0;   ///< streaming scores that needed the
-                                    ///< virtual-insert recompute
-  std::uint64_t lof_kdist_rebuilds = 0;  ///< k-distance candidate buffers
-                                         ///< lazily rebuilt by a row scan
-                                         ///< when a close actually scored
+  std::uint64_t lof_fast_path = 0;  ///< LOF scores of a closed window
+                                    ///< against its look-back
+  std::uint64_t lof_fallback = 0;   ///< always 0: the in-ring score has no
+                                    ///< fallback path; kept for readers
+                                    ///< of the fast/fallback split
+  std::uint64_t lof_kdist_rebuilds = 0;  ///< look-back k-distances derived
+                                         ///< by a row scan, one per live
+                                         ///< point of every score
   std::uint64_t lof_gate_skips = 0;  ///< streaming closes where the O(1)
                                      ///< shift gate short-circuited scoring
   std::uint64_t events_emitted = 0;
@@ -296,16 +300,16 @@ class AnomalyDetector {
     index_.for_each([&f](const EndpointPair& p, PairHandle) { f(p); });
   }
 
-  /// Ingest counters, including the per-pair streaming-LOF path split.
+  /// Ingest counters, including the LOF scoring counts. O(1).
   [[nodiscard]] DetectorCounters counters() const;
 
   /// Opaque copy of the full per-pair analysis state (pair table, hot
-  /// lines, sample strips, LOF look-back models, long-term baselines,
+  /// lines, sample strips, LOF look-back blocks, long-term baselines,
   /// sequence tracking, retirement parking). Every piece of pair state is
-  /// value-semantic — the table arena and strip arena copy as flat bytes —
-  /// so a plain copy IS the serialized form; restoring it and continuing
-  /// is bit-identical to never having stopped, and handles resolved
-  /// before the snapshot stay valid after a restore. Config and
+  /// value-semantic — the table, strip and look-back arenas copy as flat
+  /// bytes — so a plain copy IS the serialized form; restoring it and
+  /// continuing is bit-identical to never having stopped, and handles
+  /// resolved before the snapshot stay valid after a restore. Config and
   /// observability bindings are not part of the snapshot (they belong to
   /// the process, not the analysis).
   class Snapshot;
@@ -314,20 +318,21 @@ class AnomalyDetector {
   /// back: they are monotonic process telemetry, not analysis state.
   void restore(const Snapshot& snap);
 
-  /// Movable container for one pair's complete analysis state: hot line,
-  /// cold state (LOF look-back model, baselines, spill), sample strip,
-  /// magnitude-gate strip, parked flag. The unit of shard rebalance: a
-  /// pair extracted from one detector and adopted by another (with the
-  /// same config geometry) continues its analysis bit-identically, as if
-  /// it had lived there all along. LOF path counters travel inside the
-  /// moved model, so fleet-summed counters are rebalance-invariant.
+  /// Movable container for one pair's complete analysis state: hot line
+  /// (with the look-back ring state), cold state (baselines, spill),
+  /// sample strip, look-back block, parked flag. The unit of shard
+  /// rebalance: a pair extracted from one detector and adopted by another
+  /// (with the same config geometry) continues its analysis
+  /// bit-identically, as if it had lived there all along. Counters stay
+  /// with the detector that did the counted work, so fleet-summed
+  /// counters are rebalance-invariant.
   class PairState;
   /// Remove `pair` and move its full state into `out`; the slot is
   /// recycled (handle freed, any parking annulled). Returns false (and
   /// leaves `out` untouched) if the pair is unknown.
   [[nodiscard]] bool extract_pair(const EndpointPair& pair, PairState& out);
   /// Insert a previously extracted pair. The pair must not already be
-  /// mapped here and the state's gate-strip and path-slot geometry must
+  /// mapped here and the state's look-back and path-slot geometry must
   /// match this detector's config (both throw std::logic_error — a
   /// rebalance that trips either is a routing bug, not a data condition).
   /// Returns the new handle.
@@ -340,9 +345,10 @@ class AnomalyDetector {
   // streak rule — packed into one 64-byte cache line; delivered samples
   // land in the pair's fixed-stride strip of `samples_`. A fleet sweep
   // (every pair probed each round) therefore streams one hot line plus
-  // one strip line per probe; everything else lives in `PairCold`, read
-  // only at window closes. PairHot is trivially copyable on purpose: the
-  // snapshot of a 100k-pair detector copies the hot array as one memmove.
+  // one strip line per probe; everything else lives in the look-back
+  // block and `PairCold`, read only at window closes. PairHot is
+  // trivially copyable on purpose: the snapshot of a 100k-pair detector
+  // copies the hot array as one memmove.
   struct alignas(64) PairHot {
     // Short- and long-term windows under construction.
     SimTime short_start;
@@ -360,6 +366,10 @@ class AnomalyDetector {
     bool long_open = false;
     bool unreachable_alarmed = false;
     bool parked = false;  ///< retired by churn, awaiting flush recycle
+    /// Live slots of the pair's look-back block. Here rather than in the
+    /// block so a close computes every block address it touches — the
+    /// slot it pushes into, the head it evicts — without another miss.
+    ml::LofRing lookback;
   };
   static_assert(sizeof(PairHot) == 64,
                 "PairHot must stay a single cache line");
@@ -369,12 +379,6 @@ class AnomalyDetector {
   struct PairCold {
     EndpointPair pair;
     std::vector<double> spill;  ///< strip overflow samples
-    /// Look-back of closed-window feature vectors.
-    std::optional<ml::StreamingLof> lof;
-    // Feature scratch inline (not a heap vector): a window close is
-    // latency-bound on dependent line fetches, and the feature write is on
-    // its critical path every close.
-    std::array<double, 7> feature{};
     // Long-term accumulators + fitted baseline.
     RunningStats long_log;      ///< moments of ln(rtt)
     std::size_t long_seen = 0;  ///< delivered samples
@@ -417,9 +421,8 @@ class AnomalyDetector {
   /// sorted in place (the common, allocation-free case) or merged with the
   /// spill into reused scratch. Valid until the next ingest/close.
   [[nodiscard]] std::span<const double> window_sorted(PairHandle h);
-  /// Reset a recycled slot to freshly-constructed state, folding the
-  /// per-pair LOF path counters into the carry so `counters()` stays
-  /// monotonic across recycling.
+  /// Reset a recycled slot to freshly-constructed state. The look-back
+  /// block keeps its stale doubles: the reset ring makes them unreachable.
   void recycle(PairHandle h);
   /// (Re)bind the counter handles onto `r` and remember the ids so
   /// `counters()` can read totals back.
@@ -438,6 +441,10 @@ class AnomalyDetector {
   /// dilutes the arena across more lines and measurably slows ingest (see
   /// ARCHITECTURE.md, "Memory layout & hot path").
   static constexpr std::uint32_t kStride = 8;
+  /// Coordinates of a window's LOF feature: {p25, p50, p75, min, mean,
+  /// std, max}; the median sits at `kFeatureP50`.
+  static constexpr std::size_t kFeatureDim = 7;
+  static constexpr std::size_t kFeatureP50 = 1;
 
   DetectorConfig cfg_;
   common::FlatPairTable index_;
@@ -449,18 +456,17 @@ class AnomalyDetector {
   /// one cache line — a probe dirties one hot line and one strip line,
   /// nothing else.
   std::vector<double, common::ArenaAllocator<double>> samples_;
-  /// Magnitude-gate look-back medians, one fixed-stride strip per pair:
-  /// the sorted ring (O(1) reference median) in the strip's first
-  /// `p50_cap_` doubles, the same values in window order (for eviction) in
-  /// the next `p50_cap_`. A strip holds at most `lookback_windows + 1`
-  /// live entries — exactly `cold_[h].lof->size()`, maintained in
-  /// lock-step, so it carries no count of its own. Central arena rather
-  /// than two vectors per pair for the same reason as `samples_`: a close
-  /// reaches the gate through a computed address instead of two pointer
-  /// chases into per-pair heap blocks.
-  std::vector<double, common::ArenaAllocator<double>> p50_;
-  std::uint32_t p50_cap_;     ///< entries per region (lookback + slack)
-  std::uint32_t p50_stride_;  ///< doubles per pair (2 regions, line-rounded)
+  /// The one LOF scoring workspace, shared by every pair's look-back.
+  ml::StreamingLof lof_;
+  /// Look-back arena, one block of `lookback_stride_` doubles per pair:
+  /// the ring's `lookback_windows + 1` feature slots (`lof_.slots()` x
+  /// kFeatureDim, live slots named by `PairHot::lookback`), then the
+  /// medians of the same windows kept sorted — the magnitude gate's O(1)
+  /// reference median, as many entries as the ring holds. A close reaches
+  /// it through a computed address, not a pointer chase into a per-pair
+  /// heap block; at the default depth a block is 88 doubles, 11 lines.
+  std::vector<double, common::ArenaAllocator<double>> lookback_;
+  std::size_t lookback_stride_;
   /// Per-path sub-series arena: kPathSlots slots per pair, allocated only
   /// when cfg.track_paths (empty otherwise, so the single-path deployment
   /// pays no memory and no cache traffic for the feature).
@@ -476,10 +482,11 @@ class AnomalyDetector {
   std::vector<obs::WindowRecord> window_log_;
   std::size_t window_log_cap_ = 4096;
   std::uint64_t window_log_drops_ = 0;
-  // LOF path counters of recycled pairs, carried so totals never regress.
-  std::uint64_t lof_fast_carry_ = 0;
-  std::uint64_t lof_fallback_carry_ = 0;
-  std::uint64_t lof_rebuild_carry_ = 0;
+  // LOF scoring counts. Plain members rather than registry series (the
+  // scrape carries no LOF split); like the registry counters they are
+  // process telemetry, untouched by restore, extract and adopt.
+  std::uint64_t lof_scores_ = 0;
+  std::uint64_t lof_kdist_rebuilds_ = 0;
 
   // The ingest counters live on a MetricsRegistry — the attached context's
   // when present, otherwise this private one — so `counters()` and a
@@ -509,7 +516,7 @@ class AnomalyDetector {
     std::vector<PairHot> hot_;
     std::vector<PairCold> cold_;
     std::vector<double, common::ArenaAllocator<double>> samples_;
-    std::vector<double, common::ArenaAllocator<double>> p50_;
+    std::vector<double, common::ArenaAllocator<double>> lookback_;
     std::vector<PathSlot, common::ArenaAllocator<PathSlot>> paths_;
     std::vector<PairHandle> parked_;
   };
@@ -527,12 +534,11 @@ class AnomalyDetector {
 
    private:
     friend class AnomalyDetector;
-    std::uint32_t p50_stride_ = 0;  ///< magnitude-gate strip geometry
     PairHot hot_{};
     PairCold cold_;
-    std::vector<double> samples_;  ///< the pair's strip, kStride doubles
-    std::vector<double> p50_;      ///< the pair's gate strip
-    std::vector<PathSlot> paths_;  ///< kPathSlots slots iff track_paths
+    std::vector<double> samples_;   ///< the pair's strip, kStride doubles
+    std::vector<double> lookback_;  ///< the pair's look-back block
+    std::vector<PathSlot> paths_;   ///< kPathSlots slots iff track_paths
   };
 };
 

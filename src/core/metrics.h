@@ -103,8 +103,9 @@ struct ScoreSummary {
 [[nodiscard]] DetectorCounters merge_counters(
     std::span<const DetectorCounters> counters);
 
-/// Fraction of streaming LOF scores answered from the cached model without
-/// a repair pass; 1.0 when no LOF scoring happened.
+/// Fraction of LOF scores counted as fast path rather than fallback; the
+/// detector's in-ring scorer has no fallback, so 1.0 whenever it scored,
+/// and 1.0 when no LOF scoring happened.
 [[nodiscard]] double lof_fast_path_ratio(const DetectorCounters& c);
 
 }  // namespace skh::core

@@ -129,8 +129,8 @@ void ShardedDetector::sync_obs() {
     r.bind_counter(r.counter_id(name)).add(now - before);
   };
   // The same nine series the single-detector registry path records; the
-  // LOF path splits stay counters()-only there too (they live in the
-  // per-pair models, not the registry).
+  // LOF scoring counts stay counters()-only there too (they are detector
+  // members, not registry series).
   publish("detector.probes_ingested", cur.probes_ingested,
           published_.probes_ingested);
   publish("detector.samples_delivered", cur.samples_delivered,

@@ -196,8 +196,8 @@ class ShardedDetector {
         [&f](const EndpointPair& p, common::FlatPairTable::SlotId) { f(p); });
   }
 
-  /// Summed ingest counters across shards. Rebalance-invariant: the LOF
-  /// path counters travel inside each migrated pair's model.
+  /// Summed ingest counters across shards. Rebalance-invariant: each
+  /// close is counted once, by the shard that owned the pair at the time.
   [[nodiscard]] DetectorCounters counters() const;
 
   /// Rebalance: move every mapped pair whose global id lies in [lo, hi)

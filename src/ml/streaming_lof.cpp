@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace skh::ml {
@@ -20,8 +19,8 @@ constexpr double kDiagonal = 1e300;
 // bit-identical to the max(floor, euclidean_distance(...)) the batch
 // scorer computes — while the scoring-time matrix build does one sqrt per
 // consumed value instead of one per cell. Ordering comparisons
-// (k-distance gates, top-s selection) are monotone under squaring, so
-// they run directly in the squared domain.
+// (k-distance gates, k-th smallest selection) are monotone under
+// squaring, so they run directly in the squared domain.
 constexpr double kFloorSq = kLofDistanceFloor * kLofDistanceFloor;
 
 // Same accumulation order as dsp::euclidean_distance, minus the final
@@ -38,204 +37,85 @@ inline double squared_distance(const double* __restrict a,
   }
   return s;
 }
-
-// Section starts round up to 8 doubles = one cache line, so each section
-// begins on a line boundary of the 64-byte-aligned arena.
-constexpr std::size_t round_line(std::size_t doubles) noexcept {
-  return (doubles + 7) & ~std::size_t{7};
-}
 }  // namespace
 
-StreamingLof::StreamingLof(LofConfig cfg, std::size_t capacity_hint)
-    : cfg_(cfg), cap_(capacity_hint) {
+StreamingLof::StreamingLof(LofConfig cfg, std::size_t slots, std::size_t dim)
+    : cfg_(cfg), slots_(slots), dim_(dim) {
   if (cfg_.k_neighbors == 0) {
     throw std::invalid_argument("StreamingLof: k_neighbors must be > 0");
   }
-  // The arena itself is laid out by the first push: the point dimension is
-  // not known until then, and a never-pushed model (most pairs early in a
-  // campaign) should not hold memory.
-}
-
-void StreamingLof::grow(std::size_t min_cap) {
-  // cap_ holds the un-materialized hint until the first push lays the
-  // arena out; only a real, occupied ring doubles.
-  const std::size_t old_cap = arena_.empty() ? 0 : cap_;
-  const std::size_t cap =
-      std::max({static_cast<std::size_t>(8), old_cap * 2, min_cap});
-  const std::size_t s = 2 * cfg_.k_neighbors;
-  // Fresh arena, every section starting on a cache-line boundary. The
-  // survivors re-lay compacted in age order (head back to slot 0); the
-  // distance matrix is scratch and simply re-materializes at the next
-  // score, now against the new capacity.
-  const std::size_t kdist_off = round_line(cap * dim_);
-  const std::size_t lrd_off = kdist_off + round_line(cap);
-  const std::size_t top_off = lrd_off + round_line(cap);
-  std::vector<double, common::ArenaAllocator<double>> na(
-      top_off + round_line(cap * s), 0.0);
-  for (std::size_t a = 0; a < size_; ++a) {
-    const std::size_t oa = (head_ + a) % old_cap;
-    std::copy_n(arena_.data() + oa * dim_, dim_, na.data() + a * dim_);
+  if (slots_ == 0 || slots_ > kMaxSlots || dim_ == 0) {
+    throw std::invalid_argument(
+        "StreamingLof: a look-back needs 1..65535 slots of dimension > 0");
   }
-  arena_ = std::move(na);
-  kdist_off_ = kdist_off;
-  lrd_off_ = lrd_off;
-  top_off_ = top_off;
-  cap_ = cap;
-  head_ = 0;
-  dmat_.clear();
-  dmat_.shrink_to_fit();
-  n_nbrs_.assign(cap, 0);
-  top_len_.assign(cap, 0);
-  mat_dirty_ = true;
-  top_dirty_ = true;
+  dmat_.assign(slots_ * slots_, kDiagonal);
+  kdist_.assign(slots_, 0.0);
+  // Scoring needs more than k live points, so a selection never holds
+  // more than slots of them.
+  kbuf_.assign(std::min(cfg_.k_neighbors, slots_), 0.0);
 }
 
-void StreamingLof::ensure_matrix() {
-  if (!mat_dirty_ && dmat_.size() == cap_ * cap_) return;
-  // First score after a ring change: materialize every live pairwise
-  // distance. O(size² · dim) — but `size` is the look-back depth, the
-  // whole matrix fits in a couple of KB, and the magnitude gate makes
-  // scoring (and therefore this) rare. The allocation happens at most
-  // once per capacity, and only ever for models that actually score.
-  dmat_.assign(cap_ * cap_, kDiagonal);
-  const double* __restrict P = pts();
+void StreamingLof::push(LofRing& ring, double* pts,
+                        std::span<const double> point) const {
+  if (point.size() != dim_) {
+    throw std::invalid_argument("StreamingLof: point of the wrong dimension");
+  }
+  if (ring.size == slots_) {
+    throw std::length_error("StreamingLof: push onto a full look-back");
+  }
+  // The whole push: copy the point into its slot. The slot's stale
+  // contents from an earlier occupant need no scrubbing — every score
+  // derives from live slots only.
+  std::copy_n(point.data(), dim_, pts + slot(ring, ring.size) * dim_);
+  ++ring.size;
+}
+
+void StreamingLof::pop_front(LofRing& ring) const noexcept {
+  if (ring.size == 0) return;
+  ring.head = static_cast<std::uint16_t>(slot(ring, 1));
+  --ring.size;
+}
+
+void StreamingLof::build_matrix(const LofRing& ring, const double* pts) {
+  std::fill(dmat_.begin(), dmat_.end(), kDiagonal);
+  const double* __restrict P = pts;
   double* __restrict D = dmat_.data();
-  for (std::size_t a = 1; a < size_; ++a) {
-    const std::size_t i = (head_ + a) % cap_;
+  for (std::size_t a = 1; a < ring.size; ++a) {
+    const std::size_t i = slot(ring, a);
     const double* pi = P + i * dim_;
-    std::size_t j = head_;  // increment-wrap; see push
+    std::size_t j = ring.head;  // increment-wrap through the older slots
     for (std::size_t b = 0; b < a; ++b) {
       const double d =
           std::max(kFloorSq, squared_distance(pi, P + j * dim_, dim_));
-      D[i * cap_ + j] = d;
-      D[j * cap_ + i] = d;
-      if (++j == cap_) j = 0;
+      D[i * slots_ + j] = d;
+      D[j * slots_ + i] = d;
+      if (++j == slots_) j = 0;
     }
   }
-  mat_dirty_ = false;
 }
 
-void StreamingLof::build_top(std::size_t i) {
-  const std::size_t s = 2 * cfg_.k_neighbors;
-  const double* __restrict row = dmat_.data() + i * cap_;
-  double* __restrict buf = top() + i * s;
-  // Streaming top-s over the full row via a branch-free insertion network;
-  // the sentinel on the diagonal and dead cells sorts past every real
-  // distance.
-  for (std::size_t p = 0; p < s; ++p) buf[p] = kDiagonal;
-  for (std::size_t j = 0; j < cap_; ++j) {
+double StreamingLof::kth_of_row(std::size_t i) {
+  const std::size_t k = cfg_.k_neighbors;
+  const double* __restrict row = dmat_.data() + i * slots_;
+  double* __restrict buf = kbuf_.data();
+  // Streaming k-smallest over the full row via a branch-free insertion
+  // network; the sentinel on the diagonal and dead cells sorts past every
+  // real distance, and can never be the k-th smallest while more than k
+  // points are live.
+  for (std::size_t p = 0; p < k; ++p) buf[p] = kDiagonal;
+  for (std::size_t j = 0; j < slots_; ++j) {
     double d = row[j];
-    for (std::size_t p = 0; p < s; ++p) {
+    for (std::size_t p = 0; p < k; ++p) {
       const double lo = std::min(buf[p], d);
       d = std::max(buf[p], d);
       buf[p] = lo;
     }
   }
-  std::size_t len = std::min(size_ > 0 ? size_ - 1 : 0, s);
-  top_len_[i] = len;
-}
-
-void StreamingLof::push(std::span<const double> point) {
-  if (dim_ == 0) {
-    dim_ = point.size();
-  } else if (point.size() != dim_) {
-    throw std::invalid_argument("StreamingLof: mixed point dimensions");
-  }
-  if (arena_.empty() || size_ == cap_) {
-    // First push lays the arena out at the hinted capacity (the look-back
-    // depth); an over-full ring doubles.
-    grow(size_ == cap_ ? size_ + 1 : std::max<std::size_t>(cap_, 1));
-  }
-  // The whole push: copy the point into its ring slot and invalidate the
-  // caches. No distances — on the gated steady state (almost every close)
-  // nothing will ever ask for them, and the slot's stale state from a
-  // previous occupant needs no scrubbing because every derived value is
-  // rebuilt from live points only.
-  const std::size_t slot = (head_ + size_) % cap_;
-  std::copy_n(point.data(), dim_, pts() + slot * dim_);
-  ++size_;
-  mat_dirty_ = true;
-  top_dirty_ = true;
-  kd_dirty_ = true;
-  lrd_dirty_ = true;
-}
-
-void StreamingLof::pop_front() {
-  if (size_ == 0) return;
-  // O(1), and deliberately touching nothing but this object's own line:
-  // the dead slot simply stops being consulted (its candidate buffer goes
-  // stale, but `top_dirty_` below forces a rebuild before any score reads
-  // buffers again), and the push that reuses it overwrites its point.
-  head_ = (head_ + 1) % cap_;
-  --size_;
-  mat_dirty_ = true;
-  top_dirty_ = true;
-  kd_dirty_ = true;
-  lrd_dirty_ = true;
-}
-
-double StreamingLof::kth_distance(const double* row, double extra) {
-  const std::size_t k = cfg_.k_neighbors;
-  if (kbuf_.size() < k) kbuf_.resize(k);  // lazy: only scoring needs it
-  double* kb = kbuf_.data();
-  std::size_t filled = 0;
-  const auto consider = [&](double d) {
-    std::size_t pos;
-    if (filled < k) {
-      pos = filled++;
-    } else if (d < kb[k - 1]) {
-      pos = k - 1;
-    } else {
-      return;
-    }
-    while (pos > 0 && kb[pos - 1] > d) {
-      kb[pos] = kb[pos - 1];
-      --pos;
-    }
-    kb[pos] = d;
-  };
-  // Sentinel-valued diagonal and dead cells can never be the k-th
-  // smallest when >= k live entries exist, so the sweep needs no
-  // liveness branch.
-  for (std::size_t j = 0; j < cap_; ++j) consider(row[j]);
-  if (extra >= 0.0) consider(extra);
-  return kb[k - 1];
-}
-
-void StreamingLof::ensure_kdist() {
-  if (!kd_dirty_) return;
-  ensure_matrix();
-  // The candidate buffers are deliberately NOT maintained on push/pop:
-  // the detector's O(1) magnitude gate skips scoring on almost every
-  // window close, so paying per-close buffer maintenance to make this
-  // read O(1) was backwards. Instead push/pop just flip dirty bits, and
-  // the rare close that actually scores rebuilds every live buffer from
-  // its matrix row here (counted per entry in `kdist_rebuilds`). Repeated
-  // scores without an intervening push/pop still read the buffers for
-  // free.
-  const std::size_t k = cfg_.k_neighbors;
-  const std::size_t s = 2 * k;
-  for (std::size_t i = 0; i < cap_; ++i) {
-    if (!is_live(i)) {
-      // Zero keeps dead slots out of the query-divergence test (their
-      // sentinel query distance can never be <= 0) while staying finite
-      // for the masked reach arithmetic.
-      k_dist()[i] = 0.0;
-      continue;
-    }
-    if (top_dirty_ || top_len_[i] < k) {
-      ++kdist_rebuilds_;
-      build_top(i);
-    }
-    k_dist()[i] = top()[i * s + k - 1];
-  }
-  top_dirty_ = false;
-  kd_dirty_ = false;
+  return buf[k - 1];
 }
 
 std::pair<double, std::size_t> StreamingLof::density_of(
     std::size_t i) const noexcept {
-  const std::size_t n = cap_;
   // Restrict-qualified locals: the buffers provably never alias, but the
   // compiler cannot see that through `this`. Reach distances are summed
   // in slot rather than distance order — addition reordering only, within
@@ -243,12 +123,12 @@ std::pair<double, std::size_t> StreamingLof::density_of(
   // adds an exact 0.0 for excluded slots (diagonal and dead cells carry
   // the sentinel), so included terms are bit-identical to a branchy
   // gather.
-  const double* __restrict row = dmat_.data() + i * cap_;
-  const double* __restrict kds = k_dist();
+  const double* __restrict row = dmat_.data() + i * slots_;
+  const double* __restrict kds = kdist_.data();
   const double kd = kds[i];
   double reach = 0.0;
   std::size_t nn = 0;
-  for (std::size_t j = 0; j < n; ++j) {
+  for (std::size_t j = 0; j < slots_; ++j) {
     const double d = row[j];
     const bool in = d <= kd;
     // sqrt(max(sq_a, sq_b)) == max(a, b); masked slots add an exact 0.0
@@ -259,130 +139,32 @@ std::pair<double, std::size_t> StreamingLof::density_of(
   return {static_cast<double>(nn) / std::max(reach, kLofDistanceFloor), nn};
 }
 
-void StreamingLof::refresh() {
-  ensure_kdist();
-  for (std::size_t i = 0; i < cap_; ++i) {
-    if (is_live(i)) {
-      const auto [lrd_i, nn] = density_of(i);
-      lrd()[i] = lrd_i;
-      n_nbrs_[i] = nn;
-    } else {
-      lrd()[i] = 0.0;
-      n_nbrs_[i] = 0;
-    }
-  }
-  lrd_dirty_ = false;
-}
-
-double StreamingLof::last_score() {
+double StreamingLof::last_score(const LofRing& ring, const double* pts) {
   const std::size_t k = cfg_.k_neighbors;
   // Reference = everything but the newest point; <= k of those is the
   // batch scorer's neutral regime.
-  if (size_ == 0 || size_ - 1 <= k) return 1.0;
-  ensure_kdist();
-  ++fast_scores_;
-  const std::size_t q = (head_ + size_ - 1) % cap_;
-  const double* __restrict row = dmat_.data() + q * cap_;
-  const double kd = k_dist()[q];
+  if (ring.size == 0 || ring.size - 1u <= k) return 1.0;
+  build_matrix(ring, pts);
+  // Zero keeps dead slots finite for the masked reach arithmetic; their
+  // sentinel distances never pass a k-distance gate.
+  std::fill(kdist_.begin(), kdist_.end(), 0.0);
+  for (std::size_t a = 0; a < ring.size; ++a) {
+    const std::size_t i = slot(ring, a);
+    kdist_[i] = kth_of_row(i);
+  }
+  const std::size_t q = slot(ring, ring.size - 1u);
+  const double* __restrict row = dmat_.data() + q * slots_;
+  const double kd = kdist_[q];
   // Only the newest point's own density and its neighbors' densities feed
-  // the score, so compute just those instead of refreshing the full
-  // table. The sweep covers every slot: the diagonal and dead cells carry
-  // the sentinel and can never pass the k-distance gate.
+  // the score, so compute just those. The sweep covers every slot: the
+  // diagonal and dead cells carry the sentinel and can never pass the
+  // k-distance gate.
   const auto [lrd_q, nn_q] = density_of(q);
   double ratio_sum = 0.0;
-  for (std::size_t m = 0; m < cap_; ++m) {
+  for (std::size_t m = 0; m < slots_; ++m) {
     if (row[m] <= kd) ratio_sum += density_of(m).first / lrd_q;
   }
   return ratio_sum / static_cast<double>(nn_q);
-}
-
-double StreamingLof::score(std::span<const double> query) {
-  const std::size_t k = cfg_.k_neighbors;
-  if (size_ <= k) return 1.0;
-  if (kd_dirty_ || lrd_dirty_) refresh();
-  const std::size_t cap = cap_;
-
-  qd_.resize(cap);
-  bool diverges = false;
-  for (std::size_t i = 0; i < cap; ++i) {
-    if (!is_live(i)) {
-      qd_[i] = kDiagonal;  // sorts past every live entry, gates nothing
-      continue;
-    }
-    const double d = std::max(
-        kFloorSq, squared_distance(query.data(), pts() + i * dim_, dim_));
-    qd_[i] = d;
-    // The cached model stays valid only while the query sits strictly
-    // outside every k-distance ball: at d <= k_dist the query enters (or
-    // ties into) that point's neighborhood and the densities shift.
-    if (d <= k_dist()[i]) diverges = true;
-  }
-  nbuf_.clear();
-  for (std::size_t i = 0; i < cap; ++i) nbuf_.emplace_back(qd_[i], i);
-  std::sort(nbuf_.begin(), nbuf_.end());
-  const double kq = nbuf_[k - 1].first;
-  std::size_t nnq = k;
-  while (nnq < size_ && nbuf_[nnq].first <= kq) ++nnq;
-
-  if (!diverges) {
-    ++fast_scores_;
-    double reach = 0.0;
-    for (std::size_t t = 0; t < nnq; ++t) {
-      reach += std::sqrt(std::max(k_dist()[nbuf_[t].second], nbuf_[t].first));
-    }
-    const double lrd_q =
-        static_cast<double>(nnq) / std::max(reach, kLofDistanceFloor);
-    double ratio_sum = 0.0;
-    for (std::size_t t = 0; t < nnq; ++t) {
-      ratio_sum += lrd()[nbuf_[t].second] / lrd_q;
-    }
-    return ratio_sum / static_cast<double>(nnq);
-  }
-
-  // Virtual insert: evaluate the model of reference+query without touching
-  // the caches. Inserting q can only shrink a point's k-distance (or grow
-  // its neighborhood on a tie), and only for points with d(q, .) <= k_dist;
-  // everything q's score depends on is re-derived below from those virtual
-  // k-distances, the matrix, and q's distance row.
-  ++fallback_scores_;
-  vkd_.resize(cap);
-  for (std::size_t i = 0; i < cap; ++i) {
-    // Dead slots fail the gate (sentinel query distance vs zero
-    // k-distance) and keep their zero; they can never be gathered below.
-    vkd_[i] = qd_[i] <= k_dist()[i]
-                  ? kth_distance(dmat_.data() + i * cap, qd_[i])
-                  : k_dist()[i];
-  }
-  double reach = 0.0;
-  for (std::size_t t = 0; t < nnq; ++t) {
-    reach += std::sqrt(std::max(vkd_[nbuf_[t].second], nbuf_[t].first));
-  }
-  const double lrd_q =
-      static_cast<double>(nnq) / std::max(reach, kLofDistanceFloor);
-  double ratio_sum = 0.0;
-  for (std::size_t t = 0; t < nnq; ++t) {
-    const auto [dqj, j] = nbuf_[t];
-    const double vkdj = vkd_[j];
-    const double* row = dmat_.data() + j * cap;
-    nbuf2_.clear();
-    for (std::size_t m = 0; m < cap; ++m) {
-      const double d = row[m];  // sentinel on diagonal/dead, never gathered
-      if (d <= vkdj) nbuf2_.emplace_back(d, m);
-    }
-    // The query joins j's neighborhood under index cap — past every slot,
-    // so it stays last among distance ties, exactly where lof_scores
-    // (query appended at batch index n) would sort it.
-    if (qd_[j] <= vkdj) nbuf2_.emplace_back(qd_[j], cap);
-    std::sort(nbuf2_.begin(), nbuf2_.end());
-    double r = 0.0;
-    for (const auto& [d, m] : nbuf2_) {
-      r += std::sqrt(std::max(m == cap ? kq : vkd_[m], d));
-    }
-    const double lrd_j = static_cast<double>(nbuf2_.size()) /
-                         std::max(r, kLofDistanceFloor);
-    ratio_sum += lrd_j / lrd_q;
-  }
-  return ratio_sum / static_cast<double>(nnq);
 }
 
 }  // namespace skh::ml

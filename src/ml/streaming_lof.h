@@ -1,51 +1,41 @@
-// Incremental Local Outlier Factor over a sliding reference window.
+// Sliding-window Local Outlier Factor over caller-owned look-back storage.
 //
 // The §5.2 hot path scores every closed 30-second window against a
 // look-back population that changes by exactly one point per window close
 // (the new window enters, the oldest leaves). `lof_score_of` rebuilds the
 // whole model from scratch for each query — O(n²) distances plus ~2n heap
-// allocations per close. `StreamingLof` keeps the reference points
-// resident in fixed ring slots instead — ages rotate via a head index, so
-// nothing is ever shifted — and derives everything else (pairwise
-// distances, each point's k-distance, neighborhood size, and local
-// reachability density) lazily, at most once per score.
+// allocations per close. The detector instead keeps every pair's look-back
+// resident, and almost none of them ever scores: its O(1) magnitude gate
+// skips the scoring pass on nearly every close. So storage and scoring
+// are split apart:
 //
-// The laziness is shaped to the detector's asymmetry: every window close
-// pushes and pops, but the O(1) magnitude gate skips the scoring pass on
-// almost every close. So a push stores just the point — one cache line —
-// and a pop just advances the head; neither computes a single distance.
-// The rare close that actually scores materializes the full pairwise
-// matrix into per-model scratch (O(n² · dim), but n is the look-back
-// depth and the scratch is L1-resident), then caches it: repeated scores
-// against an unchanged ring reuse matrix, k-distances, and densities
-// outright. The scratch matrix is also only allocated by that first
-// scoring close, so the fleet-wide steady state — thousands of models,
-// none anomalous — never holds a matrix at all. Diagonal, dead-slot, and
-// never-used cells carry a huge finite sentinel, which keeps every
-// scoring sweep dense and branch-light (masked slots contribute an exact
-// 0.0).
+//  - A look-back is a block of `slots` points (row-major, `dim` doubles
+//    each) that the caller owns — the detector lays one fixed-stride block
+//    per pair in a flat arena — plus a `LofRing` saying which slots are
+//    live. Points stay in their slots and age by the head index, so
+//    nothing is ever shifted: a push copies one point into the slot after
+//    the newest, a pop advances the head. Neither computes a distance,
+//    and a look-back carries no derived state at all.
+//  - A `StreamingLof` is the scoring workspace: the pairwise distance
+//    matrix and the k-distance table, sized for `slots` points once, at
+//    construction. One serves every look-back its owner keeps (the
+//    detector holds one, so a sharded analyzer has one per shard and
+//    never shares one across threads). The rare close that scores
+//    materializes the matrix from the live points — O(size² · dim), but
+//    size is the look-back depth and the matrix is L1-resident.
 //
-// Storage is one 64-byte-aligned arena per model (points, k-distances,
-// densities, candidate buffers as sections at fixed offsets) instead of a
-// vector per concern: at fleet scale one model lives inside every pair's
-// cold state, and the detector's window close walks models round-robin —
-// one allocation per model keeps a close's working set to a handful of
-// consecutive cache lines and the object header small. Section offsets
-// are plain members, so a value copy (detector snapshots copy the model)
-// stays a straight vector copy.
+// Diagonal and dead-slot cells carry a huge finite sentinel, which keeps
+// every scoring sweep dense and branch-light (masked slots contribute an
+// exact 0.0).
 //
-// Scoring contract: `score(q)` returns what `lof_score_of(q, reference,
-// cfg)` returns for the current reference set, to floating-point rounding
-// (slot order permutes the reach-distance summation order; pinned by
-// tests/ml/test_streaming_lof.cpp). Two paths produce that result:
-//  - fast path: when q lies strictly outside every reference point's
-//    k-distance ball, appending q could not change any cached k-distance,
-//    neighborhood, or LRD, so q's score is assembled directly from the
-//    cached densities.
-//  - virtual insert: when q would enter (or tie into) some k-neighborhood,
-//    the affected k-distances and densities are recomputed *as if* q were a
-//    reference point — pure reads of the matrix plus q's distance row, no
-//    mutation, nothing to undo.
+// Scoring contract: `last_score(ring, pts)` returns what
+// `lof_score_of(newest, older live points, cfg)` returns, to
+// floating-point rounding: reach distances are summed in slot order rather
+// than the batch scorer's distance order (pinned by
+// tests/ml/test_streaming_lof.cpp). A score reads nothing an earlier
+// call left in the workspace, and the slot order is a pure function of the
+// push/pop history, so the same history yields the same bits whichever
+// workspace scores it.
 #pragma once
 
 #include <cstddef>
@@ -54,155 +44,76 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_table.h"
 #include "ml/lof.h"
 
 namespace skh::ml {
 
+/// Which slots of a look-back block hold live points. A plain value, so
+/// the detector keeps it on the pair's hot line and snapshots copy it as
+/// bytes; a default-constructed ring is empty.
+struct LofRing {
+  std::uint16_t head = 0;  ///< slot of the oldest live point
+  std::uint16_t size = 0;  ///< live points, oldest first from `head`
+};
+
 /// Sliding-window LOF scorer. Points enter newest-last via `push` and leave
-/// oldest-first via `pop_front`, mirroring the detector's look-back deque.
+/// oldest-first via `pop_front`, mirroring the detector's look-back window.
 class StreamingLof {
  public:
-  /// `capacity_hint` pre-sizes the ring (the look-back depth); the ring
-  /// grows if exceeded.
-  explicit StreamingLof(LofConfig cfg, std::size_t capacity_hint = 0);
+  /// Largest block a `LofRing` can index.
+  static constexpr std::size_t kMaxSlots = UINT16_MAX;
 
-  /// Append the newest reference point — one point copy, no distance
-  /// work. All points must share one dimension.
-  void push(std::span<const double> point);
+  /// Scoring workspace for look-back blocks of `slots` points of `dim`
+  /// coordinates. Throws std::invalid_argument when k is 0, `slots` is 0
+  /// or above kMaxSlots, or `dim` is 0.
+  StreamingLof(LofConfig cfg, std::size_t slots, std::size_t dim);
 
-  /// Drop the oldest reference point: advance the ring head. O(1); the
-  /// evicted entry simply stops being consulted.
-  void pop_front();
+  [[nodiscard]] std::size_t slots() const noexcept { return slots_; }
+  [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
-  /// LOF score of `query` against the current reference set; exactly
-  /// `lof_score_of(query, reference, cfg)`. Returns the neutral score 1.0
-  /// when the reference holds <= k points, like the batch scorer.
-  [[nodiscard]] double score(std::span<const double> query);
-
-  /// In-model score of the newest point against the rest — exactly
-  /// `score(newest)` had it been asked *before* that point was pushed,
-  /// because the batch scorer also appends its query to the reference
-  /// before scoring. This is the hot-path form: `push` already wrote the
-  /// distance row, so one lazy `refresh` plus an O(n) cached-density read
-  /// answers it, with no virtual-insert work at all.
-  [[nodiscard]] double last_score();
-
-  /// Scores answered from cached densities alone.
-  [[nodiscard]] std::uint64_t fast_path_scores() const noexcept {
-    return fast_scores_;
+  /// Slot of the point `age` pushes younger than the oldest live one
+  /// (`age` <= slots; `slot(ring, ring.size)` is where the next push
+  /// lands).
+  [[nodiscard]] std::size_t slot(const LofRing& ring,
+                                 std::size_t age) const noexcept {
+    const std::size_t s = ring.head + age;
+    return s >= slots_ ? s - slots_ : s;
   }
-  /// Scores that required the virtual-insert recompute (query entered a
-  /// reference point's k-neighborhood).
-  [[nodiscard]] std::uint64_t fallback_scores() const noexcept {
-    return fallback_scores_;
-  }
-  /// Entry k-smallest candidate buffers rebuilt by a full row scan — the
-  /// lazy k-distance derivation a score pays after pushes/pops that, by
-  /// design, did no buffer maintenance of their own.
-  [[nodiscard]] std::uint64_t kdist_rebuilds() const noexcept {
-    return kdist_rebuilds_;
-  }
+
+  /// Append the newest point: copy `point` into its slot of `pts` (a
+  /// block of slots x dim doubles). Throws std::invalid_argument on a
+  /// point of the wrong dimension and std::length_error on a full ring.
+  void push(LofRing& ring, double* pts, std::span<const double> point) const;
+
+  /// Drop the oldest point: advance the head. No-op on an empty ring.
+  void pop_front(LofRing& ring) const noexcept;
+
+  /// LOF score of the newest point against the older live ones — exactly
+  /// `lof_score_of(newest, older)`, because the batch scorer also appends
+  /// its query to the reference before scoring. Returns the neutral score
+  /// 1.0 when <= k older points are live, like the batch scorer.
+  [[nodiscard]] double last_score(const LofRing& ring, const double* pts);
 
  private:
-  void grow(std::size_t min_cap);
-  /// Position of `slot` in push order, measured from the ring head
-  /// (0 = oldest live entry; >= size_ means the slot is dead).
-  [[nodiscard]] std::size_t age_of(std::size_t slot) const noexcept {
-    std::size_t rel = slot + cap_ - head_;
-    rel -= cap_ * static_cast<std::size_t>(rel >= cap_);
-    return rel;
-  }
-  /// Whether `slot` currently holds a live entry.
-  [[nodiscard]] bool is_live(std::size_t slot) const noexcept {
-    return age_of(slot) < size_;
-  }
-  /// Materialize the pairwise squared-distance matrix for the current
-  /// ring into `dmat_` (allocating it on first use), unless it is still
-  /// current. Diagonal, dead-slot, and never-written cells carry the
-  /// sentinel.
-  void ensure_matrix();
-  /// Rebuild entry i's k-smallest candidate buffer from its matrix row.
-  void build_top(std::size_t i);
-  /// Bring every entry's cached k-distance current, materializing the
-  /// matrix and rebuilding the candidate buffers when push/pop
-  /// invalidated them. O(n * k) then, O(n) when still current.
-  void ensure_kdist();
-  /// One entry's reachability density and neighborhood size from current
-  /// k-distances — one branch-light row sweep.
+  /// Fill `dmat_` with the pairwise squared distances of the live points;
+  /// diagonal and dead-slot cells carry the sentinel.
+  void build_matrix(const LofRing& ring, const double* pts);
+  /// k-th smallest entry (duplicates counted) of matrix row `i`.
+  [[nodiscard]] double kth_of_row(std::size_t i);
+  /// One slot's reachability density and neighborhood size from the
+  /// current k-distances — one branch-light row sweep.
   [[nodiscard]] std::pair<double, std::size_t> density_of(
       std::size_t i) const noexcept;
-  /// Re-derive every entry's k-distance, neighborhood size, and LRD.
-  void refresh();
-  /// k-th smallest (duplicates counted) of `row` over all slots, with
-  /// `extra` as one additional candidate value (pass a negative value for
-  /// none). Sentinel-valued diagonal and dead cells never rank (k-th
-  /// smallest is asked only when k live entries exist).
-  [[nodiscard]] double kth_distance(const double* row, double extra);
-
-  // Arena sections (offsets in doubles, fixed per capacity, recomputed
-  // only by `grow`). The distance-valued sections hold *squared*
-  // distances — see streaming_lof.cpp for the exactness argument.
-  [[nodiscard]] double* pts() noexcept { return arena_.data(); }
-  [[nodiscard]] const double* pts() const noexcept { return arena_.data(); }
-  [[nodiscard]] double* k_dist() noexcept {
-    return arena_.data() + kdist_off_;
-  }
-  [[nodiscard]] const double* k_dist() const noexcept {
-    return arena_.data() + kdist_off_;
-  }
-  [[nodiscard]] double* lrd() noexcept { return arena_.data() + lrd_off_; }
-  [[nodiscard]] const double* lrd() const noexcept {
-    return arena_.data() + lrd_off_;
-  }
-  [[nodiscard]] double* top() noexcept { return arena_.data() + top_off_; }
-  [[nodiscard]] const double* top() const noexcept {
-    return arena_.data() + top_off_;
-  }
 
   LofConfig cfg_;
-  std::size_t dim_ = 0;  ///< point dimension, fixed by the first push
-  std::size_t cap_ = 0;  ///< allocated ring slots
-  /// One 64-byte-aligned block: points (cap x dim, row-major), cached
-  /// squared k-distance per entry, cached LRD per entry, and the
-  /// per-entry sorted buffers of (up to) the 2k smallest distances. The
-  /// caches are scratch, not maintained across push/pop: the detector's
-  /// magnitude gate means almost no window close scores, so they are
-  /// rebuilt only when a score actually asks (`ensure_kdist`).
-  std::vector<double, common::ArenaAllocator<double>> arena_;
-  std::size_t kdist_off_ = 0;
-  std::size_t lrd_off_ = 0;
-  std::size_t top_off_ = 0;
-  /// Pairwise squared-distance matrix (cap x cap), materialized from the
-  /// resident points by the first score after a push/pop and cached until
-  /// the ring changes again. Deliberately OUTSIDE the arena and lazily
-  /// allocated: in the fleet-wide steady state almost no model ever
-  /// scores, and those models should not carry O(cap²) of matrix each.
-  std::vector<double> dmat_;
-  std::vector<std::size_t> n_nbrs_;   ///< cached neighborhood size per entry
-  std::vector<std::size_t> top_len_;  ///< valid prefix per candidate buffer
-  std::size_t size_ = 0;  ///< live entries
-  std::size_t head_ = 0;  ///< slot of the oldest live entry
-  // Staleness after push/pop, cleared lazily: the matrix, candidate
-  // buffers, and k-distances on any score, the full density table only
-  // when `score` needs it (`last_score` gets by with a handful of
-  // on-demand densities).
-  bool mat_dirty_ = true;
-  bool top_dirty_ = false;
-  bool kd_dirty_ = false;
-  bool lrd_dirty_ = false;
-  // Reused scratch; sized lazily at first use, so an un-scored model (the
-  // common case under the magnitude gate) never allocates it.
-  std::vector<double> qd_;        ///< query distance row
-  std::vector<double> vkd_;       ///< virtual k-distances under insert
-  std::vector<double> kbuf_;      ///< selection buffer (k smallest)
-  std::vector<std::pair<double, std::size_t>> nbuf_;   ///< (dist, index) sort
-  std::vector<std::pair<double, std::size_t>> nbuf2_;  ///< inner-loop twin
-  std::uint64_t fast_scores_ = 0;
-  std::uint64_t fallback_scores_ = 0;
-  std::uint64_t kdist_rebuilds_ = 0;
+  std::size_t slots_;
+  std::size_t dim_;
+  // Scoring scratch, allocated once at construction. The distance-valued
+  // entries hold *squared* distances — see streaming_lof.cpp for the
+  // exactness argument.
+  std::vector<double> dmat_;   ///< slots x slots pairwise distances
+  std::vector<double> kdist_;  ///< per-slot k-distance (0 for dead slots)
+  std::vector<double> kbuf_;   ///< k-smallest selection buffer
 };
 
 }  // namespace skh::ml

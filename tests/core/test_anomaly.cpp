@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -687,26 +688,84 @@ TEST(AnomalyDefenses, SnapshotRestoreResumesBitIdentically) {
   }
 }
 
-TEST(AnomalyChurn, ReservePairsMakesIngestAllocationFree) {
-  // The plan-time contract end to end: after reserve_pairs(N), mapping
-  // and feeding N pairs performs zero table rebuilds and zero heap
-  // allocations.
+TEST(AnomalyDefenses, RestoreLeavesLofCountersMonotonic) {
+  // Counters are process telemetry, not analysis state: restoring an
+  // older snapshot rolls the pairs back, never the count of LOF scores
+  // already computed.
   AnomalyDetector det;
-  det.reserve_pairs(256);
+  const auto h = det.handle_of(pair());
   std::vector<AnomalyEvent> out;
+  RngStream rng{17};
+  // Every third window runs 50% slow, past the magnitude gate, so those
+  // closes score.
+  const auto feed_windows = [&](int from, int to) {
+    for (int w = from; w < to; ++w) {
+      const double base = w % 3 == 2 ? 24.0 : 16.0;
+      for (int s = 0; s < 6; ++s) {
+        const double rtt = base * std::exp(rng.normal(0.0, 0.05));
+        (void)det.ingest(h, obs(30.0 * w + 5.0 * s, true, rtt), out);
+      }
+    }
+  };
+  feed_windows(0, 20);
+  const DetectorCounters at_snapshot = det.counters();
+  ASSERT_GT(at_snapshot.lof_fast_path, 0U);
+  const auto snap = det.snapshot();
+  feed_windows(20, 40);
+  const DetectorCounters scored = det.counters();
+  ASSERT_GT(scored.lof_fast_path, at_snapshot.lof_fast_path);
+  ASSERT_GT(scored.lof_kdist_rebuilds, at_snapshot.lof_kdist_rebuilds);
+  det.restore(snap);
+  const DetectorCounters restored = det.counters();
+  EXPECT_GE(restored.lof_fast_path, scored.lof_fast_path);
+  EXPECT_GE(restored.lof_kdist_rebuilds, scored.lof_kdist_rebuilds);
+}
+
+TEST(Anomaly, RejectsALookbackTheRingCannotIndex) {
+  DetectorConfig cfg;
+  cfg.lookback_windows = ml::StreamingLof::kMaxSlots;
+  EXPECT_THROW(AnomalyDetector{cfg}, std::invalid_argument);
+}
+
+TEST(AnomalyChurn, ReservePairsMakesIngestAllocationFree) {
+  // The plan-time contract end to end: after reserve_pairs(N), mapping N
+  // pairs and feeding them through more windows than the look-back holds
+  // — closes that fill the ring and evict from it, then a shifted window
+  // that scores and fires — performs zero table rebuilds and zero heap
+  // allocations.
+  constexpr std::uint32_t kPairs = 256;
+  AnomalyDetector det;
+  det.reserve_pairs(kPairs);
+  const std::size_t healthy = det.config().lookback_windows + 2;
+  std::vector<AnomalyEvent> out;
+  out.reserve(2 * kPairs);
+  RngStream rng{3};
   std::uint64_t allocs = 0;
   {
     const AllocationCounter counter;
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      const auto h = det.handle_of(pair_n(i));
-      (void)det.ingest(h, obs(1.0, true), out);
+    // Windows 0..healthy-1 at the baseline, one 50% slow window, and one
+    // sample of the next window to close it.
+    for (std::size_t w = 0; w <= healthy + 1; ++w) {
+      const double base = w == healthy ? 24.0 : 16.0;
+      const int samples = w == healthy + 1 ? 1 : 6;
+      for (int s = 0; s < samples; ++s) {
+        const double t = 30.0 * static_cast<double>(w) + 5.0 * s;
+        for (std::uint32_t i = 0; i < kPairs; ++i) {
+          const double rtt = base * std::exp(rng.normal(0.0, 0.05));
+          (void)det.ingest(det.handle_of(pair_n(i)), obs(t, true, rtt), out);
+        }
+      }
     }
     allocs = counter.count();
   }
   EXPECT_EQ(allocs, 0U);
-  EXPECT_EQ(det.pair_count(), 256U);
+  EXPECT_EQ(det.pair_count(), kPairs);
   EXPECT_EQ(det.pair_table().stats().grows, 0U);
   EXPECT_EQ(det.pair_table().stats().purges, 0U);
+  // The shifted window really went through scoring, and fired.
+  EXPECT_EQ(det.counters().lof_fast_path, kPairs);
+  EXPECT_FALSE(out.empty());
+  for (const auto& e : out) EXPECT_EQ(e.kind, AnomalyKind::kLatencyShortTerm);
 }
 
 TEST(AnomalyChurn, StragglerRevivesRetiredPairWithContinuity) {
@@ -764,6 +823,75 @@ TEST(AnomalyChurn, FlushRecyclesRetiredSlotsForReuse) {
   EXPECT_GE(det.pair_table().stats().recycled_ids, 2U);
   for (std::uint32_t i : {0U, 1U, 2U, 4U, 5U, 7U}) {
     EXPECT_EQ(det.handle_of(pair_n(i)), hs[i]);
+  }
+}
+
+TEST(AnomalyChurn, RecycledIdStartsWithAnEmptyLookback) {
+  // A recycled id keeps its look-back block's stale doubles; only the
+  // reset ring keeps them out of reach. So the next tenant of the id must
+  // judge its windows exactly as the same pair on a fresh detector does.
+  RngStream rng{19};
+  // The tenant: five healthy windows (more than k, so the next close
+  // scores), one 50% slow window, and one sample to close it — too few
+  // windows to overwrite the predecessor's slots.
+  std::vector<std::pair<double, double>> tenant;  // (t, rtt)
+  for (int w = 0; w < 7; ++w) {
+    const double base = w == 5 ? 24.0 : 16.0;
+    for (int s = 0; s < (w == 6 ? 1 : 6); ++s) {
+      tenant.emplace_back(1000.0 + 30.0 * w + 5.0 * s,
+                          base * std::exp(rng.normal(0.0, 0.05)));
+    }
+  }
+  const auto run_tenant = [&tenant](AnomalyDetector& det) {
+    std::vector<AnomalyEvent> events;
+    const auto h = det.handle_of(pair_n(1));
+    for (const auto& [t, rtt] : tenant) {
+      (void)det.ingest(h, obs(t, true, rtt), events);
+    }
+    std::vector<obs::WindowRecord> windows;
+    for (const auto& r : det.window_log()) {
+      if (r.pair == pair_n(1)) windows.push_back(r);
+    }
+    return std::pair{events, windows};
+  };
+
+  // The predecessor fills its whole ring with windows at 1.25x the
+  // tenant's healthy latency — medians that would move the tenant's gate,
+  // points close enough to join its neighborhoods — then retires and is
+  // recycled at flush.
+  AnomalyDetector det;
+  det.set_window_logging(true);
+  const auto h0 = det.handle_of(pair_n(0));
+  std::vector<AnomalyEvent> out;
+  for (int w = 0; w < 12; ++w) {
+    for (int s = 0; s < 6; ++s) {
+      const double rtt = 20.0 * std::exp(rng.normal(0.0, 0.05));
+      (void)det.ingest(h0, obs(30.0 * w + 5.0 * s, true, rtt), out);
+    }
+  }
+  det.retire_pair(pair_n(0));
+  (void)det.flush(SimTime::seconds(360.0));
+  ASSERT_EQ(det.pair_count(), 0U);
+  EXPECT_EQ(det.handle_of(pair_n(1)), h0);  // the tenant gets the id
+
+  AnomalyDetector fresh;
+  fresh.set_window_logging(true);
+  const auto [got, got_windows] = run_tenant(det);
+  const auto [want, want_windows] = run_tenant(fresh);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(want[0].kind, AnomalyKind::kLatencyShortTerm);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kind, want[i].kind);
+    EXPECT_EQ(got[i].detected_at.raw_nanos(), want[i].detected_at.raw_nanos());
+    EXPECT_EQ(got[i].score, want[i].score);
+  }
+  ASSERT_EQ(got_windows.size(), want_windows.size());
+  for (std::size_t i = 0; i < got_windows.size(); ++i) {
+    EXPECT_EQ(got_windows[i].end.raw_nanos(), want_windows[i].end.raw_nanos());
+    EXPECT_EQ(got_windows[i].p50_us, want_windows[i].p50_us);
+    EXPECT_EQ(got_windows[i].score, want_windows[i].score);
+    EXPECT_EQ(got_windows[i].flags, want_windows[i].flags);
   }
 }
 

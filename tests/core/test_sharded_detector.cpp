@@ -237,8 +237,8 @@ TEST(ShardedDetector, MigrationPreservesVerdictsAndCounters) {
   EXPECT_EQ(got.short_windows_closed, want_counters.short_windows_closed);
   EXPECT_EQ(got.long_windows_closed, want_counters.long_windows_closed);
   EXPECT_EQ(got.events_emitted, want_counters.events_emitted);
-  // The LOF path counters live inside the per-pair models and must have
-  // travelled with them.
+  // The LOF scoring counts stay with the shard that scored each close, so
+  // the summed totals cannot tell where a pair lived.
   EXPECT_EQ(got.lof_fast_path + got.lof_fallback,
             want_counters.lof_fast_path + want_counters.lof_fallback);
 }
