@@ -201,10 +201,9 @@ ScaleResult run_scale(std::size_t pairs, std::size_t rounds, int reps,
     return res;
   }
   std::printf("%zu pairs x %zu rounds: verdicts identical (%zu events), "
-              "lof fast-path ratio %.3f (%llu fast / %llu fallback)\n",
-              pairs, rounds, streaming_events.size(), lof_fast_path_ratio(sc),
-              static_cast<unsigned long long>(sc.lof_fast_path),
-              static_cast<unsigned long long>(sc.lof_fallback));
+              "%llu lof scores\n",
+              pairs, rounds, streaming_events.size(),
+              static_cast<unsigned long long>(sc.lof_fast_path));
   res.ok = true;
   return res;
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "probe/traceroute.h"
 
@@ -161,38 +159,9 @@ TracerouteRefinement Localizer::refine_with_traceroute(
   return out;
 }
 
-OverlayVerdict Localizer::overlay_reachability(Endpoint src,
-                                               Endpoint dst) const {
-  OverlayVerdict v;
-  if (!overlay_.attached(src) || !overlay_.attached(dst)) {
-    // Endpoint gone entirely: the container-side chain is missing.
-    v.failure_point =
-        overlay_.attached(src) ? overlay_.chain_of(src).netns : VPortId{};
-    return v;
-  }
-  const VPortId goal = overlay_.chain_of(dst).netns;
-  VPortId current = overlay_.chain_of(src).netns;
-  std::unordered_set<VPortId> visited{current};
-  for (std::size_t step = 0; step < 64; ++step) {
-    const auto next = overlay_.next_hop(src, dst, current);
-    if (!next) {
-      v.failure_point = current;  // broken chain at `current`
-      return v;
-    }
-    if (*next == goal) {
-      v.reachable = true;
-      return v;
-    }
-    if (visited.contains(*next)) {
-      v.loop = true;
-      v.failure_point = *next;
-      return v;
-    }
-    visited.insert(*next);
-    current = *next;
-  }
-  v.failure_point = current;
-  return v;
+overlay::OverlayWalk Localizer::overlay_reachability(Endpoint src,
+                                                    Endpoint dst) const {
+  return overlay_.walk(src, dst, overlay::OverlayNetwork::kMaxWalkSteps);
 }
 
 sim::ComponentRef Localizer::component_of_overlay_node(VPortId node,

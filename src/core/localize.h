@@ -113,14 +113,6 @@ struct TracerouteRefinement {
   std::vector<LocalizationVote> votes;
 };
 
-/// Result of one overlay forwarding-chain replay.
-struct OverlayVerdict {
-  bool reachable = false;
-  bool loop = false;
-  /// Node at which the walk broke / looped; invalid when reachable.
-  VPortId failure_point;
-};
-
 class Localizer {
  public:
   Localizer(const topo::Topology& topo,
@@ -149,9 +141,10 @@ class Localizer {
       std::span<const PathScopedAnomaly> path_hints);
 
   // --- Algorithm 1 building blocks (exposed for unit tests) ---------------
-  /// OverlayReachability(L_O): replay the logical chain of one pair.
-  [[nodiscard]] OverlayVerdict overlay_reachability(Endpoint src,
-                                                    Endpoint dst) const;
+  /// OverlayReachability(L_O): replay the logical chain of one pair
+  /// (OverlayNetwork::walk, at most 64 hops).
+  [[nodiscard]] overlay::OverlayWalk overlay_reachability(Endpoint src,
+                                                         Endpoint dst) const;
 
   /// PhysicalIntersection(L_U): vote links/switches over the pairs' paths.
   /// Each unhinted pair contributes weight 1 to every component of its

@@ -232,10 +232,4 @@ DetectorCounters merge_counters(std::span<const DetectorCounters> counters) {
   return total;
 }
 
-double lof_fast_path_ratio(const DetectorCounters& c) {
-  const std::uint64_t scored = c.lof_fast_path + c.lof_fallback;
-  if (scored == 0) return 1.0;
-  return static_cast<double>(c.lof_fast_path) / static_cast<double>(scored);
-}
-
 }  // namespace skh::core

@@ -103,9 +103,4 @@ struct ScoreSummary {
 [[nodiscard]] DetectorCounters merge_counters(
     std::span<const DetectorCounters> counters);
 
-/// Fraction of LOF scores counted as fast path rather than fallback; the
-/// detector's in-ring scorer has no fallback, so 1.0 whenever it scored,
-/// and 1.0 when no LOF scoring happened.
-[[nodiscard]] double lof_fast_path_ratio(const DetectorCounters& c);
-
 }  // namespace skh::core

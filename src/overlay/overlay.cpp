@@ -34,7 +34,7 @@ void OverlayNetwork::add_host(HostId host) {
 void OverlayNetwork::attach_endpoint(Endpoint ep, HostId host,
                                      std::uint32_t vni) {
   add_host(host);
-  if (chains_.contains(ep)) {
+  if (endpoints_.contains(ep)) {
     throw std::invalid_argument("attach_endpoint: already attached");
   }
   EndpointChain c;
@@ -43,20 +43,14 @@ void OverlayNetwork::attach_endpoint(Endpoint ep, HostId host,
   c.ovs = ovs_of_host_.at(host);
   c.vxlan = vxlan_of_host_.at(host);
   c.vf = new_node(NodeKind::kRnicVf, host, ep.container, ep.rnic);
-  chains_[ep] = c;
-  host_of_ep_[ep] = host;
-  vni_of_ep_[ep] = vni;
+  endpoints_[ep] = EndpointRecord{c, host, vni};
   members_of_vni_[vni].push_back(ep);
-  ++container_ep_count_[ep.container];
-  if (!offload_valid_.contains(ep.rnic)) offload_valid_[ep.rnic] = true;
 }
 
 void OverlayNetwork::detach_endpoint(Endpoint ep) {
-  const auto it = chains_.find(ep);
-  if (it == chains_.end()) return;
-  const EndpointChain chain = it->second;
-  const HostId host = host_of_ep_.at(ep);
-  const std::uint32_t vni = vni_of_ep_.at(ep);
+  const auto it = endpoints_.find(ep);
+  if (it == endpoints_.end()) return;
+  const EndpointChain chain = it->second.chain;
 
   // Drop fault exceptions that reference this endpoint's nodes or that
   // target flows destined to it.
@@ -84,62 +78,117 @@ void OverlayNetwork::detach_endpoint(Endpoint ep) {
     }
   }
 
-  auto& members = members_of_vni_[vni];
+  auto& members = members_of_vni_[it->second.vni];
   members.erase(std::remove(members.begin(), members.end(), ep),
                 members.end());
-  auto& cc = container_ep_count_[ep.container];
-  if (cc > 0) --cc;
-  chains_.erase(it);
-  host_of_ep_.erase(ep);
-  vni_of_ep_.erase(ep);
-  (void)host;
+  endpoints_.erase(it);
+}
+
+const OverlayNetwork::EndpointRecord* OverlayNetwork::record_of(
+    const Endpoint& ep) const {
+  const auto it = endpoints_.find(ep);
+  return it == endpoints_.end() ? nullptr : &it->second;
 }
 
 std::vector<Endpoint> OverlayNetwork::peers_of(const Endpoint& ep) const {
   std::vector<Endpoint> out;
-  const auto vit = vni_of_ep_.find(ep);
-  if (vit == vni_of_ep_.end()) return out;
-  for (const Endpoint& other : members_of_vni_.at(vit->second)) {
+  const EndpointRecord* rec = record_of(ep);
+  if (rec == nullptr) return out;
+  for (const Endpoint& other : members_of_vni_.at(rec->vni)) {
     if (other.container != ep.container) out.push_back(other);
   }
   return out;
 }
 
 bool OverlayNetwork::same_vni(const Endpoint& a, const Endpoint& b) const {
-  const auto ia = vni_of_ep_.find(a);
-  const auto ib = vni_of_ep_.find(b);
-  return ia != vni_of_ep_.end() && ib != vni_of_ep_.end() &&
-         ia->second == ib->second;
+  const EndpointRecord* ra = record_of(a);
+  const EndpointRecord* rb = record_of(b);
+  return ra != nullptr && rb != nullptr && ra->vni == rb->vni;
 }
 
-std::optional<VPortId> OverlayNetwork::structural_next(
-    const Endpoint& src, const Endpoint& dst, VPortId current) const {
-  if (!attached(src) || !attached(dst)) return std::nullopt;
-  if (!same_vni(src, dst) || src.container == dst.container) {
-    return std::nullopt;  // tenant isolation / NVLink-internal traffic
+OverlayWalk OverlayNetwork::walk(const Endpoint& src, const Endpoint& dst,
+                                 std::size_t max_steps) const {
+  if (max_steps > kMaxWalkSteps) {
+    throw std::invalid_argument("OverlayNetwork::walk: max_steps too large");
   }
-  const EndpointChain& cs = chains_.at(src);
-  const EndpointChain& cd = chains_.at(dst);
-  if (current == cs.netns) return cs.veth;
-  if (current == cs.veth) return cs.ovs;
-  if (current == cs.ovs) return cs.vxlan;
-  if (current == cs.vxlan) return cs.vf;
-  if (current == cs.vf) return cd.vf;  // encapsulated underlay crossing
-  if (current == cd.vf) return cd.vxlan;
-  if (current == cd.vxlan) return cd.ovs;
-  if (current == cd.ovs) return cd.veth;
-  if (current == cd.veth) return cd.netns;
-  return std::nullopt;  // node not on this flow's chain
-}
+  OverlayWalk w;
+  const EndpointRecord* rs = record_of(src);
+  const EndpointRecord* rd = record_of(dst);
+  if (rs == nullptr || rd == nullptr) {
+    // Endpoint gone entirely: the container-side chain is missing.
+    if (rs != nullptr) w.failure_point = rs->chain.netns;
+    return w;
+  }
+  const EndpointChain& cs = rs->chain;
+  const EndpointChain& cd = rd->chain;
+  // Chain positions 0-4 are the source leg, 5-9 the destination leg.
+  constexpr std::uint8_t kLast = 9;
+  constexpr std::uint8_t kOff = 10;  // off the chain
+  const VPortId chain[kLast + 1] = {cs.netns, cs.veth, cs.ovs,  cs.vxlan,
+                                    cs.vf,    cd.vf,   cd.vxlan, cd.ovs,
+                                    cd.veth,  cd.netns};
+  // Tenant isolation and NVLink-internal traffic: no chain to follow.
+  const bool connected =
+      rs->vni == rd->vni && src.container != dst.container;
+  const bool any_broken = !broken_rules_.empty();
+  // Without loop rules every step advances the position: no revisits.
+  const bool may_loop = !corrupted_rules_.empty();
+  auto leg = [](std::uint8_t pos) -> std::uint8_t {
+    return pos < 5 ? 0 : pos <= kLast ? 1 : 2;
+  };
+  struct Seen {
+    std::uint32_t node;
+    std::uint8_t leg;
+  };
+  Seen seen[kMaxWalkSteps + 1]{};
+  std::size_t n_seen = 0;
 
-std::optional<VPortId> OverlayNetwork::next_hop(const Endpoint& src,
-                                                const Endpoint& dst,
-                                                VPortId current) const {
-  const RuleKey key{current, dst};
-  if (broken_rules_.contains(key)) return std::nullopt;
-  const auto cit = corrupted_rules_.find(key);
-  if (cit != corrupted_rules_.end()) return cit->second;
-  return structural_next(src, dst, current);
+  VPortId current = chain[0];
+  std::uint8_t pos = connected ? 0 : kOff;
+  if (may_loop) seen[n_seen++] = {current.value(), leg(pos)};
+  for (std::size_t step = 0; step < max_steps; ++step) {
+    const RuleKey key{current, dst};
+    if (any_broken && broken_rules_.contains(key)) {
+      w.failure_point = current;  // broken chain at `current`
+      return w;
+    }
+    const auto rule =
+        may_loop ? corrupted_rules_.find(key) : corrupted_rules_.end();
+    VPortId next;
+    std::uint8_t next_pos = kOff;
+    if (rule != corrupted_rules_.end()) {
+      next = rule->second;
+      if (connected) {
+        next_pos = 0;  // first position in chain order, kOff if absent
+        while (next_pos <= kLast && chain[next_pos] != next) ++next_pos;
+      }
+    } else if (pos < kLast) {
+      next_pos = static_cast<std::uint8_t>(pos + 1);
+      next = chain[next_pos];
+    } else {
+      w.failure_point = current;  // off the chain: no rule for the flow
+      return w;
+    }
+    if (next == cd.netns) {
+      w.reachable = true;
+      return w;
+    }
+    if (may_loop) {
+      const Seen here{next.value(), leg(next_pos)};
+      for (std::size_t i = 0; i < n_seen; ++i) {
+        if (seen[i].node == here.node && seen[i].leg == here.leg) {
+          w.loop = true;
+          w.failure_point = next;
+          return w;
+        }
+      }
+      seen[n_seen++] = here;
+    }
+    current = next;
+    pos = next_pos;
+  }
+  w.failure_point = current;  // runaway chain
+  return w;
 }
 
 std::vector<VPortId> OverlayNetwork::overlay_path(Endpoint src,
@@ -158,23 +207,23 @@ const OverlayNode& OverlayNetwork::node(VPortId id) const {
 }
 
 bool OverlayNetwork::attached(Endpoint ep) const {
-  return chains_.contains(ep);
+  return endpoints_.contains(ep);
 }
 
 const EndpointChain& OverlayNetwork::chain_of(Endpoint ep) const {
-  const auto it = chains_.find(ep);
-  if (it == chains_.end()) {
+  const EndpointRecord* rec = record_of(ep);
+  if (rec == nullptr) {
     throw std::out_of_range("OverlayNetwork::chain_of: endpoint not attached");
   }
-  return it->second;
+  return rec->chain;
 }
 
 std::size_t OverlayNetwork::flow_table_size(HostId host) const {
   // Per directed connected flow (s -> d): 5 rules on s's host (netns, veth,
   // ovs, vxlan, vf-tunnel) and 4 on d's host (vf, vxlan, ovs, veth).
   std::size_t total = 0;
-  for (const auto& [ep, h] : host_of_ep_) {
-    if (h != host) continue;
+  for (const auto& [ep, rec] : endpoints_) {
+    if (rec.host != host) continue;
     const std::size_t peers = peers_of(ep).size();
     total += peers * 5   // this endpoint sending
              + peers * 4;  // this endpoint receiving
@@ -191,10 +240,11 @@ std::vector<FlowRule> OverlayNetwork::ovs_rules_for(RnicId rnic) const {
   // the peer-side tunnel arrival (peer vf -> vf) and the decap rule
   // (vf -> vxlan).
   std::vector<FlowRule> out;
-  for (const auto& [ep, chain] : chains_) {
+  for (const auto& [ep, rec] : endpoints_) {
     if (ep.rnic != rnic) continue;
+    const EndpointChain& chain = rec.chain;
     for (const Endpoint& peer : peers_of(ep)) {
-      const EndpointChain& pc = chains_.at(peer);
+      const EndpointChain& pc = endpoints_.at(peer).chain;
       const FlowRule candidates[] = {
           {chain.vxlan, peer, chain.vf},  // encap toward peer
           {chain.vf, peer, pc.vf},        // tunnel toward peer
@@ -217,8 +267,7 @@ std::vector<FlowRule> OverlayNetwork::ovs_rules_for(RnicId rnic) const {
 }
 
 std::vector<FlowRule> OverlayNetwork::offloaded_rules_for(RnicId rnic) const {
-  const auto valid_it = offload_valid_.find(rnic);
-  if (valid_it != offload_valid_.end() && !valid_it->second) return {};
+  if (offload_desynced(rnic)) return {};
   return ovs_rules_for(rnic);
 }
 
@@ -230,11 +279,6 @@ std::vector<FlowRule> OverlayNetwork::offload_inconsistencies(
   std::set_symmetric_difference(ovs.begin(), ovs.end(), off.begin(), off.end(),
                                 std::back_inserter(out));
   return out;
-}
-
-bool OverlayNetwork::offload_desynced(RnicId rnic) const {
-  const auto it = offload_valid_.find(rnic);
-  return it != offload_valid_.end() && !it->second;
 }
 
 void OverlayNetwork::break_rule(VPortId from, Endpoint dst) {
@@ -256,11 +300,15 @@ void OverlayNetwork::corrupt_rule_to_loop(VPortId from, Endpoint dst,
 }
 
 void OverlayNetwork::invalidate_offload(RnicId rnic) {
-  offload_valid_[rnic] = false;
+  if (!rnic.valid()) {
+    throw std::invalid_argument("invalidate_offload: invalid RNIC");
+  }
+  if (rnic.value() >= desynced_.size()) desynced_.resize(rnic.value() + 1, 0);
+  desynced_[rnic.value()] = 1;
 }
 
 void OverlayNetwork::resync_offload(RnicId rnic) {
-  offload_valid_[rnic] = true;
+  if (rnic.value() < desynced_.size()) desynced_[rnic.value()] = 0;
 }
 
 }  // namespace skh::overlay

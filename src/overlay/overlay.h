@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -66,6 +65,18 @@ struct EndpointChain {
   VPortId vf;
 };
 
+/// Outcome of replaying one flow's forwarding chain (Algorithm 1's
+/// OverlayReachability over L_O).
+struct OverlayWalk {
+  bool reachable = false;
+  bool loop = false;  ///< a rule sent the flow back to a node it had left
+  /// Where the walk broke (the node with no rule for the flow), looped (the
+  /// first node met twice) or ran out of steps; the source's netns when the
+  /// destination is detached; invalid when reachable or the source is
+  /// detached.
+  VPortId failure_point;
+};
+
 class OverlayNetwork {
  public:
   /// Register a host: creates its OVS bridge and VXLAN tunnel nodes.
@@ -79,13 +90,24 @@ class OverlayNetwork {
   /// Remove an endpoint; fault exceptions touching it are dropped.
   void detach_endpoint(Endpoint ep);
 
-  // --- the analyzer-facing forwarding interface ---------------------------
-  /// One step of the logical forwarding chain of the (src, dst) flow: where
-  /// does `current` send it? nullopt = no matching rule (broken chain or
-  /// no connectivity).
-  [[nodiscard]] std::optional<VPortId> next_hop(const Endpoint& src,
-                                                const Endpoint& dst,
-                                                VPortId current) const;
+  // --- the forwarding interface (probe engine and localizer) -------------
+  /// Longest walk `walk` takes (its loop memory is a fixed array).
+  static constexpr std::size_t kMaxWalkSteps = 64;
+
+  /// Replay the (src, dst) flow's forwarding chain from src's netns for at
+  /// most `max_steps` hops (<= kMaxWalkSteps, else std::invalid_argument).
+  /// Each endpoint is looked up once. A step follows the flow's rule at the
+  /// current node: deleted = broken there, loop-corrupted = jump to its
+  /// target, otherwise the next chain position. The chain's source leg
+  /// (netns, veth, ovs, vxlan, vf) runs up to the vf -> peer vf crossing and
+  /// its destination leg (peer vf ... peer netns) after it; on a same-host
+  /// flow the host's OVS and VXLAN nodes sit on both legs. A jump to such a
+  /// shared node lands on the source leg, where chain order meets it first.
+  /// A loop is a repeated (node, leg); nodes off the chain share one leg,
+  /// and a flow with no chain (different VNIs, same container) has only
+  /// that one, so its loops are repeated nodes.
+  [[nodiscard]] OverlayWalk walk(const Endpoint& src, const Endpoint& dst,
+                                 std::size_t max_steps) const;
 
   /// The ordered node list of the (src, dst) flow — the L_O of Algorithm 1.
   [[nodiscard]] std::vector<VPortId> overlay_path(Endpoint src,
@@ -114,7 +136,9 @@ class OverlayNetwork {
   [[nodiscard]] std::vector<FlowRule> offload_inconsistencies(
       RnicId rnic) const;
   /// O(1): has this RNIC's offload copy been invalidated?
-  [[nodiscard]] bool offload_desynced(RnicId rnic) const;
+  [[nodiscard]] bool offload_desynced(RnicId rnic) const noexcept {
+    return rnic.value() < desynced_.size() && desynced_[rnic.value()] != 0;
+  }
 
   // --- fault hooks ----------------------------------------------------------
   /// Delete the rule at `from` for destination `dst` (broken chain).
@@ -143,29 +167,31 @@ class OverlayNetwork {
     }
   };
 
+  /// Everything the overlay knows about one attached endpoint.
+  struct EndpointRecord {
+    EndpointChain chain;
+    HostId host;
+    std::uint32_t vni = 0;
+  };
+
   VPortId new_node(NodeKind kind, HostId host, ContainerId container,
                    RnicId rnic);
-  /// Structural next hop, before fault exceptions.
-  [[nodiscard]] std::optional<VPortId> structural_next(const Endpoint& src,
-                                                       const Endpoint& dst,
-                                                       VPortId current) const;
+  [[nodiscard]] const EndpointRecord* record_of(const Endpoint& ep) const;
   /// All endpoints an endpoint can talk to (same VNI, other containers).
   [[nodiscard]] std::vector<Endpoint> peers_of(const Endpoint& ep) const;
 
   std::vector<OverlayNode> nodes_;
   std::unordered_map<HostId, VPortId> ovs_of_host_;
   std::unordered_map<HostId, VPortId> vxlan_of_host_;
-  std::unordered_map<Endpoint, EndpointChain> chains_;
-  std::unordered_map<Endpoint, HostId> host_of_ep_;
-  std::unordered_map<Endpoint, std::uint32_t> vni_of_ep_;
+  std::unordered_map<Endpoint, EndpointRecord> endpoints_;
   /// VNI membership (for peer enumeration and table-size accounting).
   std::unordered_map<std::uint32_t, std::vector<Endpoint>> members_of_vni_;
-  std::unordered_map<ContainerId, std::size_t> container_ep_count_;
   /// Fault exceptions.
   std::unordered_set<RuleKey, RuleKeyHash> broken_rules_;
   std::unordered_map<RuleKey, VPortId, RuleKeyHash> corrupted_rules_;
   std::unordered_map<HostId, std::size_t> broken_per_host_;
-  std::unordered_map<RnicId, bool> offload_valid_;
+  /// 1 where the RNIC's offload copy is invalidated, indexed by RnicId.
+  std::vector<std::uint8_t> desynced_;
 };
 
 }  // namespace skh::overlay

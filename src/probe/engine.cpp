@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace skh::probe {
 
@@ -38,26 +37,20 @@ void ProbeEngine::attach_obs(obs::Context* ctx) {
   m_rtt_us_ = r.bind_histogram(r.histogram_id("probe.rtt_us", kRttBoundsUs));
 }
 
-bool ProbeEngine::overlay_reachable(Endpoint src, Endpoint dst) const {
-  if (!overlay_.attached(src) || !overlay_.attached(dst)) return false;
-  const VPortId goal = overlay_.chain_of(dst).netns;
-  VPortId current = overlay_.chain_of(src).netns;
-  std::unordered_set<VPortId> visited{current};
-  for (std::size_t step = 0; step < cfg_.max_overlay_steps; ++step) {
-    const auto next = overlay_.next_hop(src, dst, current);
-    if (!next) return false;  // broken chain
-    if (*next == goal) return true;
-    if (visited.contains(*next)) return false;  // loop
-    visited.insert(*next);
-    current = *next;
+void ProbeEngine::collect_live_faults(SimTime t) {
+  live_.clear();
+  // Room for every injected fault: a fault going live allocates nothing.
+  live_.reserve(faults_.faults().size());
+  for (const sim::Fault& f : faults_.faults()) {
+    if (f.degrading_at(t) && sim::issue_info(f.type).probe_visible) {
+      live_.push_back(&f);
+    }
   }
-  return false;  // runaway chain counts as unreachable
 }
 
-void ProbeEngine::accumulate(sim::ComponentRef ref, SimTime t,
-                             PathDegradation& d) const {
-  for (const sim::Fault* f : faults_.active_on(ref, t)) {
-    if (!sim::issue_info(f->type).probe_visible) continue;
+void ProbeEngine::accumulate(sim::ComponentRef ref, PathDegradation& d) const {
+  for (const sim::Fault* f : live_) {
+    if (!(f->target == ref)) continue;
     if (f->effect.unreachable) d.unreachable = true;
     d.extra_latency_us += f->effect.extra_latency_us;
     d.delivery_probability *= 1.0 - f->effect.loss_probability;
@@ -65,25 +58,27 @@ void ProbeEngine::accumulate(sim::ComponentRef ref, SimTime t,
 }
 
 ProbeEngine::PathDegradation ProbeEngine::degradation(
-    Endpoint src, Endpoint dst, const topo::Path& path, SimTime t) const {
+    Endpoint src, Endpoint dst, const topo::Path& path) const {
   PathDegradation d;
-  const HostId src_host = topo_.host_of(src.rnic);
-  const HostId dst_host = topo_.host_of(dst.rnic);
-  for (LinkId l : path.links) {
-    accumulate({sim::ComponentKind::kPhysicalLink, l.value()}, t, d);
-  }
-  for (SwitchId s : path.switches) {
-    accumulate({sim::ComponentKind::kPhysicalSwitch, s.value()}, t, d);
-  }
-  for (RnicId r : {src.rnic, dst.rnic}) {
-    accumulate({sim::ComponentKind::kRnic, r.value()}, t, d);
-  }
-  for (HostId h : {src_host, dst_host}) {
-    accumulate({sim::ComponentKind::kHost, h.value()}, t, d);
-    accumulate({sim::ComponentKind::kVSwitch, h.value()}, t, d);
-  }
-  for (ContainerId c : {src.container, dst.container}) {
-    accumulate({sim::ComponentKind::kContainer, c.value()}, t, d);
+  if (!live_.empty()) {
+    const HostId src_host = topo_.host_of(src.rnic);
+    const HostId dst_host = topo_.host_of(dst.rnic);
+    for (LinkId l : path.links) {
+      accumulate({sim::ComponentKind::kPhysicalLink, l.value()}, d);
+    }
+    for (SwitchId s : path.switches) {
+      accumulate({sim::ComponentKind::kPhysicalSwitch, s.value()}, d);
+    }
+    for (RnicId r : {src.rnic, dst.rnic}) {
+      accumulate({sim::ComponentKind::kRnic, r.value()}, d);
+    }
+    for (HostId h : {src_host, dst_host}) {
+      accumulate({sim::ComponentKind::kHost, h.value()}, d);
+      accumulate({sim::ComponentKind::kVSwitch, h.value()}, d);
+    }
+    for (ContainerId c : {src.container, dst.container}) {
+      accumulate({sim::ComponentKind::kContainer, c.value()}, d);
+    }
   }
   // RNIC offload desynchronized from OVS: packets take the software slow
   // path on that side (Figure 18).
@@ -104,61 +99,54 @@ double ProbeEngine::baseline_rtt_us(Endpoint src, Endpoint dst) const {
   return 2.0 * (path.one_way_latency_us + cfg_.host_stack_us);
 }
 
-bool ProbeEngine::path_faulted(const topo::Path& path, SimTime t) const {
+bool ProbeEngine::member_faulted(RnicId src, RnicId dst,
+                                 std::uint32_t path_id) {
+  if (live_.empty()) return false;
+  topo_.route_via(src, dst, path_id, path_);
   const auto hit = [&](sim::ComponentRef ref) {
-    for (const sim::Fault* f : faults_.active_on(ref, t)) {
-      if (sim::issue_info(f->type).probe_visible) return true;
-    }
-    return false;
+    return std::any_of(live_.begin(), live_.end(),
+                       [&](const sim::Fault* f) { return f->target == ref; });
   };
-  for (LinkId l : path.links) {
+  for (LinkId l : path_.links) {
     if (hit({sim::ComponentKind::kPhysicalLink, l.value()})) return true;
   }
-  for (SwitchId s : path.switches) {
+  for (SwitchId s : path_.switches) {
     if (hit({sim::ComponentKind::kPhysicalSwitch, s.value()})) return true;
   }
   return false;
 }
 
-std::uint32_t ProbeEngine::select_path(RnicId src, RnicId dst, SimTime t) {
+std::uint32_t ProbeEngine::select_path(RnicId src, RnicId dst,
+                                       std::uint32_t n, FlowState* flow) {
   switch (cfg_.routing_mode) {
     case topo::RoutingMode::kStaticEcmp:
       return topo_.static_path_id(src, dst);
     case topo::RoutingMode::kSpray: {
-      const std::uint32_t n = topo_.num_paths(src, dst);
       if (n <= 1) return 0;
       const std::uint32_t ways =
           std::min(std::max<std::uint32_t>(cfg_.spray_ways, 1), n);
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(src.value()) << 32) | dst.value();
       // Per-packet member choice: the production ECMP hash re-salted by a
       // per-flow packet counter. Deterministic, and spread evenly over an
       // evenly-subsampled `ways` of the n members.
-      const std::uint32_t pkt = spray_counter_[key]++;
+      const std::uint32_t pkt = flow->spray_packets++;
       const std::uint32_t member = static_cast<std::uint32_t>(
           topo::ecmp_hash(src.value(), dst.value(), 0x53505259u + pkt) %
           ways);
       return member * n / ways;
     }
     case topo::RoutingMode::kAdaptive: {
-      const std::uint32_t n = topo_.num_paths(src, dst);
       if (n <= 1) return 0;
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(src.value()) << 32) | dst.value();
-      auto [it, fresh] =
-          adaptive_path_.try_emplace(key, topo_.static_path_id(src, dst));
-      std::uint32_t cur = it->second;
+      std::uint32_t& cur = flow->adaptive_member;
       // Re-hash on a fault signal: walk to the next clean member. When every
       // member is degraded the flow stays put (moving cannot help).
-      if (path_faulted(topo_.route_via(src, dst, cur), t)) {
+      if (member_faulted(src, dst, cur)) {
         for (std::uint32_t step = 1; step < n; ++step) {
           const std::uint32_t cand = (cur + step) % n;
-          if (!path_faulted(topo_.route_via(src, dst, cand), t)) {
+          if (!member_faulted(src, dst, cand)) {
             cur = cand;
             break;
           }
         }
-        it->second = cur;
       }
       return cur;
     }
@@ -166,14 +154,12 @@ std::uint32_t ProbeEngine::select_path(RnicId src, RnicId dst, SimTime t) {
   return 0;
 }
 
-void ProbeEngine::note_path_used(std::uint64_t flow_key,
-                                 std::uint32_t path_id) {
+void ProbeEngine::note_path_used(FlowState& flow, std::uint32_t path_id) {
   // "probe.paths_used" counts distinct (flow, member) combinations — 1x the
   // flow count under static routing, up to spray_ways-x under spray.
-  std::uint64_t& mask = paths_seen_[flow_key];
   const std::uint64_t bit = 1ull << (path_id & 63u);
-  if ((mask & bit) == 0) {
-    mask |= bit;
+  if ((flow.paths_seen & bit) == 0) {
+    flow.paths_seen |= bit;
     m_paths_used_.inc();
   }
 }
@@ -182,17 +168,30 @@ ProbeResult ProbeEngine::probe(Endpoint src, Endpoint dst, SimTime t) {
   ProbeResult res;
   res.pair = EndpointPair{src, dst};
   res.sent_at = t;
-  res.path_id = select_path(src.rnic, dst.rnic, t);
-  m_issued_.inc();
-  if (obs_ != nullptr) {
-    note_path_used(
+  collect_live_faults(t);
+  // Spray and adaptive routing keep per-flow state for multi-member pairs,
+  // and an attached registry the flow's paths-seen mask; static ECMP with
+  // no registry looks nothing up.
+  const std::uint32_t n =
+      cfg_.routing_mode == topo::RoutingMode::kStaticEcmp
+          ? 1
+          : topo_.num_paths(src.rnic, dst.rnic);
+  FlowState* flow = nullptr;
+  if (n > 1 || obs_ != nullptr) {
+    const auto [it, fresh] = flows_.try_emplace(
         (static_cast<std::uint64_t>(src.rnic.value()) << 32) |
-            dst.rnic.value(),
-        res.path_id);
+        dst.rnic.value());
+    if (fresh) {
+      it->second.adaptive_member = topo_.static_path_id(src.rnic, dst.rnic);
+    }
+    flow = &it->second;
   }
+  res.path_id = select_path(src.rnic, dst.rnic, n, flow);
+  m_issued_.inc();
+  if (obs_ != nullptr) note_path_used(*flow, res.path_id);
 
-  if (!overlay_reachable(src, dst)) {  // dropped in the overlay
-    m_drop_overlay_.inc();
+  if (!overlay_.walk(src, dst, cfg_.max_overlay_steps).reachable) {
+    m_drop_overlay_.inc();  // dropped in the overlay
     if (obs_ != nullptr) {
       obs_->tracer.instant("probe", "drop.overlay", t, src.container.value(),
                            dst.container.value());
@@ -200,8 +199,8 @@ ProbeResult ProbeEngine::probe(Endpoint src, Endpoint dst, SimTime t) {
     return res;
   }
 
-  const topo::Path path = topo_.route_via(src.rnic, dst.rnic, res.path_id);
-  const PathDegradation d = degradation(src, dst, path, t);
+  topo_.route_via(src.rnic, dst.rnic, res.path_id, path_);
+  const PathDegradation d = degradation(src, dst, path_);
   if (d.unreachable) {
     m_drop_unreachable_.inc();
     if (obs_ != nullptr) {
@@ -222,7 +221,7 @@ ProbeResult ProbeEngine::probe(Endpoint src, Endpoint dst, SimTime t) {
   // All equal-cost members share the same hop counts, so the healthy
   // baseline is mode-independent; only the degradation differs per member.
   const double base =
-      2.0 * (path.one_way_latency_us + cfg_.host_stack_us) +
+      2.0 * (path_.one_way_latency_us + cfg_.host_stack_us) +
       d.extra_latency_us;
   res.rtt_us = base * std::exp(rng_.normal(0.0, cfg_.jitter_sigma));
   res.delivered = true;

@@ -11,9 +11,16 @@
 //   4. adds the RNIC-offload slow-path penalty when the offloaded flow
 //      tables have been invalidated (the Figure 18 case), and
 //   5. returns an RTT with multiplicative log-normal jitter, or a drop.
+//
+// Per probe that is one overlay walk (two endpoint lookups), one pass over
+// the injected faults, a flow-state lookup only when the routing mode or an
+// attached registry needs one, and no heap allocation once every flow has
+// been probed: the live faults and the routed path go into engine-owned
+// scratch that keeps its capacity.
 #pragma once
 
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 #include "obs/context.h"
@@ -29,7 +36,9 @@ struct EngineConfig {
   double jitter_sigma = 0.06;      ///< log-normal RTT jitter
   double slow_path_extra_us = 104.0;  ///< RTT penalty, offload invalidated
                                       ///< (Fig. 18: 16us -> 120us)
-  std::size_t max_overlay_steps = 32;  ///< loop guard for the chain walk
+  /// Loop guard for the chain walk; at most
+  /// overlay::OverlayNetwork::kMaxWalkSteps.
+  std::size_t max_overlay_steps = 32;
 
   // --- per-target retry/backoff (churn reconciliation) ---------------------
   // A target that keeps failing is either genuinely unreachable (a fault the
@@ -82,20 +91,30 @@ class ProbeEngine {
     double extra_latency_us = 0.0;
     double delivery_probability = 1.0;
   };
+  /// Per-flow routing state, keyed by packed (src rnic, dst rnic). Not part
+  /// of checkpoints (the engine is a sidecar that keeps running through
+  /// analyzer blackouts), and it affects no RNG draw.
+  struct FlowState {
+    std::uint32_t spray_packets = 0;   ///< spray: probes sent so far
+    std::uint32_t adaptive_member = 0; ///< adaptive: the pinned member
+    std::uint64_t paths_seen = 0;      ///< members probed, bit (id & 63)
+  };
 
-  /// True iff the overlay forwarding chain from src to dst completes.
-  [[nodiscard]] bool overlay_reachable(Endpoint src, Endpoint dst) const;
+  /// Refill live_ with the probe-visible faults degrading at `t`.
+  void collect_live_faults(SimTime t);
   [[nodiscard]] PathDegradation degradation(Endpoint src, Endpoint dst,
-                                            const topo::Path& path,
-                                            SimTime t) const;
-  void accumulate(sim::ComponentRef ref, SimTime t, PathDegradation& d) const;
+                                            const topo::Path& path) const;
+  void accumulate(sim::ComponentRef ref, PathDegradation& d) const;
 
   /// Pick the equal-cost member this probe rides, per cfg_.routing_mode.
+  /// `flow` is the pair's state, or nullptr when the mode needs none.
   /// Hash/state driven — never draws from rng_.
-  [[nodiscard]] std::uint32_t select_path(RnicId src, RnicId dst, SimTime t);
-  /// Any active probe-visible fault on the path's links or switches?
-  [[nodiscard]] bool path_faulted(const topo::Path& path, SimTime t) const;
-  void note_path_used(std::uint64_t flow_key, std::uint32_t path_id);
+  [[nodiscard]] std::uint32_t select_path(RnicId src, RnicId dst,
+                                          std::uint32_t n, FlowState* flow);
+  /// Does a live fault sit on a link or switch of member `path_id`?
+  [[nodiscard]] bool member_faulted(RnicId src, RnicId dst,
+                                    std::uint32_t path_id);
+  void note_path_used(FlowState& flow, std::uint32_t path_id);
 
   const topo::Topology& topo_;
   const overlay::OverlayNetwork& overlay_;
@@ -103,13 +122,11 @@ class ProbeEngine {
   RngStream rng_;
   EngineConfig cfg_;
 
-  // Per-flow routing state, keyed by packed (src rnic, dst rnic). Spray
-  // keeps a packet counter, adaptive the currently pinned member. Neither
-  // is part of checkpoints (the engine is a sidecar that keeps running
-  // through analyzer blackouts), and neither affects the RNG stream.
-  std::unordered_map<std::uint64_t, std::uint32_t> spray_counter_;
-  std::unordered_map<std::uint64_t, std::uint32_t> adaptive_path_;
-  std::unordered_map<std::uint64_t, std::uint64_t> paths_seen_;
+  std::unordered_map<std::uint64_t, FlowState> flows_;
+  /// Per-probe scratch: the live faults in injection order, and the routed
+  /// member (also the adaptive candidates).
+  std::vector<const sim::Fault*> live_;
+  topo::Path path_;
 
   obs::Context* obs_ = nullptr;
   obs::Counter m_issued_;

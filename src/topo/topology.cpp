@@ -1,6 +1,7 @@
 #include "topo/topology.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/rng.h"
 
@@ -100,10 +101,19 @@ Topology Topology::build(const TopologyConfig& cfg) {
       t.spine_core_links_[sp][c] = id;
     }
   }
-  // Dense spine-index map: O(1) adjacency resolution in switch_link.
-  t.spine_dense_.assign(t.switches_.size(), kNoDense);
+  // Per-tier dense indices: O(1) adjacency resolution in switch_link.
+  t.dense_.assign(t.switches_.size(), 0);
+  for (std::uint32_t seg = 0; seg < segments; ++seg) {
+    for (std::uint32_t rail = 0; rail < cfg.rails_per_host; ++rail) {
+      t.dense_[t.tor_index_[seg][rail].value()] =
+          seg * cfg.rails_per_host + rail;
+    }
+  }
   for (std::size_t sp = 0; sp < t.spines_.size(); ++sp) {
-    t.spine_dense_[t.spines_[sp].value()] = static_cast<std::uint32_t>(sp);
+    t.dense_[t.spines_[sp].value()] = static_cast<std::uint32_t>(sp);
+  }
+  for (std::size_t c = 0; c < t.cores_.size(); ++c) {
+    t.dense_[t.cores_[c].value()] = static_cast<std::uint32_t>(c);
   }
   return t;
 }
@@ -169,44 +179,32 @@ LinkId Topology::uplink_of(RnicId rnic) const {
   return uplink_index_[rnic.value()];
 }
 
-Path Topology::make_path(RnicId src, RnicId dst,
-                         std::span<const SwitchId> via) const {
-  Path p;
-  p.switches.assign(via.begin(), via.end());
-  p.links.push_back(uplink_of(src));
+void Topology::make_path(RnicId src, RnicId dst,
+                         std::span<const SwitchId> via, Path& out) const {
+  out.switches.assign(via.begin(), via.end());
+  out.links.push_back(uplink_of(src));
   for (std::size_t i = 0; i + 1 < via.size(); ++i) {
-    p.links.push_back(switch_link(via[i], via[i + 1]));
+    out.links.push_back(switch_link(via[i], via[i + 1]));
   }
-  p.links.push_back(uplink_of(dst));
-  p.one_way_latency_us =
-      static_cast<double>(p.links.size()) * cfg_.link_latency_us +
-      static_cast<double>(p.switches.size()) * cfg_.switch_latency_us;
-  return p;
+  out.links.push_back(uplink_of(dst));
+  out.one_way_latency_us =
+      static_cast<double>(out.links.size()) * cfg_.link_latency_us +
+      static_cast<double>(out.switches.size()) * cfg_.switch_latency_us;
 }
 
 LinkId Topology::switch_link(SwitchId a, SwitchId b) const {
   // Normalize to (lower tier first).
-  const auto& sa = switch_at(a);
-  const auto& sb = switch_at(b);
-  SwitchId lower = a, upper = b;
-  if (static_cast<int>(sa.kind) > static_cast<int>(sb.kind)) {
-    lower = b;
-    upper = a;
+  const Switch* lower = &switch_at(a);
+  const Switch* upper = &switch_at(b);
+  if (lower->kind > upper->kind) std::swap(lower, upper);
+  const std::uint32_t lo = dense_[lower->id.value()];
+  const std::uint32_t up = dense_[upper->id.value()];
+  if (lower->kind == SwitchKind::kTor && upper->kind == SwitchKind::kSpine &&
+      lower->rail == upper->rail) {
+    return tor_spine_links_[lo][up % cfg_.spines_per_rail];
   }
-  const auto& sl = switch_at(lower);
-  if (sl.kind == SwitchKind::kTor) {
-    const std::size_t tor_dense =
-        static_cast<std::size_t>(sl.segment) * cfg_.rails_per_host + sl.rail;
-    for (LinkId l : tor_spine_links_[tor_dense]) {
-      if (link_at(l).upper == upper) return l;
-    }
-  } else if (sl.kind == SwitchKind::kSpine) {
-    const std::uint32_t sp = spine_dense_[lower.value()];
-    if (sp != kNoDense) {
-      for (LinkId l : spine_core_links_[sp]) {
-        if (link_at(l).upper == upper) return l;
-      }
-    }
+  if (lower->kind == SwitchKind::kSpine && upper->kind == SwitchKind::kCore) {
+    return spine_core_links_[lo][up];
   }
   throw std::logic_error("Topology::switch_link: no such adjacency");
 }
@@ -243,18 +241,19 @@ std::uint32_t Topology::static_path_id(RnicId src, RnicId dst) const {
   return (s1 * cfg_.num_cores + c) * cfg_.spines_per_rail + s2;
 }
 
-Path Topology::route_via(RnicId src, RnicId dst,
-                         std::uint32_t path_id) const {
+void Topology::route_via(RnicId src, RnicId dst, std::uint32_t path_id,
+                         Path& out) const {
   const HostId hs = host_of(src);
   const HostId hd = host_of(dst);
   if (path_id >= num_paths(src, dst)) {
     throw std::out_of_range("Topology::route_via: bad path id");
   }
+  out.links.clear();
+  out.switches.clear();
+  out.intra_host = hs == hd;
   if (hs == hd) {
-    Path p;
-    p.intra_host = true;
-    p.one_way_latency_us = cfg_.intra_host_latency_us;
-    return p;
+    out.one_way_latency_us = cfg_.intra_host_latency_us;
+    return;
   }
   const std::uint32_t rs = rail_of(src);
   const std::uint32_t rd = rail_of(dst);
@@ -263,16 +262,17 @@ Path Topology::route_via(RnicId src, RnicId dst,
 
   if (rs == rd && ss == sd) {
     // Same ToR: two hops.
-    const SwitchId tor = tor_at(ss, rs);
-    const SwitchId via[] = {tor};
-    return make_path(src, dst, via);
+    const SwitchId via[] = {tor_at(ss, rs)};
+    make_path(src, dst, via, out);
+    return;
   }
   if (rs == rd) {
     // In-rail across segments: ToR -> spine member `path_id` -> ToR.
     const SwitchId via[] = {tor_at(ss, rs),
                             spines_[rs * cfg_.spines_per_rail + path_id],
                             tor_at(sd, rd)};
-    return make_path(src, dst, via);
+    make_path(src, dst, via, out);
+    return;
   }
   // Cross-rail: decompose (s1 * num_cores + c) * spines_per_rail + s2.
   const std::uint32_t s2 = path_id % cfg_.spines_per_rail;
@@ -282,7 +282,14 @@ Path Topology::route_via(RnicId src, RnicId dst,
                           spines_[rs * cfg_.spines_per_rail + s1], cores_[c],
                           spines_[rd * cfg_.spines_per_rail + s2],
                           tor_at(sd, rd)};
-  return make_path(src, dst, via);
+  make_path(src, dst, via, out);
+}
+
+Path Topology::route_via(RnicId src, RnicId dst,
+                         std::uint32_t path_id) const {
+  Path p;
+  route_via(src, dst, path_id, p);
+  return p;
 }
 
 Path Topology::route(RnicId src, RnicId dst) const {

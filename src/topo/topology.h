@@ -147,6 +147,10 @@ class Topology {
   /// enumerating the whole set. Throws std::out_of_range on a bad index.
   [[nodiscard]] Path route_via(RnicId src, RnicId dst,
                                std::uint32_t path_id) const;
+  /// The same path written into `out`, whose vectors keep their capacity:
+  /// a caller that reuses one `Path` routes without allocating.
+  void route_via(RnicId src, RnicId dst, std::uint32_t path_id,
+                 Path& out) const;
 
   /// All equal-cost paths between the pair (bounded fan-out; used by the
   /// tomography analysis to reason about ECMP coverage).
@@ -156,8 +160,8 @@ class Topology {
  private:
   Topology() = default;
 
-  [[nodiscard]] Path make_path(RnicId src, RnicId dst,
-                               std::span<const SwitchId> via) const;
+  void make_path(RnicId src, RnicId dst, std::span<const SwitchId> via,
+                 Path& out) const;
 
   TopologyConfig cfg_;
   std::vector<Switch> switches_;
@@ -170,11 +174,10 @@ class Topology {
   std::vector<std::vector<LinkId>> spine_core_links_; // [spine dense idx][core]
   std::vector<SwitchId> spines_;  // [rail * spines_per_rail + s]
   std::vector<SwitchId> cores_;
-  // SwitchId -> dense spine index (index into spines_/spine_core_links_),
-  // built once so switch_link resolves spine adjacencies without the old
-  // O(spines) scan. kNoDense for non-spine switches.
-  static constexpr std::uint32_t kNoDense = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> spine_dense_;  // [SwitchId.value()]
+  // SwitchId -> index within its tier's table (ToR: tor_spine_links_ row,
+  // spine: spines_/spine_core_links_ row, core: cores_), so switch_link
+  // resolves an adjacency with two array reads.
+  std::vector<std::uint32_t> dense_;  // [SwitchId.value()]
 };
 
 }  // namespace skh::topo

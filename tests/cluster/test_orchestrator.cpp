@@ -107,18 +107,7 @@ TEST_F(OrchestratorTest, RunningEndpointsAttachToOverlay) {
     if (e.container == c0.id) src = e;
     else dst = e;
   }
-  VPortId cur = overlay_.chain_of(src).netns;
-  bool reached = false;
-  for (int i = 0; i < 16; ++i) {
-    const auto next = overlay_.next_hop(src, dst, cur);
-    if (!next) break;
-    if (*next == overlay_.chain_of(dst).netns) {
-      reached = true;
-      break;
-    }
-    cur = *next;
-  }
-  EXPECT_TRUE(reached);
+  EXPECT_TRUE(overlay_.walk(src, dst, 16).reachable);
 }
 
 TEST_F(OrchestratorTest, TaskTerminatesAfterLifetime) {

@@ -3,79 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <new>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "support/alloc_counter.h"
 #include "support/reference_detector.h"
-
-namespace {
-
-// Heap-allocation counting for the allocation-free ingest contract. The
-// replacements below serve every allocation in this test binary (plain and
-// std::align_val_t forms: the detector arenas allocate 64-byte aligned);
-// they count only while an AllocationCounter is alive, on any thread.
-std::atomic<int> g_alloc_scopes{0};
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t n, std::size_t align) {
-  if (g_alloc_scopes.load(std::memory_order_relaxed) > 0) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (n == 0) n = 1;
-  void* p = align <= alignof(std::max_align_t)
-                ? std::malloc(n)
-                : std::aligned_alloc(align, (n + align - 1) / align * align);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-/// Counts heap allocations made while it is alive.
-class AllocationCounter {
- public:
-  AllocationCounter() : start_(g_allocs.load()) { g_alloc_scopes.fetch_add(1); }
-  ~AllocationCounter() { g_alloc_scopes.fetch_sub(1); }
-  AllocationCounter(const AllocationCounter&) = delete;
-  AllocationCounter& operator=(const AllocationCounter&) = delete;
-  [[nodiscard]] std::uint64_t count() const { return g_allocs.load() - start_; }
-
- private:
-  std::uint64_t start_;
-};
-
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n, 0); }
-void* operator new[](std::size_t n) { return counted_alloc(n, 0); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace skh::core {
 namespace {
 
+using testutil::AllocationCounter;
 using testutil::ReferenceDetector;
 
 EndpointPair pair() {

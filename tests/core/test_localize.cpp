@@ -85,6 +85,23 @@ TEST_F(LocalizeTest, HealthyOverlayIsReachable) {
   EXPECT_TRUE(v.reachable);
 }
 
+TEST_F(LocalizeTest, SameHostPairIsReachable) {
+  // Two 4-GPU containers of one task on one host: the host's OVS and VXLAN
+  // nodes sit on both legs of their flow. The replay must reach the peer
+  // rather than report a loop that indicts the host's vswitch.
+  const HostId host{15};
+  const Endpoint a{ContainerId{900}, env_.topo.rnic_of(host, 0)};
+  const Endpoint b{ContainerId{901}, env_.topo.rnic_of(host, 4)};
+  env_.overlay.attach_endpoint(a, host, /*vni=*/77);
+  env_.overlay.attach_endpoint(b, host, /*vni=*/77);
+  const auto v = localizer_->overlay_reachability(a, b);
+  EXPECT_TRUE(v.reachable);
+  EXPECT_FALSE(v.loop);
+  EXPECT_FALSE(v.failure_point.valid());
+  const auto loc = localizer_->localize({{a, b}}, SimTime::seconds(10));
+  EXPECT_NE(loc.method, LocalizationMethod::kOverlayReachability);
+}
+
 TEST_F(LocalizeTest, TorSwitchFaultWinsIntersectionVote) {
   // ToR (segment 0, rail 0) dies: every same-rail pair between hosts 0-7
   // crossing that ToR is anomalous.

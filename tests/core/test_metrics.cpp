@@ -248,26 +248,6 @@ TEST(DetectorCountersTest, MergeSumsEveryField) {
   EXPECT_EQ(total.events_emitted, 22u);
 }
 
-TEST(DetectorCountersTest, FastPathRatioIsOneWithoutScoring) {
-  // A campaign can ingest plenty of probes yet never score (every close
-  // short-circuited by the shift gate): the ratio reports a perfect cache,
-  // not 0/0.
-  DetectorCounters c;
-  c.probes_ingested = 5000;
-  c.short_windows_closed = 100;
-  c.lof_gate_skips = 100;
-  EXPECT_DOUBLE_EQ(lof_fast_path_ratio(c), 1.0);
-}
-
-TEST(DetectorCountersTest, FastPathRatioCountsBothPaths) {
-  DetectorCounters c;
-  c.lof_fast_path = 3;
-  c.lof_fallback = 1;
-  EXPECT_DOUBLE_EQ(lof_fast_path_ratio(c), 0.75);
-  c.lof_fast_path = 0;
-  EXPECT_DOUBLE_EQ(lof_fast_path_ratio(c), 0.0);
-}
-
 TEST(ScoreSummaryTest, EmptyAndSingleRunEdgeCases) {
   const ScoreSummary empty = summarize_scores({});
   EXPECT_EQ(empty.runs, 0u);

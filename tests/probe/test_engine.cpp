@@ -1,8 +1,13 @@
 #include "probe/engine.h"
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "support/alloc_counter.h"
 
 namespace skh::probe {
 namespace {
@@ -275,6 +280,187 @@ TEST_F(EngineTest, AdaptiveRehashesAwayFromFaultedMemberAndStaysPut) {
       engine.probe(eps_[0], far, SimTime::seconds(40)).path_id;
   ASSERT_LT(m2, n);
   EXPECT_EQ(engine.probe(eps_[0], far, SimTime::seconds(41)).path_id, m2);
+}
+
+TEST_F(EngineTest, SameHostContainersProbeEachOther) {
+  // Two 4-GPU containers of the task share host 2. Host 2's OVS and VXLAN
+  // nodes sit on both legs of their flow, which must not read as a
+  // forwarding loop; a container on another host reaches both as before.
+  std::vector<Endpoint> a, b;
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    a.push_back(Endpoint{ContainerId{2}, topo_.rnic_of(HostId{2}, r)});
+    b.push_back(Endpoint{ContainerId{3}, topo_.rnic_of(HostId{2}, 4 + r)});
+    overlay_.attach_endpoint(a.back(), HostId{2}, /*vni=*/0);
+    overlay_.attach_endpoint(b.back(), HostId{2}, /*vni=*/0);
+  }
+  auto engine = make_engine();
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    EXPECT_TRUE(engine.probe(a[r], b[r], SimTime::seconds(1)).delivered);
+    EXPECT_TRUE(engine.probe(b[r], a[r], SimTime::seconds(1)).delivered);
+    EXPECT_TRUE(engine.probe(eps_[r], a[r], SimTime::seconds(1)).delivered);
+  }
+}
+
+TEST_F(EngineTest, SteadyStateProbesAllocateNothing) {
+  // After one round over every flow, further rounds allocate nothing in any
+  // routing mode with a registry attached. A loss fault goes live on one
+  // member link after the warm-up round, so the degradation pass has work
+  // and adaptive flows pinned to that member rehash while being counted.
+  const RnicId src = eps_[0].rnic;
+  const RnicId dst = eps_[9].rnic;
+  const auto sick = topo_.route_via(src, dst, topo_.static_path_id(src, dst));
+  faults_.inject(sim::IssueType::kCrcError,
+                 {sim::ComponentKind::kPhysicalLink, sick.links[1].value()},
+                 SimTime::seconds(10), SimTime::hours(1));
+  for (const auto mode :
+       {topo::RoutingMode::kStaticEcmp, topo::RoutingMode::kSpray,
+        topo::RoutingMode::kAdaptive}) {
+    EngineConfig cfg;
+    cfg.routing_mode = mode;
+    ProbeEngine engine{topo_, overlay_, faults_, RngStream{7}, cfg};
+    obs::Context ctx;
+    engine.attach_obs(&ctx);
+    const auto round = [&](SimTime t, std::size_t& off_static) {
+      for (const auto& s : eps_) {
+        for (const auto& d : eps_) {
+          if (s.container == d.container) continue;
+          const auto r = engine.probe(s, d, t);
+          if (r.path_id != topo_.static_path_id(s.rnic, d.rnic)) {
+            ++off_static;
+          }
+        }
+      }
+    };
+    std::size_t warm_off = 0;
+    round(SimTime::seconds(1), warm_off);
+    std::size_t off_static = 0;
+    std::uint64_t allocations = 0;
+    {
+      const testutil::AllocationCounter counter;
+      for (int i = 0; i < 3; ++i) {
+        round(SimTime::seconds(20 + 5 * i), off_static);
+      }
+      allocations = counter.count();
+    }
+    EXPECT_EQ(allocations, 0u) << topo::to_string(mode);
+    if (mode == topo::RoutingMode::kAdaptive) {
+      EXPECT_EQ(warm_off, 0u);    // every flow starts on its static member
+      EXPECT_GT(off_static, 0u);  // and some moved off the sick one
+    }
+  }
+}
+
+/// A fixed probe schedule over every cross-host pair of an 8-host, 4-rail,
+/// 2-spine, 2-core fabric (one container per host), folded into one 64-bit
+/// fingerprint of (delivered, RTT bits, path id) per probe. Its fault
+/// timeline exercises every input of a probe: two probe-visible faults on
+/// one link plus a latency fault on a flow's RNIC (so the accumulation
+/// order shows in the RTT bits), a flapping spine, an RNIC port down, an
+/// offload desync, a broken rule, a loop rule, an invisible NVLink fault,
+/// one fault injected and one repaired mid-schedule.
+std::uint64_t probe_stream_fingerprint(topo::RoutingMode mode) {
+  topo::TopologyConfig tc;
+  tc.num_hosts = 8;
+  tc.rails_per_host = 4;
+  tc.hosts_per_segment = 2;
+  tc.spines_per_rail = 2;
+  tc.num_cores = 2;
+  const auto topo = topo::Topology::build(tc);
+  overlay::OverlayNetwork overlay;
+  sim::FaultInjector faults;
+  const auto at = [&](std::uint32_t host, std::uint32_t rail) {
+    return Endpoint{ContainerId{host}, topo.rnic_of(HostId{host}, rail)};
+  };
+  std::vector<Endpoint> eps;
+  for (std::uint32_t h = 0; h < tc.num_hosts; ++h) {
+    for (std::uint32_t r = 0; r < tc.rails_per_host; ++r) {
+      eps.push_back(at(h, r));
+      overlay.attach_endpoint(eps.back(), HostId{h}, /*vni=*/1);
+    }
+  }
+  const SimTime forever = SimTime::hours(1);
+  // Two faults on host 0 rail 0's ToR -> spine 0 hop.
+  const LinkId shared =
+      topo.route_via(at(0, 0).rnic, at(2, 0).rnic, 0).links[1];
+  sim::FaultEffect crc;
+  crc.loss_probability = 0.03;
+  crc.extra_latency_us = 0.1;
+  const std::uint32_t repaired =
+      faults.inject(sim::IssueType::kCrcError,
+                    {sim::ComponentKind::kPhysicalLink, shared.value()},
+                    SimTime::seconds(0), forever, crc);
+  sim::FaultEffect congestion;
+  congestion.loss_probability = 0.07;
+  congestion.extra_latency_us = 0.2;
+  faults.inject(sim::IssueType::kCongestionControlIssue,
+                {sim::ComponentKind::kPhysicalLink, shared.value()},
+                SimTime::seconds(0), forever, congestion);
+  const SwitchId flapping =
+      topo.route_via(at(0, 1).rnic, at(2, 1).rnic, 1).switches[1];
+  faults.inject(sim::IssueType::kSwitchPortFlapping,
+                {sim::ComponentKind::kPhysicalSwitch, flapping.value()},
+                SimTime::seconds(0), forever);
+  faults.inject(sim::IssueType::kRnicPortDown,
+                {sim::ComponentKind::kRnic, at(5, 2).rnic.value()},
+                SimTime::seconds(10), forever);
+  faults.inject(sim::IssueType::kNvlinkDegradation,
+                {sim::ComponentKind::kHost, 7}, SimTime::seconds(0), forever);
+  overlay.invalidate_offload(at(6, 3).rnic);
+  overlay.break_rule(overlay.chain_of(at(3, 0)).ovs, at(4, 0));
+  const auto& looped = overlay.chain_of(at(3, 1));
+  overlay.corrupt_rule_to_loop(looped.vxlan, at(4, 1), looped.veth);
+
+  EngineConfig cfg;
+  cfg.routing_mode = mode;
+  ProbeEngine engine{topo, overlay, faults, RngStream{2026}, cfg};
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
+  const auto fold = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xffu)) * 0x100000001b3ull;
+    }
+  };
+  for (int round = 0; round < 40; ++round) {
+    const SimTime t = SimTime::seconds(1 + 2 * round);
+    if (round == 15) {  // mid-schedule: a slow RNIC under the shared link
+      sim::FaultEffect slow;
+      slow.loss_probability = 0.01;
+      slow.extra_latency_us = 0.3;
+      faults.inject(sim::IssueType::kRnicFirmwareNotResponding,
+                    {sim::ComponentKind::kRnic, at(0, 0).rnic.value()}, t,
+                    forever, slow);
+    }
+    if (round == 25) faults.repair(repaired, t);
+    for (const auto& s : eps) {
+      for (const auto& d : eps) {
+        if (s.container == d.container) continue;
+        const auto r = engine.probe(s, d, t);
+        fold(r.delivered ? 1 : 0);
+        fold(std::bit_cast<std::uint64_t>(r.rtt_us));
+        fold(r.path_id);
+      }
+    }
+  }
+  return h;
+}
+
+TEST(EngineFingerprint, ProbeStreamMatchesTheRecordedStream) {
+  // Recorded before the probe path was rewritten for one fault pass and no
+  // allocation; any drift in RNG draws, path ids or floating-point
+  // accumulation order changes these.
+  struct Expected {
+    topo::RoutingMode mode;
+    std::uint64_t fingerprint;
+  };
+  const Expected expected[] = {
+      {topo::RoutingMode::kStaticEcmp, 0x29fe612b7c4ef258ull},
+      {topo::RoutingMode::kSpray, 0x8fc070a767b858cfull},
+      {topo::RoutingMode::kAdaptive, 0x93f53b2f57c075c7ull},
+  };
+  for (const auto& e : expected) {
+    EXPECT_EQ(probe_stream_fingerprint(e.mode), e.fingerprint)
+        << topo::to_string(e.mode) << std::hex << " got 0x"
+        << probe_stream_fingerprint(e.mode);
+  }
 }
 
 }  // namespace

@@ -308,6 +308,31 @@ TEST(Topology, SwitchLinkAgreesWithAdjacencyScan) {
   EXPECT_THROW((void)t.switch_link(tor_a, tor_b), std::logic_error);
 }
 
+TEST(Topology, RouteViaIntoAReusedPathMatchesByValue) {
+  // The out-parameter form refills one Path across pairs of every shape
+  // (intra-host, same ToR, in-rail, cross-rail) and member: nothing of the
+  // previous route may survive into the next.
+  const auto t = Topology::build(small_config());
+  Path reused;
+  std::size_t routed = 0;
+  for (std::uint32_t i = 0; i < t.num_rnics(); ++i) {
+    for (std::uint32_t j = 0; j < t.num_rnics(); j += 3) {
+      const RnicId a{i};
+      const RnicId b{(i * 7 + j) % t.num_rnics()};
+      for (std::uint32_t m = 0; m < t.num_paths(a, b); ++m) {
+        t.route_via(a, b, m, reused);
+        const Path fresh = t.route_via(a, b, m);
+        ASSERT_EQ(reused.intra_host, fresh.intra_host);
+        ASSERT_EQ(reused.links, fresh.links);
+        ASSERT_EQ(reused.switches, fresh.switches);
+        ASSERT_EQ(reused.one_way_latency_us, fresh.one_way_latency_us);
+        ++routed;
+      }
+    }
+  }
+  EXPECT_GT(routed, t.num_rnics() * 4u);
+}
+
 class ScaleSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(ScaleSweep, AllPairsRoutable) {
