@@ -81,15 +81,13 @@ WindowSummary robust_summary(std::span<const double> sorted, double iqr_mult,
 
 AnomalyDetector::AnomalyDetector(DetectorConfig cfg)
     : cfg_(cfg),
-      index_(common::FlatTableConfig{cfg.expected_pairs,
-                                     cfg.pair_table_fullness}),
+      index_(common::FlatTableConfig{.capacity = cfg.expected_pairs}),
       // A close pushes the new window before evicting the oldest, so the
       // ring holds up to lookback + 1 points (the constructor rejects
       // depths a LofRing cannot index). A slot's feature plus its sorted
       // median make 8 doubles, so every block is a whole number of lines.
       lof_(cfg.lof, cfg.lookback_windows + 1, kFeatureDim),
-      lookback_stride_(lof_.slots() * (kFeatureDim + 1)),
-      own_registry_(std::make_unique<obs::MetricsRegistry>()) {
+      lookback_stride_(lof_.slots() * (kFeatureDim + 1)) {
   if (cfg_.expected_pairs > 0) {
     hot_.reserve(cfg_.expected_pairs);
     cold_.reserve(cfg_.expected_pairs);
@@ -97,34 +95,6 @@ AnomalyDetector::AnomalyDetector(DetectorConfig cfg)
     lookback_.reserve(cfg_.expected_pairs * lookback_stride_);
     if (cfg_.track_paths) paths_.reserve(cfg_.expected_pairs * kPathSlots);
   }
-  bind_metrics(*own_registry_);
-}
-
-void AnomalyDetector::bind_metrics(obs::MetricsRegistry& r) {
-  metrics_ = &r;
-  id_probes_ = r.counter_id("detector.probes_ingested");
-  id_delivered_ = r.counter_id("detector.samples_delivered");
-  id_short_closed_ = r.counter_id("detector.short_windows_closed");
-  id_long_closed_ = r.counter_id("detector.long_windows_closed");
-  id_gate_skips_ = r.counter_id("detector.lof_gate_skips");
-  id_events_ = r.counter_id("detector.events_emitted");
-  id_insufficient_ = r.counter_id("detector.windows_insufficient");
-  id_dup_rejected_ = r.counter_id("detector.duplicates_rejected");
-  id_stale_rejected_ = r.counter_id("detector.stale_rejected");
-  m_probes_ = r.bind_counter(id_probes_);
-  m_delivered_ = r.bind_counter(id_delivered_);
-  m_short_closed_ = r.bind_counter(id_short_closed_);
-  m_long_closed_ = r.bind_counter(id_long_closed_);
-  m_gate_skips_ = r.bind_counter(id_gate_skips_);
-  m_events_ = r.bind_counter(id_events_);
-  m_insufficient_ = r.bind_counter(id_insufficient_);
-  m_dup_rejected_ = r.bind_counter(id_dup_rejected_);
-  m_stale_rejected_ = r.bind_counter(id_stale_rejected_);
-}
-
-void AnomalyDetector::attach_obs(obs::Context* ctx) {
-  obs_ = ctx;
-  bind_metrics(ctx != nullptr ? ctx->registry : *own_registry_);
 }
 
 AnomalyDetector::PairHandle AnomalyDetector::handle_of(
@@ -210,17 +180,17 @@ std::size_t AnomalyDetector::ingest(PairHandle h, const Observation& o,
   const std::size_t before = out.size();
   const SimTime sent_at = o.sent_at;
   PairHot& st = hot_[h];
-  m_probes_.inc();
+  ++counters_.probes_ingested;
 
   // Gray-telemetry rejection, before any window state is touched: a lying
   // delivery must not close windows, drag the grid, or double-count.
   if (o.seq != 0) {
     if (o.seq == st.last_seq && sent_at == st.last_sent) {
-      m_dup_rejected_.inc();  // duplicated delivery: counted exactly once
+      ++counters_.duplicates_rejected;  // duplicated delivery, counted once
       return 0;
     }
     if (o.seq < st.last_seq && sent_at <= st.last_sent) {
-      m_stale_rejected_.inc();  // reordered straggler from an earlier round
+      ++counters_.stale_rejected;  // reordered straggler from an earlier round
       return 0;
     }
   }
@@ -229,7 +199,7 @@ std::size_t AnomalyDetector::ingest(PairHandle h, const Observation& o,
     // delivery delayed across a close. Window attribution would be wrong
     // whatever we did, so drop it (a legitimate sequence reset after a
     // replan always carries a fresh timestamp and is unaffected).
-    m_stale_rejected_.inc();
+    ++counters_.stale_rejected;
     return 0;
   }
   if (o.seq != 0) {
@@ -269,7 +239,7 @@ std::size_t AnomalyDetector::ingest(PairHandle h, const Observation& o,
 
   ++st.short_sent;
   if (o.delivered) {
-    m_delivered_.inc();
+    ++counters_.samples_delivered;
     // Long-window accumulation is folded into the short-window close: the
     // long window is a short-window multiple on the same grid, so every
     // long close is preceded by the short close covering its tail.
@@ -299,7 +269,7 @@ std::size_t AnomalyDetector::ingest(PairHandle h, const Observation& o,
   // members, so per-window member counts are too thin to judge alone.
   if (cfg_.track_paths) note_path(h, o.path_id, o.delivered, o.rtt_us);
   const std::size_t fired = out.size() - before;
-  m_events_.add(fired);
+  counters_.events_emitted += fired;
   return fired;
 }
 
@@ -445,21 +415,13 @@ void AnomalyDetector::close_short_window(PairHandle h, SimTime at,
   __builtin_prefetch(push_at, 1);
   __builtin_prefetch(push_at + kFeatureDim - 1, 1);
   __builtin_prefetch(pts + lof_.slot(ring, 0) * kFeatureDim + kFeatureP50);
-  m_short_closed_.inc();
-  if (obs_ != nullptr) {
-    obs_->tracer.instant("detector", "window.short.close", at, hot.short_sent,
-                         hot.short_lost);
-  }
+  ++counters_.short_windows_closed;
   if (cfg_.window_quorum > 0 && hot.short_sent < cfg_.window_quorum) {
     // Below quorum the window is kInsufficient: no verdict of any kind,
     // and its samples never reach the long-term accumulators either — a
     // response-dropping measurement plane starves the detector instead of
     // feeding it windows whose statistics are noise.
-    m_insufficient_.inc();
-    if (obs_ != nullptr) {
-      obs_->tracer.instant("detector", "window.short.insufficient", at,
-                           hot.short_sent, hot.short_lost);
-    }
+    ++counters_.windows_insufficient;
     log_window(cold.pair, w_start, at, hot.short_sent, hot.short_lost, 0.0f,
                0.0f, obs::kWindowInsufficient);
     hot.short_open = false;
@@ -519,13 +481,10 @@ void AnomalyDetector::close_short_window(PairHandle h, SimTime at,
             ref_median > 0.0 ? (summary.p50 - ref_median) / ref_median : 0.0;
         if (shift >= cfg_.min_relative_shift) {
           const double score = lof_.last_score(ring, pts);
-          ++lof_scores_;
-          lof_kdist_rebuilds_ += ring.size;
+          ++counters_.lof_fast_path;
+          counters_.lof_kdist_rebuilds += ring.size;
           log_score = static_cast<float>(score);
           log_flags |= obs::kWindowScored;
-          if (obs_ != nullptr) {
-            obs_->tracer.instant("detector", "lof.score", at, 0, 0, score);
-          }
           if (score > cfg_.lof.outlier_threshold) {
             events.push_back(AnomalyEvent{cold.pair, at,
                                           AnomalyKind::kLatencyShortTerm,
@@ -533,11 +492,7 @@ void AnomalyDetector::close_short_window(PairHandle h, SimTime at,
             log_flags |= obs::kWindowLofFired;
           }
         } else {
-          m_gate_skips_.inc();
-          if (obs_ != nullptr) {
-            obs_->tracer.instant("detector", "lof.gate_skip", at, 0, 0,
-                                 shift);
-          }
+          ++counters_.lof_gate_skips;
         }
       }
       double* const ins = std::upper_bound(p50s, p50s + p50n, summary.p50);
@@ -578,10 +533,7 @@ void AnomalyDetector::close_long_window(PairHandle h, SimTime at,
                                         std::vector<AnomalyEvent>& events) {
   PairHot& hot = hot_[h];
   PairCold& cold = cold_[h];
-  m_long_closed_.inc();
-  if (obs_ != nullptr) {
-    obs_->tracer.instant("detector", "window.long.close", at, cold.long_seen);
-  }
+  ++counters_.long_windows_closed;
   const std::size_t n = cold.long_seen;
   std::uint32_t log_flags = obs::kWindowLong;
   float log_score = 0.0f;
@@ -659,7 +611,7 @@ std::vector<AnomalyEvent> AnomalyDetector::flush(SimTime now) {
     if (hot_[id].parked) recycle(id);
   }
   parked_.clear();
-  m_events_.add(events.size());
+  counters_.events_emitted += events.size();
   return events;
 }
 
@@ -739,22 +691,6 @@ void AnomalyDetector::restore(const Snapshot& snap) {
   lookback_ = snap.lookback_;
   paths_ = snap.paths_;
   parked_ = snap.parked_;
-}
-
-DetectorCounters AnomalyDetector::counters() const {
-  DetectorCounters c;
-  c.probes_ingested = metrics_->counter_total(id_probes_);
-  c.samples_delivered = metrics_->counter_total(id_delivered_);
-  c.short_windows_closed = metrics_->counter_total(id_short_closed_);
-  c.long_windows_closed = metrics_->counter_total(id_long_closed_);
-  c.lof_gate_skips = metrics_->counter_total(id_gate_skips_);
-  c.events_emitted = metrics_->counter_total(id_events_);
-  c.windows_insufficient = metrics_->counter_total(id_insufficient_);
-  c.duplicates_rejected = metrics_->counter_total(id_dup_rejected_);
-  c.stale_rejected = metrics_->counter_total(id_stale_rejected_);
-  c.lof_fast_path = lof_scores_;
-  c.lof_kdist_rebuilds = lof_kdist_rebuilds_;
-  return c;
 }
 
 }  // namespace skh::core

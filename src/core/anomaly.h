@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -47,7 +46,7 @@
 #include "ml/lof.h"
 #include "ml/stats_tests.h"
 #include "ml/streaming_lof.h"
-#include "obs/context.h"
+#include "obs/recorder.h"
 
 namespace skh::core {
 
@@ -150,8 +149,6 @@ struct DetectorConfig {
   /// rehash. The hunter sets this from its ping lists; 0 starts minimal
   /// and grows by doubling.
   std::size_t expected_pairs = 0;
-  /// Occupied fraction the pair table is sized for (see FlatTableConfig).
-  double pair_table_fullness = 0.5;
   /// Per-path sub-series for sprayed/adaptive pairs: each pair keeps a
   /// bounded table of per-member {sent, lost, rtt} accumulators keyed by
   /// Observation::path_id, evaluated differentially at short-window closes
@@ -162,9 +159,11 @@ struct DetectorConfig {
   bool track_paths = false;
 };
 
-/// Ingest-side observability counters, aggregated by `core/metrics` across
-/// campaign fleets (defined here rather than in metrics.h because metrics
-/// sits above the detector in the include graph).
+/// Ingest-side counters: plain per-detector counts, summed across shards by
+/// `ShardedDetector` (which publishes them as the `detector.*` registry
+/// series) and across campaign fleets by `core/metrics` (defined here
+/// rather than in metrics.h because metrics sits above the detector in the
+/// include graph).
 struct DetectorCounters {
   std::uint64_t probes_ingested = 0;
   std::uint64_t samples_delivered = 0;
@@ -214,13 +213,6 @@ class AnomalyDetector {
   using PairHandle = common::FlatPairTable::SlotId;
 
   explicit AnomalyDetector(DetectorConfig cfg = {});
-
-  /// Attach the observability context (nullptr reverts to the detector's
-  /// private registry). The ingest counters become `detector.*` series on
-  /// the context's registry; only counts recorded after the attach land
-  /// there, so attach before the first ingest (the `Experiment` does).
-  /// Binds on the calling thread — the thread that will drive `ingest`.
-  void attach_obs(obs::Context* ctx);
 
   /// Enable/disable the closed-window log feeding the flight recorder and
   /// the window-residence latency histogram. Off by default; the sharded
@@ -300,8 +292,10 @@ class AnomalyDetector {
     index_.for_each([&f](const EndpointPair& p, PairHandle) { f(p); });
   }
 
-  /// Ingest counters, including the LOF scoring counts. O(1).
-  [[nodiscard]] DetectorCounters counters() const;
+  /// Ingest counters, including the LOF scoring counts.
+  [[nodiscard]] const DetectorCounters& counters() const noexcept {
+    return counters_;
+  }
 
   /// Opaque copy of the full per-pair analysis state (pair table, hot
   /// lines, sample strips, LOF look-back blocks, long-term baselines,
@@ -309,9 +303,10 @@ class AnomalyDetector {
   /// value-semantic — the table, strip and look-back arenas copy as flat
   /// bytes — so a plain copy IS the serialized form; restoring it and
   /// continuing is bit-identical to never having stopped, and handles
-  /// resolved before the snapshot stay valid after a restore. Config and
-  /// observability bindings are not part of the snapshot (they belong to
-  /// the process, not the analysis).
+  /// resolved before the snapshot stay valid after a restore. Config,
+  /// counters and the window log are not part of the snapshot (they belong
+  /// to the process, not the analysis), so restoring a freshly constructed
+  /// detector's snapshot is a cold reset that keeps them.
   class Snapshot;
   [[nodiscard]] Snapshot snapshot() const;
   /// Overwrite the analysis state with `snap`. Counters are NOT rolled
@@ -424,9 +419,6 @@ class AnomalyDetector {
   /// Reset a recycled slot to freshly-constructed state. The look-back
   /// block keeps its stale doubles: the reset ring makes them unreachable.
   void recycle(PairHandle h);
-  /// (Re)bind the counter handles onto `r` and remember the ids so
-  /// `counters()` can read totals back.
-  void bind_metrics(obs::MetricsRegistry& r);
   /// Append one closed-window record to the bounded log (no-op when
   /// logging is off; counts a drop when the log is full).
   void log_window(const EndpointPair& pair, SimTime start, SimTime end,
@@ -482,26 +474,10 @@ class AnomalyDetector {
   std::vector<obs::WindowRecord> window_log_;
   std::size_t window_log_cap_ = 4096;
   std::uint64_t window_log_drops_ = 0;
-  // LOF scoring counts. Plain members rather than registry series (the
-  // scrape carries no LOF split); like the registry counters they are
-  // process telemetry, untouched by restore, extract and adopt.
-  std::uint64_t lof_scores_ = 0;
-  std::uint64_t lof_kdist_rebuilds_ = 0;
-
-  // The ingest counters live on a MetricsRegistry — the attached context's
-  // when present, otherwise this private one — so `counters()` and a
-  // registry scrape always agree. Handles stay bound (never null) either
-  // way, keeping the hot path at one predictable indirect increment.
-  obs::Context* obs_ = nullptr;
-  std::unique_ptr<obs::MetricsRegistry> own_registry_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::uint32_t id_probes_ = 0, id_delivered_ = 0, id_short_closed_ = 0,
-                id_long_closed_ = 0, id_gate_skips_ = 0, id_events_ = 0,
-                id_insufficient_ = 0, id_dup_rejected_ = 0,
-                id_stale_rejected_ = 0;
-  obs::Counter m_probes_, m_delivered_, m_short_closed_, m_long_closed_,
-      m_gate_skips_, m_events_, m_insufficient_, m_dup_rejected_,
-      m_stale_rejected_;
+  // Monotonic process telemetry, untouched by restore, extract and adopt.
+  // On its own cache line: the shards of a `ShardedDetector` bump their
+  // counters from different pool threads on every probe.
+  alignas(64) DetectorCounters counters_;
 
  public:
   // Defined after the private pair-state types it copies; nested classes

@@ -259,11 +259,6 @@ std::map<sim::ComponentRef, Localizer::PathTally> Localizer::tally_paths(
 }
 
 std::vector<sim::ComponentRef> Localizer::physical_intersection(
-    const std::vector<EndpointPair>& pairs) const {
-  return physical_intersection(pairs, {});
-}
-
-std::vector<sim::ComponentRef> Localizer::physical_intersection(
     const std::vector<EndpointPair>& pairs,
     std::span<const PathScopedAnomaly> path_hints) const {
   const auto tally = tally_paths(pairs, path_hints);
@@ -298,11 +293,6 @@ std::vector<sim::ComponentRef> Localizer::physical_intersection(
         .push_back(c);
   }
   return links.empty() ? switches : links;
-}
-
-std::vector<LocalizationVote> Localizer::physical_intersection_votes(
-    const std::vector<EndpointPair>& pairs) const {
-  return physical_intersection_votes(pairs, {});
 }
 
 std::vector<LocalizationVote> Localizer::physical_intersection_votes(
@@ -461,11 +451,6 @@ Localization Localizer::endpoint_pattern(
   }
   loc.method = LocalizationMethod::kUnlocalized;
   return loc;
-}
-
-Localization Localizer::localize(
-    const std::vector<EndpointPair>& anomalous_pairs, SimTime at) {
-  return localize(anomalous_pairs, at, {});
 }
 
 Localization Localizer::localize(

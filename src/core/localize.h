@@ -129,16 +129,12 @@ class Localizer {
   /// episodes, drawing from `rng`. The pointer must outlive the localizer.
   void attach_telemetry(const sim::TelemetryFaultPlan* plan, RngStream rng);
 
-  /// Full Algorithm-1 pipeline over one failure case.
-  [[nodiscard]] Localization localize(
-      const std::vector<EndpointPair>& anomalous_pairs, SimTime at);
-
-  /// Same pipeline with path-scoped evidence: pairs listed in `path_hints`
-  /// vote only on their hinted equal-cost members' components (spray-aware
-  /// tomography). The 2-arg form is equivalent to an empty hint span.
+  /// Full Algorithm-1 pipeline over one failure case. Pairs listed in
+  /// `path_hints` vote only on their hinted equal-cost members' components
+  /// (spray-aware tomography).
   [[nodiscard]] Localization localize(
       const std::vector<EndpointPair>& anomalous_pairs, SimTime at,
-      std::span<const PathScopedAnomaly> path_hints);
+      std::span<const PathScopedAnomaly> path_hints = {});
 
   // --- Algorithm 1 building blocks (exposed for unit tests) ---------------
   /// OverlayReachability(L_O): replay the logical chain of one pair
@@ -156,10 +152,8 @@ class Localizer {
   /// hinted members' components only. Returns the max-weight components
   /// when the best weight strictly exceeds one pair's worth of evidence.
   [[nodiscard]] std::vector<sim::ComponentRef> physical_intersection(
-      const std::vector<EndpointPair>& pairs) const;
-  [[nodiscard]] std::vector<sim::ComponentRef> physical_intersection(
       const std::vector<EndpointPair>& pairs,
-      std::span<const PathScopedAnomaly> path_hints) const;
+      std::span<const PathScopedAnomaly> path_hints = {}) const;
 
   /// The raw tally behind physical_intersection, in ComponentRef order per
   /// source: "intersection" entries (forward crossings, count ≥ 2 —
@@ -167,10 +161,8 @@ class Localizer {
   /// entries (0.5 x reverse crossings, ≥ 2 of them), then "path" entries
   /// (hinted-member crossings, count ≥ 2).
   [[nodiscard]] std::vector<LocalizationVote> physical_intersection_votes(
-      const std::vector<EndpointPair>& pairs) const;
-  [[nodiscard]] std::vector<LocalizationVote> physical_intersection_votes(
       const std::vector<EndpointPair>& pairs,
-      std::span<const PathScopedAnomaly> path_hints) const;
+      std::span<const PathScopedAnomaly> path_hints = {}) const;
 
   /// Validate the RNICs of the pairs' endpoints: dump OVS vs offloaded flow
   /// tables and return RNICs with inconsistencies.

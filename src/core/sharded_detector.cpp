@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "common/rng.h"
 
@@ -21,6 +23,24 @@ constexpr auto window_before = [](const obs::WindowRecord& a,
   // A flush can close a pair's short and long window at the same boundary
   // with the same start; the long flag breaks the tie.
   return a.flags < b.flags;
+};
+
+/// The published DetectorCounters fields and their series names.
+constexpr std::pair<const char*, std::uint64_t DetectorCounters::*>
+    kPublishedSeries[] = {
+        {"detector.probes_ingested", &DetectorCounters::probes_ingested},
+        {"detector.samples_delivered", &DetectorCounters::samples_delivered},
+        {"detector.short_windows_closed",
+         &DetectorCounters::short_windows_closed},
+        {"detector.long_windows_closed",
+         &DetectorCounters::long_windows_closed},
+        {"detector.lof_gate_skips", &DetectorCounters::lof_gate_skips},
+        {"detector.events_emitted", &DetectorCounters::events_emitted},
+        {"detector.windows_insufficient",
+         &DetectorCounters::windows_insufficient},
+        {"detector.duplicates_rejected",
+         &DetectorCounters::duplicates_rejected},
+        {"detector.stale_rejected", &DetectorCounters::stale_rejected},
 };
 
 }  // namespace
@@ -59,8 +79,8 @@ ShardedDetector::ShardedDetector(DetectorConfig cfg, std::size_t n_shards,
     : cfg_(cfg),
       ring_(std::max<std::size_t>(1, n_shards)),
       pool_(pool),
-      router_(common::FlatTableConfig{cfg.expected_pairs,
-                                      cfg.pair_table_fullness}) {
+      router_(common::FlatTableConfig{.capacity = cfg.expected_pairs}) {
+  static_assert(std::size(kPublishedSeries) == kPublished);
   const std::size_t n = std::max<std::size_t>(1, n_shards);
   // Per-shard table capacity: the ring spreads the expectation close to
   // evenly; 1/4 headroom keeps a mildly skewed split rehash-free too.
@@ -78,8 +98,8 @@ ShardedDetector::ShardedDetector(DetectorConfig cfg, std::size_t n_shards,
   batch_fired_.resize(n);
   cursor_.resize(n);
   runs_.reserve(n);
-  shard_items_.resize(n, 0);
-  shard_items_published_.resize(n, 0);
+  m_pairs_owned_.resize(n);
+  m_items_routed_.resize(n);
 }
 
 void ShardedDetector::attach_obs(obs::Context* ctx) {
@@ -88,68 +108,38 @@ void ShardedDetector::attach_obs(obs::Context* ctx) {
   // closed windows to its own bounded log (no shared state, pool-safe) and
   // the hunter drains through drain_window_log.
   for (auto& shard : shards_) shard->set_window_logging(ctx != nullptr);
-  if (shards_.size() == 1) {
-    // Single shard: the legacy path, counters and tracer instants land on
-    // the context directly.
-    shards_[0]->attach_obs(ctx);
-    return;
+  m_detector_ = {};
+  m_pairs_owned_.assign(shards_.size(), {});
+  m_items_routed_.assign(shards_.size(), {});
+  m_merge_stall_ = {};
+  if (ctx == nullptr) return;
+  auto& r = ctx->registry;
+  for (std::size_t i = 0; i < kPublished; ++i) {
+    m_detector_[i] = r.bind_counter(r.counter_id(kPublishedSeries[i].first));
   }
-  // Multi-shard: shards record into their private registries (pool jobs
-  // must not share one registry's cells); sync_obs publishes the deltas.
-}
-
-void ShardedDetector::sync_obs() {
-  if (obs_ == nullptr) return;
-  auto& r = obs_->registry;
-  // Facade-side load/skew series — they exist at every shard count and
-  // are the data a migrate_range decision reads. All of them carry
-  // ".shard" in the name: the scrape-identity contract is that every
-  // series WITHOUT that marker is byte-identical across shard counts,
-  // while these describe the partitioning itself.
   char name[64];
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     std::snprintf(name, sizeof name, "detector.shard%zu.pairs_owned", s);
-    r.bind_gauge(r.gauge_id(name))
-        .set(static_cast<double>(shards_[s]->pair_count()));
+    m_pairs_owned_[s] = r.bind_gauge(r.gauge_id(name));
     std::snprintf(name, sizeof name, "detector.shard%zu.items_routed", s);
-    r.bind_counter(r.counter_id(name))
-        .add(shard_items_[s] - shard_items_published_[s]);
-    shard_items_published_[s] = shard_items_[s];
+    m_items_routed_[s] = r.bind_counter(r.counter_id(name));
   }
-  r.bind_counter(r.counter_id("detector.shard.merge_stall_items"))
-      .add(merge_stall_items_ - merge_stall_published_);
-  merge_stall_published_ = merge_stall_items_;
-  if (shards_.size() == 1) return;
+  m_merge_stall_ =
+      r.bind_counter(r.counter_id("detector.shard.merge_stall_items"));
+  published_ = counters();
+}
+
+void ShardedDetector::publish() {
+  if (obs_ == nullptr) return;
   const DetectorCounters cur = counters();
-  // Unconditional: a zero-valued series must still exist, or the scrape
-  // would differ from the single-shard registry path (which registers
-  // every name eagerly at attach) and break cross-shard-count identity.
-  const auto publish = [&r](const char* name, std::uint64_t now,
-                            std::uint64_t before) {
-    r.bind_counter(r.counter_id(name)).add(now - before);
-  };
-  // The same nine series the single-detector registry path records; the
-  // LOF scoring counts stay counters()-only there too (they are detector
-  // members, not registry series).
-  publish("detector.probes_ingested", cur.probes_ingested,
-          published_.probes_ingested);
-  publish("detector.samples_delivered", cur.samples_delivered,
-          published_.samples_delivered);
-  publish("detector.short_windows_closed", cur.short_windows_closed,
-          published_.short_windows_closed);
-  publish("detector.long_windows_closed", cur.long_windows_closed,
-          published_.long_windows_closed);
-  publish("detector.lof_gate_skips", cur.lof_gate_skips,
-          published_.lof_gate_skips);
-  publish("detector.events_emitted", cur.events_emitted,
-          published_.events_emitted);
-  publish("detector.windows_insufficient", cur.windows_insufficient,
-          published_.windows_insufficient);
-  publish("detector.duplicates_rejected", cur.duplicates_rejected,
-          published_.duplicates_rejected);
-  publish("detector.stale_rejected", cur.stale_rejected,
-          published_.stale_rejected);
+  for (std::size_t i = 0; i < kPublished; ++i) {
+    const auto field = kPublishedSeries[i].second;
+    m_detector_[i].add(cur.*field - published_.*field);
+  }
   published_ = cur;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    m_pairs_owned_[s].set(static_cast<double>(shards_[s]->pair_count()));
+  }
 }
 
 ShardedDetector::GlobalHandle ShardedDetector::handle_of(
@@ -210,9 +200,18 @@ std::size_t ShardedDetector::ingest_batch(
       fired_per_item[i] = static_cast<std::uint32_t>(
           det.ingest(local_of_[it.handle], it.obs, events));
     }
-    shard_items_[0] += items.size();
-    return events.size();
+    m_items_routed_[0].add(items.size());
+  } else {
+    ingest_partitioned(items, events, fired_per_item);
   }
+  publish();
+  return events.size();
+}
+
+void ShardedDetector::ingest_partitioned(
+    std::span<const BatchItem> items, std::vector<AnomalyEvent>& events,
+    std::vector<std::uint32_t>& fired_per_item) {
+  const std::size_t n = shards_.size();
   for (std::size_t s = 0; s < n; ++s) {
     batch_items_[s].clear();
     batch_events_[s].clear();
@@ -229,13 +228,10 @@ std::size_t ShardedDetector::ingest_batch(
   // the merge barrier wasted waiting for the most-loaded shard this batch.
   std::size_t max_items = 0;
   for (std::size_t s = 0; s < n; ++s) {
-    shard_items_[s] += batch_items_[s].size();
+    m_items_routed_[s].add(batch_items_[s].size());
     max_items = std::max(max_items, batch_items_[s].size());
   }
-  if (!items.empty()) {
-    merge_stall_items_ += static_cast<std::uint64_t>(max_items) * n -
-                          items.size();
-  }
+  m_merge_stall_.add(max_items * n - items.size());
   const auto run_shard = [this, items](std::size_t s) {
     AnomalyDetector& det = *shards_[s];
     auto& fired = batch_fired_[s];
@@ -275,7 +271,6 @@ std::size_t ShardedDetector::ingest_batch(
     events.insert(events.end(), begin, begin + f.count);
     fired_per_item[f.item] = f.count;
   }
-  return events.size();
 }
 
 void ShardedDetector::drain_window_log(std::vector<obs::WindowRecord>& out) {
@@ -349,7 +344,7 @@ std::vector<AnomalyEvent> ShardedDetector::flush(SimTime now) {
     }
   }
   canonicalize_events(events);
-  sync_obs();
+  publish();
   return events;
 }
 

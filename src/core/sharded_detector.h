@@ -45,15 +45,17 @@
 // bit-identically (the unit of state is the pair, and it travels whole),
 // so a rebalanced campaign's verdicts match an unbalanced one's.
 //
-// Observability: at 1 shard the facade attaches the context directly to
-// its single detector — the legacy single-analyzer path, bit-identical
-// including tracer instants. At N > 1 shards each detector keeps a private
-// registry (two pool threads must never record into one registry
-// unsynchronized); `sync_obs` publishes the summed deltas into the
-// attached context at flush / cold-reset so campaign-level scrapes still
-// carry the detector.* series.
+// Observability: every shard counts into its own plain `DetectorCounters`
+// block (one cache line apart, since pool threads bump them on every
+// probe), and only the calling thread reads them, after the batch barrier.
+// With a context attached, one publish step at the end of every
+// `ingest_batch` and `flush` adds the summed counts to the nine
+// `detector.*` series and refreshes the per-shard load series — the same
+// path at every shard count, so a scrape between rounds reads the same
+// `detector.*` values at 1, 4 or 16 shards.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -93,7 +95,7 @@ class ShardRing {
 /// `AnomalyDetector` in the hunter: same handle/retire/flush/snapshot
 /// surface, same counters, with ingest by probe-round batch, plus the
 /// rebalance API. N == 1 degenerates to a thin wrapper around one
-/// detector (no pool dispatch, direct obs attach).
+/// detector (no pool dispatch).
 class ShardedDetector {
  public:
   /// Stable *global* pair id from the router table — shard-count-invariant
@@ -109,15 +111,13 @@ class ShardedDetector {
     Observation obs;
   };
 
-  /// See AnomalyDetector::attach_obs. With one shard the context is
-  /// attached directly (legacy path); with several it is retained for
-  /// `sync_obs` and the shards keep their private registries.
+  /// Attach the observability context (nullptr detaches). Binds the
+  /// `detector.*` series and the `detector.shard*` load series on the
+  /// calling thread and turns the shards' window logs on; from then on
+  /// every `ingest_batch` and `flush` ends by publishing the counts made
+  /// since the attach, so attach before the first ingest (the
+  /// `Experiment` does).
   void attach_obs(obs::Context* ctx);
-
-  /// Publish the shards' counter deltas into the attached context's
-  /// registry (no-op at 1 shard, where the context is attached directly).
-  /// Call when quiesced — end of campaign flush, cold reset.
-  void sync_obs();
 
   /// Get-or-create the global handle for a pair; assigns placement for
   /// newly discovered pairs via the ring. Order-learned: the id returned
@@ -198,6 +198,7 @@ class ShardedDetector {
 
   /// Summed ingest counters across shards. Rebalance-invariant: each
   /// close is counted once, by the shard that owned the pair at the time.
+  /// Like the shards' own, they survive `restore`.
   [[nodiscard]] DetectorCounters counters() const;
 
   /// Rebalance: move every mapped pair whose global id lies in [lo, hi)
@@ -207,9 +208,11 @@ class ShardedDetector {
 
   /// Opaque copy of the full analysis state: router, placement, and every
   /// shard's snapshot. Same contract as AnomalyDetector::Snapshot —
-  /// restore-and-continue is bit-identical to never having stopped.
-  /// Restore requires the same shard count (it is config, like the
-  /// detector's window geometry).
+  /// restore-and-continue is bit-identical to never having stopped, and
+  /// restoring a freshly constructed facade's snapshot is a cold reset
+  /// that keeps counters, obs bindings and window-log capacity. Restore
+  /// requires the same shard count (it is config, like the detector's
+  /// window geometry).
   class Snapshot;
   [[nodiscard]] Snapshot snapshot() const;
   void restore(const Snapshot& snap);
@@ -217,6 +220,20 @@ class ShardedDetector {
  private:
   /// Placement of one mapped global id; kUnplaced marks a recycled id.
   static constexpr std::uint32_t kUnplaced = static_cast<std::uint32_t>(-1);
+  /// DetectorCounters fields published as `detector.*` series. The LOF
+  /// scoring counts stay `counters()`-only (the scrape carries no LOF
+  /// split).
+  static constexpr std::size_t kPublished = 9;
+
+  /// The multi-shard body of `ingest_batch`: partition, one job per
+  /// shard, sparse merge by item index.
+  void ingest_partitioned(std::span<const BatchItem> items,
+                          std::vector<AnomalyEvent>& events,
+                          std::vector<std::uint32_t>& fired_per_item);
+  /// Add the counts made since the last publish to the `detector.*`
+  /// series and refresh the per-shard pair gauges; no-op when detached.
+  /// Runs on the calling thread after the shard jobs have joined.
+  void publish();
 
   DetectorConfig cfg_;
   ShardRing ring_;
@@ -259,18 +276,18 @@ class ShardedDetector {
   std::vector<Run> runs_;  ///< heap of non-empty runs, capacity = shards
 
   obs::Context* obs_ = nullptr;
-  DetectorCounters published_;  ///< registry-series totals already synced
-
-  // Per-shard load/skew accounting for rebalance decisions, published by
-  // sync_obs as `detector.shard<i>.*` series (facade-side, so it exists at
-  // any shard count). merge-stall = how many item-slots the batch barrier
-  // wasted waiting on the most-loaded shard: sum over batches of
-  // (max shard items × shards − total items). Zero means perfectly even
-  // routing; growth is the data a `migrate_range` decision wants.
-  std::vector<std::uint64_t> shard_items_;  ///< batch items routed, per shard
-  std::uint64_t merge_stall_items_ = 0;
-  std::uint64_t merge_stall_published_ = 0;
-  std::vector<std::uint64_t> shard_items_published_;
+  DetectorCounters published_;  ///< summed counters already published
+  std::array<obs::Counter, kPublished> m_detector_;
+  // Per-shard load/skew series for rebalance decisions (facade-side, so
+  // they exist at any shard count): pairs owned, batch items routed, and
+  // the merge stall — how many item-slots the batch barrier wasted waiting
+  // on the most-loaded shard, summed over batches as (max shard items ×
+  // shards − total items). Zero means perfectly even routing; growth is
+  // the data a `migrate_range` decision wants. Every name carries
+  // ".shard": the scrape-identity contract exempts exactly these.
+  std::vector<obs::Gauge> m_pairs_owned_;
+  std::vector<obs::Counter> m_items_routed_;
+  obs::Counter m_merge_stall_;
 
  public:
   class Snapshot {

@@ -59,18 +59,18 @@ SkeletonHunter::SkeletonHunter(const topo::Topology& topo,
       detector_(cfg_.detector,
                 std::max<std::size_t>(1, cfg_.analyzer_shards),
                 shard_pool_.get()),
+      fresh_detector_(detector_.snapshot()),
       oracle_(faults, rng.fork("oracle")),
       localizer_(topo, overlay, oracle_, faults, cfg_.localizer),
       telemetry_(cfg_.telemetry, rng.fork("telemetry")) {
   // cfg_ is a by-value member, so its telemetry plan outlives the localizer.
   localizer_.attach_telemetry(&cfg_.telemetry,
                               rng.fork("traceroute-telemetry"));
-  if (cfg_.auto_blacklist) {
-    orch_.set_placement_filter([this](HostId host) {
-      return blacklist_.host_schedulable(host,
-                                         topo_.config().rails_per_host);
-    });
-  }
+  // §8: no new task is scheduled onto a blacklisted component until it is
+  // repaired.
+  orch_.set_placement_filter([this](HostId host) {
+    return blacklist_.host_schedulable(host, topo_.config().rails_per_host);
+  });
   orch_.on_container_created(
       [this](const cluster::ContainerInfo& ci) { on_created(ci); });
   orch_.on_container_running(
@@ -344,7 +344,6 @@ std::optional<InferredSkeleton> SkeletonHunter::supply_observations(
     TaskId task, const std::vector<EndpointObservation>& obs) {
   const auto mit = monitors_.find(task);
   if (mit == monitors_.end() || !mit->second.active) return std::nullopt;
-  if (!cfg_.use_skeleton) return std::nullopt;
   auto& m = mit->second;
   if (!m.degraded) return try_apply_skeleton(task, obs);
 
@@ -392,15 +391,13 @@ std::optional<InferredSkeleton> SkeletonHunter::try_apply_skeleton(
                  task.value(), "; keeping basic ping list");
     return std::nullopt;
   }
-  if (cfg_.validate_fidelity) {
-    const auto fidelity = validate_skeleton(inferred->pairs, obs,
-                                            cfg_.fidelity);
-    if (!fidelity.acceptable(cfg_.fidelity)) {
-      SKH_LOG_WARN("skeleton-hunter", "skeleton fidelity ", fidelity.score,
-                   " below threshold for task ", task.value(),
-                   "; keeping basic ping list");
-      return std::nullopt;
-    }
+  const auto fidelity = validate_skeleton(inferred->pairs, obs,
+                                          cfg_.fidelity);
+  if (!fidelity.acceptable(cfg_.fidelity)) {
+    SKH_LOG_WARN("skeleton-hunter", "skeleton fidelity ", fidelity.score,
+                 " below threshold for task ", task.value(),
+                 "; keeping basic ping list");
+    return std::nullopt;
   }
   mit->second.current_list = skeleton_ping_list(inferred->pairs);
   mit->second.skeleton_applied = true;
@@ -432,22 +429,7 @@ void SkeletonHunter::tick() {
       obs_->tracer.instant("hunter", "analyzer.blackout", now, ticks_, 0);
     }
   } else if (!blackout && in_blackout_) {
-    restore(*blackout_snapshot_);
-    blackout_snapshot_.reset();
-    in_blackout_ = false;
-    last_restore_ = now;
-    ++restores_;
-    m_restores_.inc();
-    for (auto& c : cases_) {
-      if (!c.closed) {
-        c.timeline.add(now, "analyzer.restore",
-                       "warm restart from blackout checkpoint; case resumed");
-      }
-    }
-    if (obs_ != nullptr) {
-      obs_->tracer.instant("hunter", "analyzer.restore", now, ticks_,
-                           cases_.size());
-    }
+    leave_blackout(now);
   }
   // Probe: every agent runs its round regardless of analyzer health (the
   // sidecars are separate processes), appending to one shared round buffer
@@ -517,6 +499,25 @@ SkeletonHunter::Snapshot SkeletonHunter::checkpoint() const {
   return s;
 }
 
+void SkeletonHunter::leave_blackout(SimTime now) {
+  restore(*blackout_snapshot_);
+  blackout_snapshot_.reset();
+  in_blackout_ = false;
+  last_restore_ = now;
+  ++restores_;
+  m_restores_.inc();
+  for (auto& c : cases_) {
+    if (!c.closed) {
+      c.timeline.add(now, "analyzer.restore",
+                     "warm restart from blackout checkpoint; case resumed");
+    }
+  }
+  if (obs_ != nullptr) {
+    obs_->tracer.instant("hunter", "analyzer.restore", now, ticks_,
+                         cases_.size());
+  }
+}
+
 void SkeletonHunter::restore(const Snapshot& snap) {
   detector_.restore(snap.detector_);
   cases_ = snap.cases_;
@@ -527,13 +528,10 @@ void SkeletonHunter::restore(const Snapshot& snap) {
 }
 
 void SkeletonHunter::cold_reset_analyzer() {
-  // Publish what the dying analyzer already counted — process telemetry is
-  // not analysis state and must survive the reset.
-  detector_.sync_obs();
-  detector_ = ShardedDetector(cfg_.detector,
-                              std::max<std::size_t>(1, cfg_.analyzer_shards),
-                              shard_pool_.get());
-  detector_.attach_obs(obs_);
+  // The detector's analysis state goes back to how it was constructed. Its
+  // counters, obs bindings and window-log capacity are process telemetry
+  // and config, not analysis state: restore() leaves them as they are.
+  detector_.restore(fresh_detector_);
   cases_.clear();
   blacklist_ = Blacklist{};
   // Collective diagnosis state (strikes, latches, pending hangs) dies with
@@ -965,13 +963,11 @@ void SkeletonHunter::close_case(FailureCase& c) {
   // §8: culprit components are banned from new placements until repaired.
   // A re-ban within hysteresis of the component's repair is the same
   // incident flapping: the ban sticks but the alert is dampened.
-  if (cfg_.auto_blacklist) {
-    for (const auto& culprit : c.localization.culprits) {
-      if (blacklist_.add(culprit, c.closed_at) == BanOutcome::kFlapReban) {
-        m_flap_rebans_.inc();
-        c.timeline.add(c.closed_at, "blacklist.flap",
-                       "re-ban within hysteresis of repair; alert dampened");
-      }
+  for (const auto& culprit : c.localization.culprits) {
+    if (blacklist_.add(culprit, c.closed_at) == BanOutcome::kFlapReban) {
+      m_flap_rebans_.inc();
+      c.timeline.add(c.closed_at, "blacklist.flap",
+                     "re-ban within hysteresis of repair; alert dampened");
     }
   }
   // Finalize the forensic bundle: the open-time emission is replaced by
@@ -1024,14 +1020,7 @@ void SkeletonHunter::finalize() {
   // A campaign ending mid-blackout still warm-restarts first: the in-flight
   // cases must be localized from the checkpoint, not lost with the dead
   // process.
-  if (in_blackout_) {
-    restore(*blackout_snapshot_);
-    blackout_snapshot_.reset();
-    in_blackout_ = false;
-    last_restore_ = events_.now();
-    ++restores_;
-    m_restores_.inc();
-  }
+  if (in_blackout_) leave_blackout(events_.now());
   const auto tail_events = detector_.flush(events_.now());
   drain_windows();
   std::map<TaskId, std::vector<AnomalyEvent>> per_task;

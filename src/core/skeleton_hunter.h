@@ -62,16 +62,12 @@ struct SkeletonHunterConfig {
   /// Distinct cases form when events arrive on disjoint pair sets; events on
   /// overlapping components within this window merge into one case.
   SimTime case_merge_window = SimTime::minutes(5);
-  bool use_skeleton = true;             ///< ablation: runtime optimization
   bool incremental_activation = true;   ///< ablation: registration gating
-  /// §7.3 mitigation: validate the inferred skeleton against the observed
-  /// bursts before trusting it; an unacceptable fidelity keeps the basic
-  /// list (covers debug clusters and unknown parallelism strategies).
-  bool validate_fidelity = true;
+  /// §7.3 mitigation: every inferred skeleton is validated against the
+  /// observed bursts before it is trusted; an unacceptable fidelity keeps
+  /// the basic list (covers debug clusters and unknown parallelism
+  /// strategies).
   FidelityConfig fidelity{};
-  /// §8: blacklist localized culprit components and install a placement
-  /// filter so no new task is scheduled onto them until repaired.
-  bool auto_blacklist = true;
   /// Churn reconciliation: after a mid-run restart/migration/crash the task
   /// degrades to the basic list, and inference re-runs only once every
   /// current (live) endpoint has at least this many *fresh* post-churn
@@ -289,6 +285,9 @@ class SkeletonHunter {
   /// the snapshot protects is genuinely destroyed, so the post-blackout
   /// state can only come from restore().
   void cold_reset_analyzer();
+  /// Blackout exit, at a tick or at finalize: warm-restart from the
+  /// blackout-entry checkpoint and note the restore on every open case.
+  void leave_blackout(SimTime now);
   void tick();
   void route_events(TaskId task, std::vector<AnomalyEvent> events);
   void close_case(FailureCase& c);
@@ -319,6 +318,9 @@ class SkeletonHunter {
   /// before detector_: the detector borrows it and must die first.
   std::unique_ptr<common::ThreadPool> shard_pool_;
   ShardedDetector detector_;
+  /// The detector's analysis state as constructed, before any pair: what a
+  /// blackout's cold reset restores.
+  const ShardedDetector::Snapshot fresh_detector_;
   DiagnosticsOracle oracle_;
   Localizer localizer_;
   probe::TelemetryChannel telemetry_;

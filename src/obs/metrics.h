@@ -6,10 +6,11 @@
 // constraints, in order:
 //
 //  1. *Hot-path cost.* Recording through a bound handle is one predictable
-//     null-check plus a plain add/store — the same instructions the old
-//     hand-rolled `DetectorCounters` struct cost. Unbound handles (obs not
+//     null-check plus a plain add/store. Unbound handles (obs not
 //     attached) are no-ops, so instrumentation can stay compiled in
-//     everywhere.
+//     everywhere. The hottest counts of all, the anomaly detector's, are
+//     plain struct members published into a registry once per probe round
+//     (core/sharded_detector.h).
 //  2. *No cross-thread contention.* Each recording thread gets its own
 //     shard; handles bind to the calling thread's shard cells once, at
 //     setup, and all later recording is unsynchronized within that shard.

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -383,6 +385,120 @@ TEST(Experiment, TotalProbesCountsEveryDeliveredResultOfALongRun) {
   EXPECT_GT(exp.hunter().total_probes(), 0u);
   EXPECT_EQ(exp.hunter().total_probes(),
             exp.hunter().detector_counters().probes_ingested);
+}
+
+/// The fault_drill blackout scenario: an 8x8 fabric, seed 6300, a 4x8
+/// task on its inferred skeleton, one RNIC port down from 3:00 to 11:00,
+/// and the analyzer blacked out from 6:00 until `blackout_end`. The
+/// campaign ends 20 minutes after the task runs, so a `blackout_end` past
+/// that leaves the restore to `finalize()`.
+std::unique_ptr<Experiment> run_blackout_drill(std::size_t shards,
+                                               bool metrics,
+                                               SimTime blackout_end) {
+  ExperimentConfig cfg = small_config();
+  cfg.seed = 6300;
+  cfg.hunter.analyzer_shards = shards;
+  cfg.obs.metrics = metrics;
+  cfg.hunter.telemetry.faults = {{sim::TelemetryFaultKind::kAnalyzerBlackout,
+                                  SimTime::minutes(6), blackout_end, 0.0}};
+  auto exp = std::make_unique<Experiment>(cfg);
+  cluster::TaskRequest req;
+  req.num_containers = 4;
+  req.gpus_per_container = 8;
+  req.lifetime = SimTime::hours(6);
+  const auto task = exp->launch_task(req);
+  EXPECT_TRUE(task.has_value());
+  if (!task) return exp;
+  exp->run_to_running(*task);
+  workload::ParallelismConfig par;
+  par.tp = 8;
+  par.pp = 2;
+  par.dp = 2;
+  (void)exp->apply_skeleton(*task, exp->layout_of(*task, par));
+  const auto victim = exp->orchestrator().endpoints_of_task(*task)[9];
+  exp->faults().inject(sim::IssueType::kRnicPortDown,
+                       {sim::ComponentKind::kRnic, victim.rnic.value()},
+                       SimTime::minutes(3), SimTime::minutes(11));
+  exp->hunter().start(exp->events().now() + SimTime::minutes(20));
+  exp->events().run_all();
+  exp->hunter().finalize();
+  return exp;
+}
+
+const SimTime kBlackoutEnd = SimTime::minutes(8) + SimTime::seconds(30);
+
+TEST(Experiment, BlackoutKeepsDetectorCountersAtAnyShardCountAndPosture) {
+  // Detector counters are process telemetry: the blackout's cold reset
+  // must not zero them, at any shard count, with metrics on or off. Every
+  // delivered result is counted once, before and after the blackout.
+  const auto base = run_blackout_drill(1, true, kBlackoutEnd);
+  ASSERT_EQ(base->hunter().analyzer_restores(), 1u);
+  const DetectorCounters want = base->hunter().detector_counters();
+  EXPECT_EQ(want.probes_ingested, base->hunter().total_probes());
+  EXPECT_GT(want.short_windows_closed, 0u);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    for (const bool metrics : {true, false}) {
+      const auto exp = run_blackout_drill(shards, metrics, kBlackoutEnd);
+      const DetectorCounters got = exp->hunter().detector_counters();
+      EXPECT_EQ(got.probes_ingested, exp->hunter().total_probes())
+          << shards << " shard(s), metrics " << metrics;
+      EXPECT_EQ(got.probes_ingested, want.probes_ingested)
+          << shards << " shard(s), metrics " << metrics;
+      EXPECT_TRUE(got == want) << shards << " shard(s), metrics " << metrics;
+    }
+  }
+}
+
+TEST(Experiment, BlackoutOutlastingTheCampaignRestoresLikeATick) {
+  // A blackout that ends inside the campaign is left at a tick; one that
+  // outlasts it is left at finalize(). Both warm restarts note the restore
+  // on the case that was open when the analyzer died.
+  const auto restore_entries = [](const FailureCase& c) {
+    std::size_t n = 0;
+    for (const auto& e : c.timeline.entries) {
+      n += std::string_view(e.stage) == "analyzer.restore" ? 1 : 0;
+    }
+    return n;
+  };
+  for (const SimTime end : {kBlackoutEnd, SimTime::hours(1)}) {
+    const auto exp = run_blackout_drill(1, true, end);
+    EXPECT_EQ(exp->hunter().analyzer_restores(), 1u);
+    EXPECT_FALSE(exp->hunter().analyzer_in_blackout());
+    const auto& cases = exp->hunter().failure_cases();
+    ASSERT_FALSE(cases.empty()) << "blackout end " << end.to_seconds() << " s";
+    EXPECT_EQ(restore_entries(cases.front()), 1u)
+        << "blackout end " << end.to_seconds() << " s";
+  }
+}
+
+TEST(Experiment, BlackoutKeepsTheWindowLogSizedForTheFleet) {
+  // The window log is sized at plan time for two closes per pair. A
+  // blackout's cold reset must keep that capacity: a fleet of more than
+  // 4096 pairs closes more windows in one round than a default-sized log
+  // holds.
+  ExperimentConfig cfg;
+  cfg.topology.num_hosts = 32;
+  cfg.topology.rails_per_host = 8;
+  cfg.topology.hosts_per_segment = 8;
+  cfg.hunter.probe_interval = SimTime::seconds(5);
+  cfg.hunter.telemetry.faults = {{sim::TelemetryFaultKind::kAnalyzerBlackout,
+                                  SimTime::minutes(5), SimTime::minutes(7),
+                                  0.0}};
+  Experiment exp(cfg);
+  cluster::TaskRequest req;
+  req.num_containers = 32;
+  req.gpus_per_container = 8;
+  req.lifetime = SimTime::hours(2);
+  const auto task = exp.launch_task(req);
+  ASSERT_TRUE(task.has_value());
+  exp.run_to_running(*task);
+  ASSERT_LT(exp.events().now(), SimTime::minutes(5));
+  exp.hunter().start(SimTime::minutes(12));
+  exp.events().run_all();
+  exp.hunter().finalize();
+  EXPECT_EQ(exp.hunter().analyzer_restores(), 1u);
+  EXPECT_GT(exp.hunter().detector().pair_count(), 4096u);
+  EXPECT_EQ(exp.hunter().detector().window_log_drops(), 0u);
 }
 
 TEST(Experiment, DeterministicWithSameSeed) {

@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/pool.h"
@@ -414,6 +416,74 @@ TEST(ShardedDetector, WindowLogDrainIsCanonicalAtAnyShardCount) {
       }
     }
   }
+}
+
+// The detector.* series are published at the end of every batch and of
+// the flush, on one path at every shard count: a scrape between rounds
+// always equals counters(), round for round the same at 1 and 4 shards,
+// and the per-shard items_routed series add up to the items ingested.
+TEST(ShardedDetector, PublishesTheDetectorSeriesAfterEveryBatch) {
+  constexpr std::uint32_t kPairs = 24;
+  constexpr double kSeconds = 240.0;
+  DetectorConfig cfg;
+  cfg.long_window = SimTime::seconds(120);
+  const auto obs = synthetic_campaign(kPairs, kSeconds);
+  const std::pair<const char*, std::uint64_t DetectorCounters::*> series[] =
+      {{"detector.probes_ingested", &DetectorCounters::probes_ingested},
+       {"detector.samples_delivered", &DetectorCounters::samples_delivered},
+       {"detector.short_windows_closed",
+        &DetectorCounters::short_windows_closed},
+       {"detector.long_windows_closed",
+        &DetectorCounters::long_windows_closed},
+       {"detector.lof_gate_skips", &DetectorCounters::lof_gate_skips},
+       {"detector.events_emitted", &DetectorCounters::events_emitted}};
+
+  common::ThreadPool pool(4);
+  const auto run = [&](std::size_t shards) {
+    obs::Context ctx;
+    ShardedDetector det(cfg, shards, &pool);
+    det.attach_obs(&ctx);
+    det.reserve_pairs(kPairs);
+    std::vector<std::vector<std::uint64_t>> scrapes;
+    const auto check = [&] {
+      const auto snap = ctx.registry.scrape();
+      const DetectorCounters c = det.counters();
+      std::vector<std::uint64_t> values;
+      for (const auto& [name, field] : series) {
+        EXPECT_EQ(snap.counter_or(name, ~0ull), c.*field)
+            << name << " at " << shards << " shards, scrape "
+            << scrapes.size();
+        values.push_back(snap.counter_or(name));
+      }
+      std::uint64_t routed = 0;
+      for (std::size_t s = 0; s < shards; ++s) {
+        routed += snap.counter_or(
+            "detector.shard" + std::to_string(s) + ".items_routed");
+      }
+      EXPECT_EQ(routed, c.probes_ingested) << shards << " shards";
+      scrapes.push_back(std::move(values));
+    };
+    std::vector<ShardedDetector::BatchItem> batch;
+    std::vector<AnomalyEvent> events;
+    std::vector<std::uint32_t> fired;
+    std::size_t next = 0;
+    for (double t = 0.0; t < kSeconds; t += 1.0) {
+      batch.clear();
+      while (next < obs.size() && obs[next].t <= t) {
+        const Obs& o = obs[next++];
+        batch.push_back({det.handle_of(pair_n(o.pair)), o.observation()});
+      }
+      det.ingest_batch(batch, events, fired);
+      check();
+    }
+    (void)det.flush(SimTime::seconds(kSeconds + 60.0));
+    check();
+    return scrapes;
+  };
+  const auto one = run(1);
+  ASSERT_GT(one.back()[2], 0u) << "no short window closed";
+  ASSERT_GT(one.back()[3], 0u) << "no long window closed";
+  EXPECT_EQ(run(4), one);
 }
 
 // Routing scenario for HandleOfMatchesRouterUnderAnyOrder, 1 s rounds.

@@ -4,7 +4,9 @@
 // localization votes, and the recorder's own drop accounting.
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <string>
+#include <vector>
 
 #include "core/harness.h"
 #include "obs/json_lint.h"
@@ -87,6 +89,46 @@ TEST(ForensicBundle, EveryCaseLeavesAValidSelfContainedBundle) {
     EXPECT_NE(b.find("\"window_drops\":"), std::string::npos);
     EXPECT_NE(b.find("\"event_drops\":"), std::string::npos);
   }
+}
+
+/// A bundle with every metrics entry whose name contains "shard" removed:
+/// the per-shard load series describe the partitioning itself, the one
+/// documented exemption from cross-shard-count identity.
+std::string without_shard_series(const std::string& bundle) {
+  const auto at = bundle.find("\"metrics\":");
+  if (at == std::string::npos) return bundle;
+  static const std::regex kShardEntry("\"[^\"]*shard[^\"]*\":[^,}]*,?");
+  std::string metrics =
+      std::regex_replace(bundle.substr(at), kShardEntry, "");
+  // An entry removed from the end of an object leaves its separator.
+  metrics = std::regex_replace(metrics, std::regex(",\\}"), "}");
+  return bundle.substr(0, at) + metrics;
+}
+
+TEST(ForensicBundle, BundlesMatchAcrossShardCountsModuloShardSeries) {
+  // Each bundle embeds a registry snapshot taken when it is emitted, mid
+  // campaign: the detector.* series in it must already read the same at 4
+  // shards as at 1.
+  const auto bundles_at = [](std::size_t shards) {
+    auto cfg = drill_config();
+    cfg.hunter.analyzer_shards = shards;
+    Experiment exp(cfg);
+    run_drill(exp);
+    std::vector<std::string> out;
+    for (const auto& c : exp.hunter().failure_cases()) {
+      const std::string* b = exp.obs().recorder.bundle_of(c.id);
+      out.push_back(b != nullptr ? without_shard_series(*b) : "");
+    }
+    return out;
+  };
+  const auto one = bundles_at(1);
+  ASSERT_FALSE(one.empty());
+  for (const auto& b : one) {
+    EXPECT_TRUE(obs::json_valid(b)) << b;
+    EXPECT_NE(b.find("\"detector.probes_ingested\":"), std::string::npos);
+    EXPECT_EQ(b.find("shard"), std::string::npos);
+  }
+  EXPECT_EQ(bundles_at(4), one);
 }
 
 TEST(ForensicBundle, DisabledRecorderEmitsNoBundles) {

@@ -25,8 +25,7 @@ SimTime aligned_restart(SimTime boundary, SimTime t, SimTime window) {
 
 ReferenceDetector::ReferenceDetector(core::DetectorConfig cfg)
     : cfg_(cfg),
-      index_(common::FlatTableConfig{cfg.expected_pairs,
-                                     cfg.pair_table_fullness}) {
+      index_(common::FlatTableConfig{.capacity = cfg.expected_pairs}) {
   pairs_.reserve(cfg.expected_pairs);
 }
 
