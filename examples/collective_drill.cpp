@@ -4,8 +4,9 @@
 // a healthy network. The probe mesh is structurally blind to it — the
 // drill requires ZERO probe-plane cases and exactly ONE network-silent
 // case, localized to the hung container through its wait-for chain, with
-// a parseable forensic bundle carrying the collective evidence; the
-// verdict must be identical at 1 and 4 analyzer shards.
+// a parseable forensic bundle carrying the collective evidence (and every
+// case's bundle naming its own case); the verdict must be identical at 1
+// and 4 analyzer shards.
 //
 // Scenario B (--corroboration-gate): a real RNIC fault with the plane on
 // and healthy hosts. The collective verdicts it triggers must land on the
@@ -109,6 +110,9 @@ SilentHangOutcome run_silent_hang_scenario(std::size_t shards) {
         bundle->find("\"collective\":") != std::string::npos &&
         bundle->find("\"kind\":\"hang\"") != std::string::npos;
   }
+  o.bundle_ok = skh::examples::bundles_owned(exp.hunter().failure_cases(),
+                                             exp.obs().recorder) &&
+                o.bundle_ok;
   return o;
 }
 
@@ -134,7 +138,7 @@ int run_silent_hang_gate() {
   const bool pass = a.probe_cases == 0 && a.silent_cases == 1 &&
                     a.verdicts > 0 && a.method_chain &&
                     a.localized_to_victim && a.waiters_nonempty &&
-                    a.bundle_ok && shard_identical;
+                    a.bundle_ok && b.bundle_ok && shard_identical;
   std::printf("\nsilent-hang gate: %s\n", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

@@ -1,4 +1,4 @@
-// Shared gate registration for the drill examples.
+// Shared gate registration and checks for the drill examples.
 //
 // Every drill that doubles as a ctest gate grew the same ad-hoc argv
 // scan: `--churn-gate` runs only the restart-storm drill, and so on. This
@@ -8,10 +8,38 @@
 // `./drill` with no flags keeps its historical behavior.
 #pragma once
 
+#include <cstdio>
 #include <cstring>
+#include <set>
 #include <span>
+#include <string>
+
+#include "core/forensic.h"
+#include "obs/recorder.h"
 
 namespace skh::examples {
+
+/// Bundle ownership, as the forensic and silent-hang gates require it: no
+/// two reported cases share an id, and the bundle filed under each case's
+/// id names that case. Prints each violation; true when there is none. A
+/// case with no bundle at all is the caller's check.
+inline bool bundles_owned(std::span<const core::FailureCase> cases,
+                          const obs::FlightRecorder& rec) {
+  bool ok = true;
+  std::set<std::uint32_t> ids;
+  for (const auto& c : cases) {
+    if (!ids.insert(c.id).second) {
+      std::printf("  case %u: ID SHARED WITH ANOTHER CASE\n", c.id);
+      ok = false;
+    }
+    const std::string* bundle = rec.bundle_of(c.id);
+    if (bundle != nullptr && !core::bundle_names_case(*bundle, c)) {
+      std::printf("  case %u: BUNDLE NAMES ANOTHER CASE\n", c.id);
+      ok = false;
+    }
+  }
+  return ok;
+}
 
 /// One CLI-selectable gate: the ctest entry's flag and the drill it runs.
 struct Gate {

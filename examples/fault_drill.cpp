@@ -70,8 +70,8 @@ int run_restart_storm_drill() {
   exp.schedule_churn(*task, storm);
 
   // Fresh observation batches once the storm has settled: the first batch
-  // only accumulates (reinference_min_samples = 2), the second re-infers
-  // through the fidelity gate.
+  // only accumulates (re-inference waits for two fresh batches per live
+  // endpoint), the second re-infers through the fidelity gate.
   const SimTime settle = exp.events().now() + SimTime::minutes(15);
   for (int batch = 0; batch < 2; ++batch) {
     exp.events().schedule_at(
@@ -304,7 +304,7 @@ int run_telemetry_gate() {
 /// case, and the flight recorder must hold a self-contained forensic bundle
 /// for it — parseable JSON whose timeline carries every stage from
 /// case.open to case.close, with non-empty window history for the
-/// offending pairs.
+/// offending pairs. Every case id is unique and its bundle names it.
 int run_forensic_gate() {
   std::puts("Forensic gate: fault drill with flight recorder on\n");
   ExperimentConfig cfg;
@@ -380,6 +380,7 @@ int run_forensic_gate() {
                 votes ? "ok" : "EMPTY");
     all_ok = all_ok && parses && stages && windows && votes;
   }
+  all_ok = skh::examples::bundles_owned(cases, rec) && all_ok;
   const auto snap = exp.obs().registry.scrape();
   for (const auto& h : snap.histograms) {
     if (h.name == "latency.ingest_to_verdict_s") {
@@ -404,7 +405,10 @@ int run_full_drill() {
     cfg.topology.hosts_per_segment = 8;
     cfg.hunter.inference.candidate_dp = {2, 4};
     cfg.seed = 7000 + static_cast<std::uint64_t>(info.type);
-    cfg.obs.tracing = true;  // sim-time trace of the whole drill
+    // Sim-time trace of the whole drill. A 20-minute deployment here
+    // records ~77k events; the ring holds them all, so the dump is whole.
+    cfg.obs.tracing = true;
+    cfg.obs.trace_capacity = 1 << 17;
     Experiment exp(cfg);
 
     cluster::TaskRequest req;
@@ -487,11 +491,13 @@ int run_full_drill() {
       std::printf("\n  case timeline for issue #%d:\n%s",
                   static_cast<int>(info.type), c.timeline.to_string().c_str());
       std::ofstream out("fault_drill_trace.json");
-      obs::export_chrome_trace(exp.obs().tracer, out);
-      std::printf("  full sim-time trace (%zu events, %llu dropped) -> "
+      const auto& tracer = exp.obs().tracer;
+      obs::export_chrome_trace(tracer, out);
+      std::printf("  %s sim-time trace (%zu events, %llu dropped) -> "
                   "fault_drill_trace.json\n\n",
-                  exp.obs().tracer.size(),
-                  static_cast<unsigned long long>(exp.obs().tracer.dropped()));
+                  tracer.dropped() > 0 ? "TRUNCATED (oldest evicted)" : "full",
+                  tracer.size(),
+                  static_cast<unsigned long long>(tracer.dropped()));
     }
     std::printf("  #%-2d %-30s %-14s -> %s\n", static_cast<int>(info.type),
                 std::string(sim::to_string(info.type)).c_str(),

@@ -49,6 +49,23 @@ void append_window(std::string& out, const obs::WindowRecord& w) {
   out += '}';
 }
 
+/// The bundle's opening bytes up to the first_event value and the key
+/// after it: `{"case":{"id":..,"task":..,"first_event":..,"last_event":`.
+void append_identity(std::string& out, const FailureCase& c) {
+  out += "{\"case\":{\"id\":";
+  append_u64(out, c.id);
+  out += ",\"task\":";
+  append_u64(out, c.task.value());
+  out += ",\"first_event\":";
+  append_time(out, c.first_event);
+  out += ",\"last_event\":";
+}
+
+void append_class(std::string& out, const FailureCase& c) {
+  out += ",\"class\":";
+  append_string(out, to_string(c.cls));
+}
+
 }  // namespace
 
 std::string forensic_bundle_json(const FailureCase& c,
@@ -59,20 +76,13 @@ std::string forensic_bundle_json(const FailureCase& c,
   out.reserve(4096);
 
   // --- case identity & verdict ---------------------------------------------
-  out += "{\"case\":{\"id\":";
-  append_u64(out, c.id);
-  out += ",\"task\":";
-  append_u64(out, c.task.value());
-  out += ",\"first_event\":";
-  append_time(out, c.first_event);
-  out += ",\"last_event\":";
+  append_identity(out, c);
   append_time(out, c.last_event);
   out += ",\"closed\":";
   out += c.closed ? "true" : "false";
   out += ",\"closed_at\":";
   append_time(out, c.closed ? c.closed_at : c.last_event);
-  out += ",\"class\":";
-  append_string(out, to_string(c.cls));
+  append_class(out, c);
   out += ",\"method\":";
   append_string(out, to_string(c.localization.method));
   out += ",\"confidence\":";
@@ -189,41 +199,19 @@ std::string forensic_bundle_json(const FailureCase& c,
   out += "},";
 
   // --- localization votes ---------------------------------------------------
+  // The case is the only vote store: empty until the case closes.
   append_key(out, "votes");
   out += '[';
-  {
-    std::vector<obs::VoteRecord> votes;
-    if (recorder != nullptr) votes = recorder->votes_of(c.id);
-    if (votes.empty()) {
-      // Case not yet closed (bundle built at open) or recorder off: fall
-      // back to the verdict's own tally so the section is never misleading.
-      for (std::size_t i = 0; i < c.localization.votes.size(); ++i) {
-        const auto& v = c.localization.votes[i];
-        if (i > 0) out += ',';
-        out += "{\"component\":";
-        append_string(out, sim::to_string(v.component));
-        out += ",\"weight\":";
-        obs::json_append_number(out, v.weight);
-        out += ",\"source\":";
-        append_string(out, v.source);
-        out += '}';
-      }
-    } else {
-      for (std::size_t i = 0; i < votes.size(); ++i) {
-        const auto& v = votes[i];
-        if (i > 0) out += ',';
-        const sim::ComponentRef ref{
-            static_cast<sim::ComponentKind>(v.component_kind),
-            v.component_index};
-        out += "{\"component\":";
-        append_string(out, sim::to_string(ref));
-        out += ",\"weight\":";
-        obs::json_append_number(out, v.weight);
-        out += ",\"source\":";
-        append_string(out, v.source);
-        out += '}';
-      }
-    }
+  for (std::size_t i = 0; i < c.localization.votes.size(); ++i) {
+    const auto& v = c.localization.votes[i];
+    if (i > 0) out += ',';
+    out += "{\"component\":";
+    append_string(out, sim::to_string(v.component));
+    out += ",\"weight\":";
+    obs::json_append_number(out, v.weight);
+    out += ",\"source\":";
+    append_string(out, v.source);
+    out += '}';
   }
   out += "],";
 
@@ -236,8 +224,6 @@ std::string forensic_bundle_json(const FailureCase& c,
     append_u64(out, recorder->window_drops());
     out += ",\"event_drops\":";
     append_u64(out, recorder->event_drops());
-    out += ",\"vote_drops\":";
-    append_u64(out, recorder->vote_drops());
     out += ",\"bundle_drops\":";
     append_u64(out, recorder->bundle_drops());
   }
@@ -265,6 +251,15 @@ std::string forensic_bundle_json(const FailureCase& c,
   }
   out += "}}}";
   return out;
+}
+
+bool bundle_names_case(std::string_view bundle, const FailureCase& c) {
+  std::string identity;
+  append_identity(identity, c);
+  std::string cls;
+  append_class(cls, c);
+  return bundle.starts_with(identity) &&
+         bundle.find(cls) != std::string_view::npos;
 }
 
 }  // namespace skh::core

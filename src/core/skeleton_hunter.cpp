@@ -31,6 +31,48 @@ SkeletonHunterConfig effective_config(SkeletonHunterConfig cfg) {
   return cfg;
 }
 
+/// A failure case with no fresh events for this long (observed time) is
+/// localized and closed.
+constexpr SimTime kCaseQuietPeriod = SimTime::seconds(90);
+/// Events on a task merge into its open case while that case has been
+/// quiet for at most this long; later events open a new case.
+constexpr SimTime kCaseMergeWindow = SimTime::minutes(5);
+/// Churn reconciliation: a degraded task re-infers only once every live
+/// endpoint has this many fresh post-churn observation batches.
+constexpr std::size_t kReinferenceMinSamples = 2;
+/// Cross-plane agreement bonus on a probe case's localization confidence
+/// when collective verdicts corroborate it. The result may exceed 1.0 —
+/// above 1.0 reads "independently confirmed by the collective plane", not
+/// just "all consulted probe evidence answered" — up to the cap.
+constexpr double kCorroborationBonus = 0.25;
+constexpr double kConfidenceCap = 1.25;
+
+double corroborated(double confidence) {
+  return std::min(kConfidenceCap, confidence + kCorroborationBonus);
+}
+
+/// Whether `p` has an endpoint on a container the verdict implicates: the
+/// stall root or a member of its wait-for chain.
+bool touches(const EndpointPair& p, const collective::CollectiveVerdict& v) {
+  const auto on = [&p](ContainerId c) {
+    return p.src.container == c || p.dst.container == c;
+  };
+  return on(v.root.container) ||
+         std::any_of(v.waiters.begin(), v.waiters.end(),
+                     [&on](const Endpoint& w) { return on(w.container); });
+}
+
+// Ingest-to-verdict latency plane bucket bounds. Small on purpose: a
+// handful of bounds keeps the per-observation cost a short linear scan,
+// protecting the <1% overhead gate.
+constexpr double kResidenceBounds[] = {5.0,   15.0,  30.0,   60.0,
+                                       300.0, 900.0, 1800.0, 3600.0};
+constexpr double kDetectBounds[] = {0.5, 1.0, 2.0, 5.0, 10.0, 30.0};
+constexpr double kLocalizeBounds[] = {30.0,  60.0,  90.0, 120.0,
+                                      300.0, 600.0, 1800.0};
+constexpr double kVerdictBounds[] = {60.0,  120.0, 180.0, 300.0,
+                                     600.0, 1800.0, 3600.0};
+
 }  // namespace
 
 std::string_view to_string(CaseClass c) noexcept {
@@ -84,78 +126,52 @@ SkeletonHunter::SkeletonHunter(const topo::Topology& topo,
       });
 }
 
+SkeletonHunter::Instruments::Instruments(obs::Context& ctx) {
+  auto& r = ctx.registry;
+  const auto counter = [&r](std::string_view name) {
+    return r.bind_counter(r.counter_id(name));
+  };
+  const auto gauge = [&r](std::string_view name) {
+    return r.bind_gauge(r.gauge_id(name));
+  };
+  const auto histogram = [&r](std::string_view name,
+                              std::span<const double> bounds) {
+    return r.bind_histogram(r.histogram_id(name, bounds));
+  };
+  cases_opened = counter("hunter.cases_opened");
+  cases_closed = counter("hunter.cases_closed");
+  cases_suppressed = counter("hunter.cases_suppressed");
+  ticks = counter("hunter.ticks");
+  churn_events = counter("hunter.churn_events");
+  replans = counter("hunter.replans");
+  active_agents = gauge("hunter.active_agents");
+  degraded_tasks = gauge("hunter.degraded_tasks");
+  restores = counter("hunter.analyzer_restores");
+  flap_rebans = counter("hunter.blacklist_flap_rebans");
+  coll_steps = counter("collective.steps_ingested");
+  coll_hangs = counter("collective.verdicts_hang");
+  coll_slows = counter("collective.verdicts_slow");
+  coll_agreements = counter("collective.agreements");
+  coll_silent_cases = counter("collective.cases_network_silent");
+  coll_absorbed = counter("collective.cases_absorbed");
+  window_residence_s =
+      histogram("latency.window_residence_s", kResidenceBounds);
+  detect_s = histogram("latency.detect_s", kDetectBounds);
+  localize_s = histogram("latency.localize_s", kLocalizeBounds);
+  verdict_s = histogram("latency.ingest_to_verdict_s", kVerdictBounds);
+  recorder = ctx.recorder.enabled() ? &ctx.recorder : nullptr;
+}
+
 void SkeletonHunter::attach_obs(obs::Context* ctx) {
   obs_ = ctx;
   engine_.attach_obs(ctx);
   detector_.attach_obs(ctx);
   localizer_.attach_obs(ctx);
   telemetry_.attach_obs(ctx);
-  if (ctx == nullptr) {
-    m_cases_opened_ = {};
-    m_cases_closed_ = {};
-    m_cases_suppressed_ = {};
-    m_ticks_ = {};
-    m_churn_events_ = {};
-    m_replans_ = {};
-    m_active_agents_ = {};
-    m_degraded_tasks_ = {};
-    m_restores_ = {};
-    m_flap_rebans_ = {};
-    m_coll_steps_ = {};
-    m_coll_hangs_ = {};
-    m_coll_slows_ = {};
-    m_coll_agreements_ = {};
-    m_coll_silent_cases_ = {};
-    m_coll_absorbed_ = {};
-    recorder_ = nullptr;
-    h_window_residence_s_ = {};
-    h_detect_s_ = {};
-    h_localize_s_ = {};
-    h_verdict_s_ = {};
-    return;
+  ins_ = ctx != nullptr ? Instruments(*ctx) : Instruments{};
+  if (ins_.recorder != nullptr) {
+    ins_.recorder->reserve_pairs(detector_.pair_count());
   }
-  recorder_ = ctx->recorder.enabled() ? &ctx->recorder : nullptr;
-  if (recorder_ != nullptr) recorder_->reserve_pairs(detector_.pair_count());
-  auto& r = ctx->registry;
-  m_cases_opened_ = r.bind_counter(r.counter_id("hunter.cases_opened"));
-  m_cases_closed_ = r.bind_counter(r.counter_id("hunter.cases_closed"));
-  m_cases_suppressed_ =
-      r.bind_counter(r.counter_id("hunter.cases_suppressed"));
-  m_ticks_ = r.bind_counter(r.counter_id("hunter.ticks"));
-  m_churn_events_ = r.bind_counter(r.counter_id("hunter.churn_events"));
-  m_replans_ = r.bind_counter(r.counter_id("hunter.replans"));
-  m_active_agents_ = r.bind_gauge(r.gauge_id("hunter.active_agents"));
-  m_degraded_tasks_ = r.bind_gauge(r.gauge_id("hunter.degraded_tasks"));
-  m_restores_ = r.bind_counter(r.counter_id("hunter.analyzer_restores"));
-  m_flap_rebans_ =
-      r.bind_counter(r.counter_id("hunter.blacklist_flap_rebans"));
-  m_coll_steps_ = r.bind_counter(r.counter_id("collective.steps_ingested"));
-  m_coll_hangs_ = r.bind_counter(r.counter_id("collective.verdicts_hang"));
-  m_coll_slows_ = r.bind_counter(r.counter_id("collective.verdicts_slow"));
-  m_coll_agreements_ =
-      r.bind_counter(r.counter_id("collective.agreements"));
-  m_coll_silent_cases_ =
-      r.bind_counter(r.counter_id("collective.cases_network_silent"));
-  m_coll_absorbed_ =
-      r.bind_counter(r.counter_id("collective.cases_absorbed"));
-  // Ingest-to-verdict latency plane, stages 2-5. Bucket sets are small on
-  // purpose: a handful of bounds keeps the per-observation cost a short
-  // linear scan, protecting the <1% overhead gate.
-  static constexpr double kResidenceBounds[] = {5.0,   15.0,  30.0,  60.0,
-                                                300.0, 900.0, 1800.0, 3600.0};
-  static constexpr double kDetectBounds[] = {0.5, 1.0, 2.0, 5.0, 10.0, 30.0};
-  static constexpr double kLocalizeBounds[] = {30.0,  60.0,  90.0, 120.0,
-                                               300.0, 600.0, 1800.0};
-  static constexpr double kVerdictBounds[] = {60.0,  120.0, 180.0, 300.0,
-                                              600.0, 1800.0, 3600.0};
-  h_window_residence_s_ = r.bind_histogram(
-      r.histogram_id("latency.window_residence_s", kResidenceBounds));
-  h_detect_s_ =
-      r.bind_histogram(r.histogram_id("latency.detect_s", kDetectBounds));
-  h_localize_s_ =
-      r.bind_histogram(r.histogram_id("latency.localize_s", kLocalizeBounds));
-  h_verdict_s_ = r.bind_histogram(
-      r.histogram_id("latency.ingest_to_verdict_s", kVerdictBounds));
 }
 
 std::uint32_t SkeletonHunter::rank_of(const Endpoint& ep) const {
@@ -188,8 +204,9 @@ void SkeletonHunter::distribute_list(TaskId task) {
   detector_.reserve_pairs(detector_.pair_count() + m.current_list.size());
   // The recorder mirrors the detector's reservation so steady-state
   // window recording never allocates.
-  if (recorder_ != nullptr) {
-    recorder_->reserve_pairs(detector_.pair_count() + m.current_list.size());
+  if (ins_.recorder != nullptr) {
+    ins_.recorder->reserve_pairs(detector_.pair_count() +
+                                 m.current_list.size());
   }
   for (ContainerId cid : orch_.task(task).containers) {
     const auto it = agents_.find(cid);
@@ -269,7 +286,7 @@ void SkeletonHunter::on_stopped(const cluster::ContainerInfo& ci) {
   if (!any_running && task.terminated) {
     if (mit->second.degraded) {
       mit->second.degraded = false;
-      m_degraded_tasks_.add(-1.0);
+      ins_.degraded_tasks.add(-1.0);
     }
     mit->second.active = false;
   }
@@ -279,7 +296,7 @@ void SkeletonHunter::on_churn(const cluster::ContainerInfo& ci,
                               cluster::Orchestrator::ChurnReason reason) {
   const auto mit = monitors_.find(ci.task);
   if (mit == monitors_.end() || !mit->second.active) return;
-  m_churn_events_.inc();
+  ins_.churn_events.inc();
   if (obs_ != nullptr) {
     obs_->tracer.instant("hunter", "churn", events_.now(), ci.id.value(),
                          static_cast<std::uint64_t>(reason));
@@ -324,14 +341,14 @@ void SkeletonHunter::degrade_to_basic(TaskId task) {
   m.skeleton_applied = false;
   if (!m.degraded) {
     m.degraded = true;
-    m_degraded_tasks_.add(1.0);
+    ins_.degraded_tasks.add(1.0);
   }
   // Pre-churn observations describe a traffic pattern that may no longer
   // exist; only batches supplied after this instant count toward
   // re-inference.
   m.fresh_counts.clear();
   m.fresh_obs.clear();
-  m_replans_.inc();
+  ins_.replans.inc();
   distribute_list(task);
 }
 
@@ -357,7 +374,7 @@ std::optional<InferredSkeleton> SkeletonHunter::supply_observations(
   for (const Endpoint& ep : m.endpoints) {
     const auto it = m.fresh_counts.find(ep);
     if (it == m.fresh_counts.end() ||
-        it->second < cfg_.reinference_min_samples) {
+        it->second < kReinferenceMinSamples) {
       ready = false;
       break;
     }
@@ -374,7 +391,7 @@ std::optional<InferredSkeleton> SkeletonHunter::supply_observations(
     return std::nullopt;
   }
   m.degraded = false;
-  m_degraded_tasks_.add(-1.0);
+  ins_.degraded_tasks.add(-1.0);
   if (obs_ != nullptr) {
     obs_->tracer.instant("hunter", "reinference", events_.now(),
                          task.value(), inferred->pairs.size());
@@ -414,8 +431,8 @@ void SkeletonHunter::start(SimTime end) {
 
 void SkeletonHunter::tick() {
   const SimTime now = events_.now();
-  m_ticks_.inc();
-  m_active_agents_.set(static_cast<double>(agents_.size()));
+  ins_.ticks.inc();
+  ins_.active_agents.set(static_cast<double>(agents_.size()));
   // Blackout transitions. Entering: checkpoint then destroy the analyzer
   // state, as a real process crash would. Leaving: warm-restart from the
   // checkpoint — open cases resume with their windows and streaks intact,
@@ -455,30 +472,10 @@ void SkeletonHunter::tick() {
     }
     detector_.ingest_batch(batch_, batch_events_, batch_fired_);
     drain_windows();
-    std::map<TaskId, std::vector<AnomalyEvent>> per_task_events;
-    std::size_t cursor = 0;
-    for (std::size_t i = 0; i < round_.size(); ++i) {
-      const std::uint32_t fired = batch_fired_[i];
-      if (fired > 0) {
-        const TaskId task = orch_.container(round_[i].pair.src.container).task;
-        auto& bucket = per_task_events[task];
-        bucket.insert(bucket.end(), batch_events_.begin() + cursor,
-                      batch_events_.begin() + cursor + fired);
-      }
-      cursor += fired;
-    }
-    for (auto& [task, evts] : per_task_events) {
-      route_events(task, std::move(evts));
-    }
-    // Close quiet cases; drop the ones suppressed as transients. Quiet is
-    // measured in *observed* time: the span of a blackout (before
-    // last_restore_) is not evidence of silence.
+    route_by_task(batch_events_);
+    // Close quiet cases; drop the ones suppressed as transients.
     for (auto& c : cases_) {
-      if (!c.closed &&
-          now - std::max(c.last_event, last_restore_) >=
-              cfg_.case_quiet_period) {
-        close_case(c);
-      }
+      if (!c.closed && quiet_for(c, now) >= kCaseQuietPeriod) close_case(c);
     }
     std::erase_if(cases_, [](const FailureCase& c) { return c.suppressed; });
   }
@@ -505,7 +502,7 @@ void SkeletonHunter::leave_blackout(SimTime now) {
   in_blackout_ = false;
   last_restore_ = now;
   ++restores_;
-  m_restores_.inc();
+  ins_.restores.inc();
   for (auto& c : cases_) {
     if (!c.closed) {
       c.timeline.add(now, "analyzer.restore",
@@ -540,6 +537,39 @@ void SkeletonHunter::cold_reset_analyzer() {
   for (auto& [task, plane] : collective_) plane.diag.reset_state();
 }
 
+void SkeletonHunter::route_by_task(std::span<const AnomalyEvent> events) {
+  std::map<TaskId, std::vector<AnomalyEvent>> per_task;
+  for (const auto& e : events) {
+    per_task[orch_.container(e.pair.src.container).task].push_back(e);
+  }
+  for (auto& [task, evts] : per_task) route_events(task, std::move(evts));
+}
+
+FailureCase& SkeletonHunter::open_case(TaskId task, CaseClass cls, SimTime at,
+                                       std::string detail, double value) {
+  FailureCase c;
+  // One past the newest case, not the registry size: suppressed cases are
+  // erased, and a size-derived id could repeat a live case's.
+  c.id = cases_.empty() ? 0 : cases_.back().id + 1;
+  c.task = task;
+  c.cls = cls;
+  c.first_event = at;
+  c.last_event = at;
+  c.timeline.add(at, "case.open", std::move(detail), value);
+  ins_.cases_opened.inc();
+  if (cls == CaseClass::kTenantVisibleNetworkSilent) {
+    ins_.coll_silent_cases.inc();
+  }
+  if (obs_ != nullptr) {
+    obs_->tracer.instant("hunter",
+                         cls == CaseClass::kProbePlane
+                             ? "case.open"
+                             : "case.open_network_silent",
+                         at, c.id, task.value());
+  }
+  return cases_.emplace_back(std::move(c));
+}
+
 void SkeletonHunter::route_events(TaskId task,
                                   std::vector<AnomalyEvent> events) {
   // Order-independent case reducer: sort the batch into the canonical
@@ -550,7 +580,8 @@ void SkeletonHunter::route_events(TaskId task,
   // the right case-open attribution regardless).
   canonicalize_events(events);
   const SimTime now = events_.now();
-  std::vector<std::uint32_t> opened;  ///< cases opened by this batch
+  // Cases this batch opens are appended from here on.
+  const std::size_t first_opened = cases_.size();
   for (const auto& e : events) {
     // A long-term (30-minute-window) alarm that merely re-reports a pair
     // already covered by a recent case is the windowing tail of that
@@ -570,63 +601,40 @@ void SkeletonHunter::route_events(TaskId task,
     // results by task/container/RNIC/uplink, §6): one failing component
     // degrades many pairs at once — e.g. a ToR takes out pairs that share
     // no endpoint — and splitting them would also starve the tomography
-    // voter of intersection evidence.
-    FailureCase* target = nullptr;
-    for (auto& c : cases_) {
-      if (c.closed || c.task != task) continue;
-      // Like the quiet-period check, merging clocks against observed time:
-      // a case that went dark only because the analyzer was dead still
-      // absorbs the incident's post-restore events.
-      if (now - std::max(c.last_event, last_restore_) >
-          cfg_.case_merge_window) {
-        continue;
-      }
-      target = &c;
-      break;
-    }
-    if (target == nullptr) {
-      FailureCase c;
-      c.id = static_cast<std::uint32_t>(cases_.size());
-      c.task = task;
-      c.first_event = e.detected_at;
-      c.last_event = e.detected_at;
-      c.timeline.add(e.detected_at, "case.open",
-                     "first anomalous window on " + pair_label(e.pair));
-      cases_.push_back(std::move(c));
-      target = &cases_.back();
-      m_cases_opened_.inc();
-      if (obs_ != nullptr) {
-        obs_->tracer.instant("hunter", "case.open", e.detected_at, target->id,
-                             task.value());
-      }
-      opened.push_back(target->id);
-    }
-    target->pairs.insert(e.pair);
-    target->events.push_back(e);
+    // voter of intersection evidence. Merging clocks against observed
+    // time: a case that went dark only because the analyzer was dead still
+    // absorbs the incident's post-restore events.
+    const auto open = std::find_if(
+        cases_.begin(), cases_.end(), [&](const FailureCase& c) {
+          return !c.closed && c.task == task &&
+                 quiet_for(c, now) <= kCaseMergeWindow;
+        });
+    FailureCase& target =
+        open != cases_.end()
+            ? *open
+            : open_case(task, CaseClass::kProbePlane, e.detected_at,
+                        "first anomalous window on " + pair_label(e.pair));
+    target.pairs.insert(e.pair);
+    target.events.push_back(e);
     // Stage 4 of the latency plane: detection-to-routing lag (a window
     // closing mid-round surfaces here on the same tick; the lag is the
     // intra-tick remainder).
-    h_detect_s_.observe((now - e.detected_at).to_seconds());
-    if (recorder_ != nullptr) {
-      recorder_->record_event(obs::EventRecord{
+    ins_.detect_s.observe((now - e.detected_at).to_seconds());
+    if (ins_.recorder != nullptr) {
+      ins_.recorder->record_event(obs::EventRecord{
           e.pair, e.detected_at, e.score, static_cast<std::uint8_t>(e.kind)});
     }
-    target->timeline.add(e.detected_at, "anomaly",
-                         std::string(to_string(e.kind)) + " on " +
-                             pair_label(e.pair),
-                         e.score);
-    target->last_event = std::max(target->last_event, e.detected_at);
+    target.timeline.add(e.detected_at, "anomaly",
+                        std::string(to_string(e.kind)) + " on " +
+                            pair_label(e.pair),
+                        e.score);
+    target.last_event = std::max(target.last_event, e.detected_at);
   }
   // Every case open emits a forensic bundle (self-contained JSON of the
   // evidence so far); close_case re-emits with the verdict attached. Done
   // after the batch so the open bundle covers the whole opening round.
-  for (const std::uint32_t id : opened) {
-    for (const auto& c : cases_) {
-      if (c.id == id) {
-        emit_bundle(c);
-        break;
-      }
-    }
+  for (std::size_t i = first_opened; i < cases_.size(); ++i) {
+    emit_bundle(cases_[i]);
   }
 }
 
@@ -646,14 +654,14 @@ void SkeletonHunter::ingest_collective_steps(
   if (in_blackout_) return;
   const auto it = collective_.find(task);
   if (it == collective_.end()) return;
-  m_coll_steps_.add(records.size());
+  ins_.coll_steps.add(records.size());
   verdict_scratch_.clear();
   it->second.diag.ingest(records, events_.now(), verdict_scratch_);
   for (const auto& v : verdict_scratch_) {
     if (v.kind == collective::VerdictKind::kHang) {
-      m_coll_hangs_.inc();
+      ins_.coll_hangs.inc();
     } else {
-      m_coll_slows_.inc();
+      ins_.coll_slows.inc();
     }
     route_collective_verdict(task, v);
   }
@@ -678,20 +686,6 @@ std::uint64_t SkeletonHunter::collective_verdicts() const noexcept {
 void SkeletonHunter::route_collective_verdict(
     TaskId task, const collective::CollectiveVerdict& v) {
   const SimTime now = events_.now();
-  // Containers the verdict implicates: the stall root plus its wait-for
-  // chain.
-  auto implicates = [&](const EndpointPair& p) {
-    if (p.src.container == v.root.container ||
-        p.dst.container == v.root.container) {
-      return true;
-    }
-    for (const auto& w : v.waiters) {
-      if (p.src.container == w.container || p.dst.container == w.container) {
-        return true;
-      }
-    }
-    return false;
-  };
   // Cross-plane agreement: an open probe case on the same task whose pairs
   // touch the implicated containers. Both planes seeing the same incident
   // is the strongest evidence either can get — the verdict attaches as
@@ -700,13 +694,14 @@ void SkeletonHunter::route_collective_verdict(
     if (c.closed || c.task != task || c.cls != CaseClass::kProbePlane) {
       continue;
     }
-    if (now - std::max(c.last_event, last_restore_) > cfg_.case_merge_window) {
+    if (quiet_for(c, now) > kCaseMergeWindow) continue;
+    if (std::none_of(c.pairs.begin(), c.pairs.end(),
+                     [&v](const EndpointPair& p) { return touches(p, v); })) {
       continue;
     }
-    if (!std::any_of(c.pairs.begin(), c.pairs.end(), implicates)) continue;
     ++c.collective_agreements;
     c.collective_evidence.push_back(v);
-    m_coll_agreements_.inc();
+    ins_.coll_agreements.inc();
     c.timeline.add(now, "collective.corroborate",
                    std::string(to_string(v.kind)) + " verdict on container " +
                        std::to_string(v.root.container.value()) +
@@ -725,9 +720,7 @@ void SkeletonHunter::route_collective_verdict(
         c.cls != CaseClass::kTenantVisibleNetworkSilent) {
       continue;
     }
-    if (now - std::max(c.last_event, last_restore_) > cfg_.case_merge_window) {
-      continue;
-    }
+    if (quiet_for(c, now) > kCaseMergeWindow) continue;
     c.collective_evidence.push_back(v);
     c.last_event = std::max(c.last_event, now);
     c.timeline.add(now, "collective.verdict",
@@ -736,27 +729,22 @@ void SkeletonHunter::route_collective_verdict(
                    v.severity);
     return;
   }
-  FailureCase c;
-  c.id = static_cast<std::uint32_t>(cases_.size());
-  c.task = task;
-  c.cls = CaseClass::kTenantVisibleNetworkSilent;
-  c.first_event = now;
-  c.last_event = now;
+  FailureCase& c =
+      open_case(task, CaseClass::kTenantVisibleNetworkSilent, now,
+                "collective " + std::string(to_string(v.kind)) +
+                    " on container " +
+                    std::to_string(v.root.container.value()) +
+                    " with zero probe-plane symptoms",
+                v.severity);
   c.collective_evidence.push_back(v);
-  c.timeline.add(now, "case.open",
-                 "collective " + std::string(to_string(v.kind)) +
-                     " on container " +
-                     std::to_string(v.root.container.value()) +
-                     " with zero probe-plane symptoms",
-                 v.severity);
-  cases_.push_back(std::move(c));
-  m_cases_opened_.inc();
-  m_coll_silent_cases_.inc();
-  if (obs_ != nullptr) {
-    obs_->tracer.instant("hunter", "case.open_network_silent", now,
-                         cases_.back().id, task.value());
-  }
-  emit_bundle(cases_.back());
+  emit_bundle(c);
+}
+
+void SkeletonHunter::suppress(FailureCase& c, const char* stage,
+                              const char* detail) {
+  c.suppressed = true;
+  ins_.cases_suppressed.inc();
+  c.timeline.add(c.closed_at, stage, detail);
 }
 
 void SkeletonHunter::close_collective_case(FailureCase& c) {
@@ -768,37 +756,25 @@ void SkeletonHunter::close_collective_case(FailureCase& c) {
   // dead RNIC's hang within one iteration; the anomaly detector needs a
   // full window), which route_collective_verdict cannot corroborate because
   // the probe case did not exist yet.
-  auto implicated = [](const FailureCase& other,
-                       const collective::CollectiveVerdict& v) {
-    for (const auto& p : other.pairs) {
-      if (p.src.container == v.root.container ||
-          p.dst.container == v.root.container) {
-        return true;
-      }
-      for (const auto& w : v.waiters) {
-        if (p.src.container == w.container || p.dst.container == w.container) {
-          return true;
-        }
-      }
-    }
-    return false;
-  };
   for (auto& other : cases_) {
-    if (other.id == c.id || other.task != c.task) continue;
+    if (&other == &c || other.task != c.task) continue;
     if (other.cls != CaseClass::kProbePlane) continue;
-    if (c.first_event > other.last_event + cfg_.case_merge_window ||
-        other.first_event > c.last_event + cfg_.case_merge_window) {
+    if (c.first_event > other.last_event + kCaseMergeWindow ||
+        other.first_event > c.last_event + kCaseMergeWindow) {
       continue;
     }
     std::size_t adopted = 0;
     for (const auto& v : c.collective_evidence) {
-      if (!implicated(other, v)) continue;
+      if (std::none_of(other.pairs.begin(), other.pairs.end(),
+                       [&v](const EndpointPair& p) { return touches(p, v); })) {
+        continue;
+      }
       other.collective_evidence.push_back(v);
       ++other.collective_agreements;
       ++adopted;
     }
     if (adopted == 0) continue;
-    m_coll_agreements_.add(adopted);
+    ins_.coll_agreements.add(adopted);
     other.timeline.add(c.closed_at, "collective.corroborate",
                        std::to_string(adopted) +
                            " verdict(s) adopted from absorbed "
@@ -807,16 +783,14 @@ void SkeletonHunter::close_collective_case(FailureCase& c) {
     if (other.closed) {
       // The probe case already closed without the bonus; apply it now and
       // refresh its bundle so the ticket reflects the confirmation.
-      other.localization.confidence = std::min(
-          1.25, other.localization.confidence + cfg_.corroboration_bonus);
+      other.localization.confidence =
+          corroborated(other.localization.confidence);
       emit_bundle(other);
     }
-    c.suppressed = true;
-    m_cases_suppressed_.inc();
-    m_coll_absorbed_.inc();
-    c.timeline.add(c.closed_at, "case.absorb",
-                   "probe plane saw the same incident; evidence attached "
-                   "to its case");
+    ins_.coll_absorbed.inc();
+    suppress(c, "case.absorb",
+             "probe plane saw the same incident; evidence attached to its "
+             "case");
     return;
   }
   // Transient filtering, same spirit as the probe plane: a single slow
@@ -824,10 +798,8 @@ void SkeletonHunter::close_collective_case(FailureCase& c) {
   if (c.collective_evidence.size() < 2 &&
       c.collective_evidence.front().kind == collective::VerdictKind::kSlow &&
       c.collective_evidence.front().severity < 8.0) {
-    c.suppressed = true;
-    m_cases_suppressed_.inc();
-    c.timeline.add(c.closed_at, "case.suppress",
-                   "single mild slow verdict: transient host noise");
+    suppress(c, "case.suppress",
+             "single mild slow verdict: transient host noise");
     return;
   }
   // Localization from the verdict chain: the stall root's container and
@@ -856,32 +828,13 @@ void SkeletonHunter::close_collective_case(FailureCase& c) {
     }
   }
   c.localization = std::move(loc);
-  if (recorder_ != nullptr) {
-    for (const auto& v : c.localization.votes) {
-      recorder_->record_vote(obs::VoteRecord{
-          c.id, static_cast<std::uint8_t>(v.component.kind),
-          v.component.index, static_cast<float>(v.weight), v.source});
-    }
-  }
-  c.timeline.add(c.closed_at, "localize",
-                 std::string(to_string(c.localization.method)),
-                 static_cast<double>(c.localization.culprits.size()));
-  c.timeline.add(c.closed_at, "case.close",
-                 "network-silent ticket routed to tenant/host owners");
-  if (obs_ != nullptr) {
-    obs_->tracer.instant("hunter", "case.close", c.closed_at, c.id,
-                         c.localization.culprits.size());
-  }
-  // No auto-blacklist: a hung or slow host is a tenant/host-plane issue;
-  // banning network components on collective evidence alone would let the
-  // second plane pollute the first plane's placement filter.
-  emit_bundle(c);
+  file_ticket(c);
 }
 
 void SkeletonHunter::close_case(FailureCase& c) {
   c.closed = true;
   c.closed_at = events_.now();
-  m_cases_closed_.inc();
+  ins_.cases_closed.inc();
   if (c.cls == CaseClass::kTenantVisibleNetworkSilent) {
     close_collective_case(c);
     return;
@@ -890,10 +843,8 @@ void SkeletonHunter::close_case(FailureCase& c) {
   // own is transient congestion, not a failure case worth a ticket.
   if (c.events.size() < 2 &&
       c.events.front().kind == AnomalyKind::kLatencyShortTerm) {
-    c.suppressed = true;
-    m_cases_suppressed_.inc();
-    c.timeline.add(c.closed_at, "case.suppress",
-                   "single short-term outlier: transient congestion");
+    suppress(c, "case.suppress",
+             "single short-term outlier: transient congestion");
     return;
   }
   const std::vector<EndpointPair> pairs(c.pairs.begin(), c.pairs.end());
@@ -924,11 +875,9 @@ void SkeletonHunter::close_case(FailureCase& c) {
   // Cross-plane agreement: collective verdicts that implicated this case's
   // containers were attached while it was open. Two independent signal
   // planes naming the same incident is stronger evidence than either
-  // alone, so the bonus may push confidence past 1.0 — by design; > 1.0
-  // reads as "independently confirmed".
+  // alone, so the bonus may push confidence past 1.0 — by design.
   if (c.collective_agreements > 0) {
-    c.localization.confidence =
-        std::min(1.25, c.localization.confidence + cfg_.corroboration_bonus);
+    c.localization.confidence = corroborated(c.localization.confidence);
     c.timeline.add(c.closed_at, "collective.confirm",
                    std::to_string(c.collective_agreements) +
                        " collective verdict(s) corroborate the probe plane",
@@ -937,41 +886,48 @@ void SkeletonHunter::close_case(FailureCase& c) {
   // Stages 5 of the latency plane: first event to verdict, and the
   // end-to-end ingest-to-verdict span measured from the *opening* of the
   // first anomalous window (detected_at stamps its close).
-  h_localize_s_.observe((c.closed_at - c.first_event).to_seconds());
-  h_verdict_s_.observe(
+  ins_.localize_s.observe((c.closed_at - c.first_event).to_seconds());
+  ins_.verdict_s.observe(
       (c.closed_at - (c.first_event - cfg_.detector.short_window))
           .to_seconds());
-  if (recorder_ != nullptr) {
-    for (const auto& v : c.localization.votes) {
-      recorder_->record_vote(obs::VoteRecord{
-          c.id, static_cast<std::uint8_t>(v.component.kind),
-          v.component.index, static_cast<float>(v.weight), v.source});
-    }
-  }
+  file_ticket(c);
+}
+
+void SkeletonHunter::file_ticket(FailureCase& c) {
+  const bool probe_plane = c.cls == CaseClass::kProbePlane;
   c.timeline.add(c.closed_at, "localize",
                  std::string(to_string(c.localization.method)),
                  static_cast<double>(c.localization.culprits.size()));
-  c.timeline.add(c.closed_at, "confidence",
-                 "fraction of consulted evidence that answered",
-                 c.localization.confidence);
+  if (probe_plane) {
+    c.timeline.add(c.closed_at, "confidence",
+                   "fraction of consulted evidence that answered",
+                   c.localization.confidence);
+  }
   c.timeline.add(c.closed_at, "case.close",
-                 "quiet for case_quiet_period; ticket filed");
+                 probe_plane
+                     ? "quiet for case_quiet_period; ticket filed"
+                     : "network-silent ticket routed to tenant/host owners");
   if (obs_ != nullptr) {
     obs_->tracer.instant("hunter", "case.close", c.closed_at, c.id,
                          c.localization.culprits.size());
   }
   // §8: culprit components are banned from new placements until repaired.
   // A re-ban within hysteresis of the component's repair is the same
-  // incident flapping: the ban sticks but the alert is dampened.
-  for (const auto& culprit : c.localization.culprits) {
-    if (blacklist_.add(culprit, c.closed_at) == BanOutcome::kFlapReban) {
-      m_flap_rebans_.inc();
-      c.timeline.add(c.closed_at, "blacklist.flap",
-                     "re-ban within hysteresis of repair; alert dampened");
+  // incident flapping: the ban sticks but the alert is dampened. Not for a
+  // network-silent ticket: a hung or slow host is a tenant/host-plane
+  // problem, and banning network components on collective evidence alone
+  // would let the second plane pollute the first plane's placement filter.
+  if (probe_plane) {
+    for (const auto& culprit : c.localization.culprits) {
+      if (blacklist_.add(culprit, c.closed_at) == BanOutcome::kFlapReban) {
+        ins_.flap_rebans.inc();
+        c.timeline.add(c.closed_at, "blacklist.flap",
+                       "re-ban within hysteresis of repair; alert dampened");
+      }
     }
   }
-  // Finalize the forensic bundle: the open-time emission is replaced by
-  // one carrying the verdict, full timeline, and closing vote tally.
+  // The open-time bundle is replaced by one carrying the verdict, the full
+  // timeline and the closing vote tally.
   emit_bundle(c);
 }
 
@@ -982,26 +938,22 @@ void SkeletonHunter::drain_windows() {
   for (const auto& w : window_scratch_) {
     // Stage 3 of the latency plane: how long a sample batch sat inside its
     // detection window before being judged.
-    h_window_residence_s_.observe((w.end - w.start).to_seconds());
-    if (recorder_ != nullptr) {
+    ins_.window_residence_s.observe((w.end - w.start).to_seconds());
+    if (ins_.recorder != nullptr) {
       const auto gid = detector_.find_handle(w.pair);
       if (gid != common::FlatPairTable::kNoSlot) {
-        recorder_->record_window(gid, w);
+        ins_.recorder->record_window(gid, w);
       }
     }
   }
 }
 
 void SkeletonHunter::emit_bundle(const FailureCase& c) {
-  if (recorder_ == nullptr) return;
-  obs::MetricsSnapshot snap;
-  const obs::MetricsSnapshot* sp = nullptr;
-  if (obs_ != nullptr) {
-    snap = obs_->registry.scrape();
-    sp = &snap;
-  }
-  recorder_->store_bundle(c.id,
-                          forensic_bundle_json(c, detector_, recorder_, sp));
+  // A recorder comes only with an attached context (Instruments(ctx)).
+  if (ins_.recorder == nullptr) return;
+  const obs::MetricsSnapshot snap = obs_->registry.scrape();
+  ins_.recorder->store_bundle(
+      c.id, forensic_bundle_json(c, detector_, ins_.recorder, &snap));
 }
 
 void SkeletonHunter::mark_repaired(sim::ComponentRef ref) {
@@ -1023,12 +975,7 @@ void SkeletonHunter::finalize() {
   if (in_blackout_) leave_blackout(events_.now());
   const auto tail_events = detector_.flush(events_.now());
   drain_windows();
-  std::map<TaskId, std::vector<AnomalyEvent>> per_task;
-  for (const auto& e : tail_events) {
-    const TaskId task = orch_.container(e.pair.src.container).task;
-    per_task[task].push_back(e);
-  }
-  for (auto& [task, evts] : per_task) route_events(task, std::move(evts));
+  route_by_task(tail_events);
   for (auto& c : cases_) {
     if (!c.closed) close_case(c);
   }

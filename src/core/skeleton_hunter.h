@@ -17,10 +17,13 @@
 //                 Algorithm 1 and closed.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "cluster/orchestrator.h"
@@ -57,23 +60,12 @@ struct SkeletonHunterConfig {
   /// never behavior. 1 keeps the classic single-analyzer path.
   std::size_t analyzer_shards = 1;
   InferenceConfig inference{};
-  /// A failure case with no fresh events for this long is localized+closed.
-  SimTime case_quiet_period = SimTime::seconds(90);
-  /// Distinct cases form when events arrive on disjoint pair sets; events on
-  /// overlapping components within this window merge into one case.
-  SimTime case_merge_window = SimTime::minutes(5);
   bool incremental_activation = true;   ///< ablation: registration gating
   /// §7.3 mitigation: every inferred skeleton is validated against the
   /// observed bursts before it is trusted; an unacceptable fidelity keeps
   /// the basic list (covers debug clusters and unknown parallelism
   /// strategies).
   FidelityConfig fidelity{};
-  /// Churn reconciliation: after a mid-run restart/migration/crash the task
-  /// degrades to the basic list, and inference re-runs only once every
-  /// current (live) endpoint has at least this many *fresh* post-churn
-  /// observation batches — stale pre-churn series would just re-infer the
-  /// skeleton the churn invalidated.
-  std::size_t reinference_min_samples = 2;
   /// Gray measurement plane: the telemetry fault plan applied to every
   /// probe round between the sidecars and the analyzer (empty = honest
   /// channel, zero RNG draws). kAnalyzerBlackout episodes take the analyzer
@@ -86,12 +78,6 @@ struct SkeletonHunterConfig {
   /// traces fed via ingest_collective_steps (no-op until a task registers
   /// its communicators).
   collective::CollectiveDiagConfig collective{};
-  /// Cross-plane agreement bonus added to a probe case's localization
-  /// confidence when collective verdicts corroborate it. The result may
-  /// exceed 1.0 — values above 1.0 explicitly mean "independently
-  /// confirmed by the collective plane", not just "all consulted probe
-  /// evidence answered". Capped at 1.25.
-  double corroboration_bonus = 0.25;
 };
 
 /// Which signal plane a failure case came from. Probe-plane cases are
@@ -108,6 +94,8 @@ enum class CaseClass : std::uint8_t {
 
 /// One aggregated failure: the unit scored against injected ground truth.
 struct FailureCase {
+  /// Unique among the hunter's cases (one past the newest case's id), so
+  /// the flight recorder's bundle for an id is this case's bundle.
   std::uint32_t id = 0;
   TaskId task;
   SimTime first_event;
@@ -155,8 +143,9 @@ class SkeletonHunter {
   /// fidelity validator; the basic list is kept either way).
   ///
   /// While a task is degraded by churn, batches accumulate instead: nullopt
-  /// is returned until every live endpoint has reinference_min_samples
-  /// fresh batches, then inference re-runs through the same fidelity gate.
+  /// is returned until every live endpoint has two fresh post-churn batches
+  /// (stale pre-churn series would just re-infer the skeleton the churn
+  /// invalidated), then inference re-runs through the same fidelity gate.
   /// A failed re-inference resets the accumulation epoch.
   std::optional<InferredSkeleton> supply_observations(
       TaskId task, const std::vector<EndpointObservation>& obs);
@@ -289,8 +278,24 @@ class SkeletonHunter {
   /// blackout-entry checkpoint and note the restore on every open case.
   void leave_blackout(SimTime now);
   void tick();
+  /// Bucket anomaly events by the task of each event's source container
+  /// and route every bucket, in task order.
+  void route_by_task(std::span<const AnomalyEvent> events);
   void route_events(TaskId task, std::vector<AnomalyEvent> events);
+  /// Observed silence of `c` at `now`: time since its last event, with the
+  /// span of an analyzer blackout (before last_restore_) not counted.
+  [[nodiscard]] SimTime quiet_for(const FailureCase& c, SimTime now) const {
+    return now - std::max(c.last_event, last_restore_);
+  }
+  /// The one way a case comes into being, for either plane: assigns its
+  /// id, stamps first/last event, writes the case.open timeline entry,
+  /// counts and traces the open. The caller attaches the evidence.
+  FailureCase& open_case(TaskId task, CaseClass cls, SimTime at,
+                         std::string detail, double value = 0.0);
   void close_case(FailureCase& c);
+  /// Filter a closing case out of the report: mark it suppressed, count
+  /// it, and note why under `stage` on its timeline.
+  void suppress(FailureCase& c, const char* stage, const char* detail);
   /// Route one collective verdict: corroborate an overlapping open probe
   /// case, else open/merge a network-silent case.
   void route_collective_verdict(TaskId task,
@@ -299,11 +304,15 @@ class SkeletonHunter {
   /// from the verdict chain (root container + host + wait-for chain), not
   /// from Algorithm 1 — there are no anomalous pairs to tomograph.
   void close_collective_case(FailureCase& c);
+  /// The close tail of every reported case, for both planes: the localize
+  /// and case.close timeline entries, the case.close trace instant, the
+  /// blacklist (probe plane only) and the final forensic bundle.
+  void file_ticket(FailureCase& c);
   /// Drain the detector's closed-window log: feed the window-residence
   /// stage histogram and the flight recorder's per-pair rings.
   void drain_windows();
-  /// Build this case's forensic bundle from the recorder's rings and store
-  /// it (replacing any earlier emission for the same case id).
+  /// Build this case's forensic bundle from the case and the recorder's
+  /// rings and store it (replacing any earlier emission for the case).
   void emit_bundle(const FailureCase& c);
   [[nodiscard]] std::uint32_t rank_of(const Endpoint& ep) const;
 
@@ -359,38 +368,47 @@ class SkeletonHunter {
   /// Results delivered to the analyzer so far (total_probes()).
   std::size_t probes_delivered_ = 0;
   /// Per-tick batch-ingest scratch (routed items, fired events, per-item
-  /// fired counts), reused across ticks.
+  /// fired counts the hunter does not read), reused across ticks.
   std::vector<ShardedDetector::BatchItem> batch_;
   std::vector<AnomalyEvent> batch_events_;
   std::vector<std::uint32_t> batch_fired_;
 
   obs::Context* obs_ = nullptr;
-  obs::Counter m_cases_opened_;
-  obs::Counter m_cases_closed_;
-  obs::Counter m_cases_suppressed_;
-  obs::Counter m_ticks_;
-  obs::Counter m_churn_events_;
-  obs::Counter m_replans_;
-  obs::Gauge m_active_agents_;
-  obs::Gauge m_degraded_tasks_;
-  obs::Counter m_restores_;
-  obs::Counter m_flap_rebans_;
-  // Collective signal plane counters.
-  obs::Counter m_coll_steps_;
-  obs::Counter m_coll_hangs_;
-  obs::Counter m_coll_slows_;
-  obs::Counter m_coll_agreements_;
-  obs::Counter m_coll_silent_cases_;
-  obs::Counter m_coll_absorbed_;
-  /// The flight recorder behind obs_ when enabled (nullptr otherwise);
-  /// bundles, window rings, and vote history flow through here.
-  obs::FlightRecorder* recorder_ = nullptr;
-  /// Ingest-to-verdict latency plane, stages 2-5 (stage 1, the telemetry
-  /// channel delay, lives on TelemetryChannel). All sim-time seconds.
-  obs::Histogram h_window_residence_s_;  ///< window close - window open
-  obs::Histogram h_detect_s_;            ///< event routed - event detected
-  obs::Histogram h_localize_s_;          ///< verdict - first event
-  obs::Histogram h_verdict_s_;           ///< verdict - first window open
+  /// The hunter's own instrumentation. Default-constructed it is detached:
+  /// every handle drops its records and there is no recorder.
+  struct Instruments {
+    Instruments() = default;
+    /// Bind every series on `ctx`'s registry; take its recorder if enabled.
+    explicit Instruments(obs::Context& ctx);
+
+    obs::Counter cases_opened;
+    obs::Counter cases_closed;
+    obs::Counter cases_suppressed;
+    obs::Counter ticks;
+    obs::Counter churn_events;
+    obs::Counter replans;
+    obs::Gauge active_agents;
+    obs::Gauge degraded_tasks;
+    obs::Counter restores;
+    obs::Counter flap_rebans;
+    // Collective signal plane.
+    obs::Counter coll_steps;
+    obs::Counter coll_hangs;
+    obs::Counter coll_slows;
+    obs::Counter coll_agreements;
+    obs::Counter coll_silent_cases;
+    obs::Counter coll_absorbed;
+    /// Ingest-to-verdict latency plane, stages 2-5 (stage 1, the telemetry
+    /// channel delay, lives on TelemetryChannel). All sim-time seconds.
+    obs::Histogram window_residence_s;  ///< window close - window open
+    obs::Histogram detect_s;            ///< event routed - event detected
+    obs::Histogram localize_s;          ///< verdict - first event
+    obs::Histogram verdict_s;           ///< verdict - first window open
+    /// The context's flight recorder when enabled (nullptr otherwise):
+    /// bundles, window rings and the event ring flow through here.
+    obs::FlightRecorder* recorder = nullptr;
+  };
+  Instruments ins_;
   /// Per-tick drain scratch for the detector's closed-window log.
   std::vector<obs::WindowRecord> window_scratch_;
 

@@ -9,10 +9,8 @@ FlightRecorder::FlightRecorder(const RecorderConfig& cfg) : cfg_(cfg) {
   // overflow them and is far past any forensic need.
   cfg_.window_depth = std::clamp<std::size_t>(cfg_.window_depth, 1, 255);
   cfg_.event_capacity = std::max<std::size_t>(cfg_.event_capacity, 1);
-  cfg_.vote_capacity = std::max<std::size_t>(cfg_.vote_capacity, 1);
   cfg_.bundle_capacity = std::max<std::size_t>(cfg_.bundle_capacity, 1);
   events_.resize(cfg_.event_capacity);
-  votes_.resize(cfg_.vote_capacity);
 }
 
 void FlightRecorder::reserve_pairs(std::size_t n) {
@@ -46,17 +44,6 @@ void FlightRecorder::record_event(const EventRecord& rec) {
   }
   events_[event_cursor_] = rec;
   event_cursor_ = (event_cursor_ + 1) % events_.size();
-}
-
-void FlightRecorder::record_vote(const VoteRecord& rec) {
-  if (!cfg_.enabled) return;
-  if (vote_count_ == votes_.size()) {
-    ++vote_drops_;
-  } else {
-    ++vote_count_;
-  }
-  votes_[vote_cursor_] = rec;
-  vote_cursor_ = (vote_cursor_ + 1) % votes_.size();
 }
 
 std::vector<WindowRecord> FlightRecorder::windows_of(
@@ -96,17 +83,6 @@ std::vector<EventRecord> FlightRecorder::events_of(
   return out;
 }
 
-std::vector<VoteRecord> FlightRecorder::votes_of(std::uint32_t case_id) const {
-  std::vector<VoteRecord> out;
-  const std::size_t cap = votes_.size();
-  const std::size_t first = vote_count_ == cap ? vote_cursor_ : 0;
-  for (std::size_t i = 0; i < vote_count_; ++i) {
-    const VoteRecord& v = votes_[(first + i) % cap];
-    if (v.case_id == case_id) out.push_back(v);
-  }
-  return out;
-}
-
 void FlightRecorder::store_bundle(std::uint32_t case_id, std::string json) {
   for (auto& [id, body] : bundles_) {
     if (id == case_id) {
@@ -132,9 +108,8 @@ void FlightRecorder::clear() {
   std::fill(cursor_.begin(), cursor_.end(), std::uint8_t{0});
   std::fill(count_.begin(), count_.end(), std::uint8_t{0});
   event_cursor_ = event_count_ = 0;
-  vote_cursor_ = vote_count_ = 0;
   bundles_.clear();
-  window_drops_ = event_drops_ = vote_drops_ = bundle_drops_ = 0;
+  window_drops_ = event_drops_ = bundle_drops_ = 0;
 }
 
 }  // namespace skh::obs

@@ -2,7 +2,7 @@
 // activity, so every verdict can be reconstructed after the fact without
 // re-running the campaign.
 //
-// Three record planes, all fixed-capacity after `reserve_pairs`:
+// Two record planes, both fixed-capacity after `reserve_pairs`:
 //
 //   * per-pair window rings — the last `window_depth` closed-window
 //     summaries of every probe pair, keyed by the detector's stable dense
@@ -10,14 +10,15 @@
 //     gid (pair retired by churn, slot reused) never attributes a stale
 //     window to the wrong pair: readers filter on identity.
 //   * a global event ring — recent anomaly events as routed by the hunter.
-//   * a global vote ring — localization votes (component, weight, source)
-//     recorded when a case closes.
+//
+// Localization votes are not recorded here: the case that carries them is
+// their only store, and its bundle prints them from there.
 //
 // Every ring counts the records it evicts or rejects (`*_drops`), so "the
 // recorder wrapped" is always visible in the forensic bundle rather than
 // silently truncating history. Memory is bounded by construction:
 // pairs * window_depth * sizeof(WindowRecord) (~22 MB at the 97k-pair /
-// depth-4 shard-gate scale) plus two small global rings.
+// depth-4 shard-gate scale) plus one small global ring.
 //
 // The recorder also stores the forensic bundles themselves (bounded,
 // oldest-evicted): a case's bundle is built by the hunter at case open and
@@ -63,22 +64,10 @@ struct EventRecord {
   std::uint8_t kind = 0;  ///< raw core::AnomalyKind value
 };
 
-/// One localization vote: a component some evidence source implicated, with
-/// its weight. `source` is a static string ("traceroute", "intersection",
-/// or the localization method name).
-struct VoteRecord {
-  std::uint32_t case_id = 0;
-  std::uint8_t component_kind = 0;  ///< raw sim::ComponentKind value
-  std::uint32_t component_index = 0;
-  float weight = 0.0f;
-  const char* source = "";
-};
-
 struct RecorderConfig {
   bool enabled = true;
   std::size_t window_depth = 4;      ///< closed windows kept per pair
   std::size_t event_capacity = 4096; ///< global anomaly-event ring
-  std::size_t vote_capacity = 1024;  ///< global localization-vote ring
   std::size_t bundle_capacity = 32;  ///< forensic bundles kept (oldest evicted)
 };
 
@@ -102,7 +91,6 @@ class FlightRecorder {
 
   void record_window(std::uint32_t gid, const WindowRecord& rec);
   void record_event(const EventRecord& rec);
-  void record_vote(const VoteRecord& rec);
 
   /// Chronological (oldest-first) surviving window records for `gid` whose
   /// identity matches `pair` (recycled-slot records are skipped).
@@ -114,9 +102,6 @@ class FlightRecorder {
   [[nodiscard]] std::vector<EventRecord> events_of(
       const EndpointPair& pair) const;
 
-  /// Surviving votes for one case, in record order.
-  [[nodiscard]] std::vector<VoteRecord> votes_of(std::uint32_t case_id) const;
-
   /// Store (or replace) the forensic bundle for a case. Evicts the oldest
   /// bundle beyond `bundle_capacity` and counts the eviction.
   void store_bundle(std::uint32_t case_id, std::string json);
@@ -127,11 +112,10 @@ class FlightRecorder {
     return bundles_;
   }
 
-  /// Dropped-record accounting: window/event/vote counts are records
+  /// Dropped-record accounting: window/event counts are records
   /// overwritten on ring wrap; bundle drops are evictions.
   [[nodiscard]] std::uint64_t window_drops() const noexcept { return window_drops_; }
   [[nodiscard]] std::uint64_t event_drops() const noexcept { return event_drops_; }
-  [[nodiscard]] std::uint64_t vote_drops() const noexcept { return vote_drops_; }
   [[nodiscard]] std::uint64_t bundle_drops() const noexcept { return bundle_drops_; }
 
   void clear();
@@ -148,15 +132,10 @@ class FlightRecorder {
   std::size_t event_cursor_ = 0;
   std::size_t event_count_ = 0;
 
-  std::vector<VoteRecord> votes_;
-  std::size_t vote_cursor_ = 0;
-  std::size_t vote_count_ = 0;
-
   std::deque<std::pair<std::uint32_t, std::string>> bundles_;
 
   std::uint64_t window_drops_ = 0;
   std::uint64_t event_drops_ = 0;
-  std::uint64_t vote_drops_ = 0;
   std::uint64_t bundle_drops_ = 0;
 };
 

@@ -39,6 +39,13 @@ sim::ComponentRef target_for(sim::IssueType type, const Endpoint& victim,
 
 RunResult run_campaign(const CampaignConfig& cfg, std::uint64_t seed) {
   RunResult result;
+  (void)run_campaign_experiment(cfg, seed, result);
+  return result;
+}
+
+std::unique_ptr<core::Experiment> run_campaign_experiment(
+    const CampaignConfig& cfg, std::uint64_t seed, RunResult& result) {
+  result = RunResult{};
   result.seed = seed;
 
   core::ExperimentConfig ecfg;
@@ -56,7 +63,8 @@ RunResult run_campaign(const CampaignConfig& cfg, std::uint64_t seed) {
         cfg.telemetry_duration, trng);
   }
   result.telemetry_events = ecfg.hunter.telemetry.faults.size();
-  core::Experiment exp(ecfg);
+  auto deployment = std::make_unique<core::Experiment>(ecfg);
+  core::Experiment& exp = *deployment;
 
   std::vector<TaskId> tasks;
   std::vector<workload::TaskLayout> layouts;  ///< aligned with `tasks`
@@ -78,7 +86,7 @@ RunResult run_campaign(const CampaignConfig& cfg, std::uint64_t seed) {
     layouts.push_back(std::move(layout));
   }
   result.tasks_launched = tasks.size();
-  if (tasks.empty()) return result;
+  if (tasks.empty()) return deployment;
 
   // Fault plan: forked by name, so the schedule depends only on the seed —
   // not on how many draws the subsystems made before this point.
@@ -186,7 +194,7 @@ RunResult run_campaign(const CampaignConfig& cfg, std::uint64_t seed) {
     }
     result.forensic_bundles = exp.obs().recorder.bundles().size();
   }
-  return result;
+  return deployment;
 }
 
 CampaignSet run_many(const CampaignConfig& cfg,

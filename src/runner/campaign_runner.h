@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -152,6 +153,12 @@ struct CampaignSet {
 /// Execute one campaign to completion on the calling thread.
 [[nodiscard]] RunResult run_campaign(const CampaignConfig& cfg,
                                      std::uint64_t seed);
+
+/// run_campaign that also hands back the finished deployment, for callers
+/// that inspect what it leaves behind (failure cases, bundles, registry).
+/// `result` receives exactly what run_campaign returns.
+[[nodiscard]] std::unique_ptr<core::Experiment> run_campaign_experiment(
+    const CampaignConfig& cfg, std::uint64_t seed, RunResult& result);
 
 /// Execute one campaign per seed across `n_threads` workers (0 = hardware
 /// concurrency; 1 = sequential on the calling thread). runs[i] always

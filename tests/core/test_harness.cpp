@@ -220,8 +220,9 @@ TEST_F(ExperimentChurn, RestartDegradesAndReinfersAfterFreshThreshold) {
   EXPECT_TRUE(exp_.hunter().task_degraded(task_));
 
   // Bring the victim back and supply fresh batches: the first only
-  // accumulates (below reinference_min_samples = 2), the second re-infers
-  // through the fidelity gate and restores the skeleton list.
+  // accumulates (re-inference waits for kReinferenceMinSamples = 2 fresh
+  // batches per live endpoint), the second re-infers through the fidelity
+  // gate and restores the skeleton list.
   exp_.run_to_running(task_);
   const auto layout = exp_.layout_of(task_, par_);
   EXPECT_FALSE(exp_.apply_skeleton(task_, layout).has_value());

@@ -1,13 +1,15 @@
 // Forensic-bundle contract: every opened failure case leaves behind a
 // self-contained, well-formed JSON bundle that reconstructs the verdict —
 // timeline stages, the offending pair's recent windows, anomaly events,
-// localization votes, and the recorder's own drop accounting.
+// localization votes, and the recorder's own drop accounting — and the
+// bundle filed under a case's id names that case.
 #include <gtest/gtest.h>
 
 #include <regex>
 #include <string>
 #include <vector>
 
+#include "core/forensic.h"
 #include "core/harness.h"
 #include "obs/json_lint.h"
 #include "obs/recorder.h"
@@ -88,6 +90,21 @@ TEST(ForensicBundle, EveryCaseLeavesAValidSelfContainedBundle) {
     // visible in the evidence rather than silently truncated.
     EXPECT_NE(b.find("\"window_drops\":"), std::string::npos);
     EXPECT_NE(b.find("\"event_drops\":"), std::string::npos);
+    // The bundle names its own case, and no case differing from it in an
+    // identity field.
+    EXPECT_TRUE(bundle_names_case(b, c)) << b.substr(0, 120);
+    FailureCase other = c;
+    other.id = c.id + 1;
+    EXPECT_FALSE(bundle_names_case(b, other));
+    other = c;
+    other.task = TaskId{c.task.value() + 1};
+    EXPECT_FALSE(bundle_names_case(b, other));
+    other = c;
+    other.first_event = c.first_event + SimTime::seconds(1);
+    EXPECT_FALSE(bundle_names_case(b, other));
+    other = c;
+    other.cls = CaseClass::kTenantVisibleNetworkSilent;
+    EXPECT_FALSE(bundle_names_case(b, other));
   }
 }
 

@@ -91,20 +91,6 @@ TEST(FlightRecorder, EventRingWrapsOldestFirst) {
   EXPECT_EQ(only[0].at, SimTime::seconds(50));
 }
 
-TEST(FlightRecorder, VotesFilterByCase) {
-  RecorderConfig cfg;
-  cfg.vote_capacity = 8;
-  FlightRecorder rec(cfg);
-  rec.record_vote({1, 0, 5, 2.0f, "intersection"});
-  rec.record_vote({2, 1, 7, 1.0f, "traceroute"});
-  rec.record_vote({1, 0, 6, 3.0f, "intersection"});
-  const auto v1 = rec.votes_of(1);
-  ASSERT_EQ(v1.size(), 2u);
-  EXPECT_EQ(v1[0].component_index, 5u);
-  EXPECT_EQ(v1[1].component_index, 6u);
-  EXPECT_EQ(rec.votes_of(3).size(), 0u);
-}
-
 TEST(FlightRecorder, BundleStoreReplaceAndEvict) {
   RecorderConfig cfg;
   cfg.bundle_capacity = 2;
@@ -130,12 +116,10 @@ TEST(FlightRecorder, ClearResetsEverything) {
   const auto p = pair_of(1, 2);
   rec.record_window(0, window_at(p, 10));
   rec.record_event({p, SimTime::seconds(1), 1.0, 0});
-  rec.record_vote({1, 0, 0, 1.0f, "x"});
   rec.store_bundle(1, "{}");
   rec.clear();
   EXPECT_TRUE(rec.windows_of(0, p).empty());
   EXPECT_TRUE(rec.events().empty());
-  EXPECT_TRUE(rec.votes_of(1).empty());
   EXPECT_EQ(rec.bundle_of(1), nullptr);
   EXPECT_EQ(rec.window_drops(), 0u);
   EXPECT_EQ(rec.event_drops(), 0u);

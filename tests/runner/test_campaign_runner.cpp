@@ -8,9 +8,12 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/forensic.h"
+#include "obs/json_lint.h"
 
 namespace skh::runner {
 namespace {
@@ -352,6 +355,58 @@ TEST(CampaignRunner, CollectivePlaneCampaignBitIdenticalAcrossThreads) {
         << "seed " << seeds[i];
     EXPECT_EQ(schedule_of(one.runs[i]), schedule_of(four.runs[i]))
         << "seed " << seeds[i];
+  }
+}
+
+/// A case's localization votes as its forensic bundle prints them.
+std::string votes_json(const core::FailureCase& c) {
+  std::string out = "\"votes\":[";
+  for (std::size_t i = 0; i < c.localization.votes.size(); ++i) {
+    const auto& v = c.localization.votes[i];
+    if (i > 0) out += ',';
+    out += "{\"component\":";
+    obs::json_append_escaped(out, sim::to_string(v.component));
+    out += ",\"weight\":";
+    obs::json_append_number(out, v.weight);
+    out += ",\"source\":";
+    obs::json_append_escaped(out, v.source);
+    out += '}';
+  }
+  return out + "]";
+}
+
+TEST(CampaignRunner, CaseIdsStayUniqueAndEachBundleNamesItsCase) {
+  // Churn, gray telemetry and the collective plane over two tasks. On this
+  // seed a network-silent case is absorbed (suppressed, then erased) while
+  // a later network-silent case is still held, and a probe-plane case
+  // opens after that. An id taken from the case count gave the probe case
+  // the held case's id: both reported id 2, and the one bundle under it
+  // listed the silent case's collective votes ahead of the probe case's.
+  auto cfg = tiny_config();
+  cfg.tasks = {{4, 4, 2, 2}, {4, 4, 2, 2}};
+  cfg.churn_restarts = 2;
+  cfg.churn_migrations = 1;
+  cfg.telemetry_faults = 4;
+  cfg.collective_plane = true;
+  cfg.collective_faults = 3;
+  RunResult result;
+  const auto exp = run_campaign_experiment(cfg, 28, result);
+  const auto& cases = exp->hunter().failure_cases();
+  ASSERT_EQ(cases.size(), result.failure_cases);
+  ASSERT_FALSE(cases.empty());
+  // The scenario keeps its shape: a suppressed case was erased ahead of a
+  // reported one, so ids are not simply 0..n-1.
+  EXPECT_GT(cases.back().id + 1, cases.size());
+  std::set<std::uint32_t> ids;
+  for (const auto& c : cases) {
+    EXPECT_TRUE(ids.insert(c.id).second) << "case id " << c.id << " repeats";
+    const std::string* bundle = exp->obs().recorder.bundle_of(c.id);
+    ASSERT_NE(bundle, nullptr) << "case " << c.id;
+    EXPECT_TRUE(core::bundle_names_case(*bundle, c))
+        << "bundle under id " << c.id << " names another case: "
+        << bundle->substr(0, 120);
+    EXPECT_NE(bundle->find(votes_json(c) + ","), std::string::npos)
+        << "case " << c.id << " votes " << votes_json(c);
   }
 }
 
