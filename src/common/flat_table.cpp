@@ -20,17 +20,14 @@ constexpr std::size_t cache_align(std::size_t n) noexcept {
 
 }  // namespace
 
-FlatPairTable::FlatPairTable(FlatTableConfig cfg)
-    : fullness_(std::clamp(cfg.fullness, 0.05, 0.95)) {
+FlatPairTable::FlatPairTable(FlatTableConfig cfg) {
   if (cfg.capacity > 0) reserve(cfg.capacity);
 }
 
-std::size_t FlatPairTable::slots_for(std::size_t capacity) const noexcept {
-  // ceil(capacity / fullness), so `capacity` keys sit at or below the
+std::size_t FlatPairTable::slots_for(std::size_t capacity) noexcept {
+  // More than twice `capacity`, so `capacity` keys sit at or below the
   // occupancy limit; then the next power of two for mask probing.
-  const auto want = static_cast<std::size_t>(
-      static_cast<double>(capacity) / fullness_) + 1;
-  return std::bit_ceil(std::max(want, kMinSlots));
+  return std::bit_ceil(std::max(2 * capacity + 1, kMinSlots));
 }
 
 void FlatPairTable::rebuild(std::size_t new_slots) {
@@ -67,8 +64,6 @@ void FlatPairTable::rebuild(std::size_t new_slots) {
   key_off_ = key_off;
   id_off_ = id_off;
   tombstones_ = 0;
-  occupancy_limit_ = static_cast<std::size_t>(
-      static_cast<double>(new_slots) * fullness_);
 }
 
 void FlatPairTable::reserve(std::size_t capacity) {
@@ -79,12 +74,12 @@ void FlatPairTable::reserve(std::size_t capacity) {
 FlatPairTable::InsertResult FlatPairTable::insert(const EndpointPair& key) {
   if (slots_ == 0) {
     rebuild(slots_for(1));
-  } else if (used_ + tombstones_ + 1 > occupancy_limit_) {
+  } else if (used_ + tombstones_ + 1 > virtual_capacity()) {
     // Past the virtual capacity. If tombstones are the bulk of the
     // occupancy, a same-size purge restores headroom without growing;
     // otherwise the table is genuinely full and doubles. Either way ids
     // are untouched.
-    if (tombstones_ >= used_ && used_ + 1 <= occupancy_limit_) {
+    if (tombstones_ >= used_ && used_ + 1 <= virtual_capacity()) {
       ++stats_.purges;
       rebuild(slots_);
     } else {
@@ -136,7 +131,7 @@ FlatPairTable::InsertResult FlatPairTable::insert(const EndpointPair& key) {
   return {id, true};
 }
 
-bool FlatPairTable::erase(const EndpointPair& key) noexcept {
+bool FlatPairTable::erase(const EndpointPair& key) {
   if (used_ == 0) return false;
   const std::size_t mask = slots_ - 1;
   std::size_t s = hash_key(key) & mask;
@@ -147,15 +142,11 @@ bool FlatPairTable::erase(const EndpointPair& key) noexcept {
       set_state(s, SlotState::kDeleted);
       ++tombstones_;
       --used_;
+      free_ids_.push_back(ids()[s]);
       return true;
     }
   }
   return false;
-}
-
-void FlatPairTable::free_id(SlotId id) {
-  assert(id < next_id_);
-  free_ids_.push_back(id);
 }
 
 }  // namespace skh::common

@@ -6,22 +6,22 @@
 // single 64-byte-aligned allocation, probed with linear shifting (the
 // probe sequence shifts one slot per step from the hash slot). The table
 // is sized once at plan time — the pair count is known after skeleton
-// inference — via the `fullness` knob: for a planned capacity C the slot
-// array holds next_pow2(ceil(C / fullness)) slots, so the *virtual*
-// capacity (`slots * fullness`, the occupancy at which a rebuild would
-// trigger) is at least C and steady-state probe chains stay short. A
-// correctly planned table therefore performs zero rehashes and zero
-// allocations on the ingest path.
+// inference — at most half full: for a planned capacity C the slot array
+// holds next_pow2(2C + 1) slots, so the *virtual* capacity (half the
+// slots, the occupancy at which a rebuild would trigger) is at least C and
+// steady-state probe chains stay short. A correctly planned table
+// therefore performs zero rehashes and zero allocations on the ingest
+// path.
 //
 // Ids are NOT probe-slot indices. A probe slot moves when the table
 // rebuilds (growth or tombstone purge); the id is allocated once per key
 // from a bump counter + free list and never moves, so callers can index
-// dense side arrays (hot state, sample strips) by id across rebuilds.
-// `erase` only unmaps the key — the id stays allocated until the caller
-// returns it with `free_id`, which is what lets the analyzer keep a
-// retired pair's state alive until its final windows have been judged
-// (see core/anomaly). The full layout and state-machine contract is
-// documented in ARCHITECTURE.md ("Memory layout & hot path").
+// dense side arrays (placement, pair slots) by id across rebuilds. `erase`
+// unmaps the key and returns its id to the free list, so a caller that
+// must keep an id's side state alive (a retired pair awaiting its final
+// windows, see core/sharded_detector) erases only once it is done with
+// it. The full layout and state-machine contract is documented in
+// ARCHITECTURE.md ("Memory layout & hot path").
 #pragma once
 
 #include <cstddef>
@@ -69,9 +69,6 @@ struct FlatTableConfig {
   /// Planned live-key count; the slot array is sized so this many keys fit
   /// without a rebuild. 0 defers sizing to the first insert / `reserve`.
   std::size_t capacity = 0;
-  /// Target occupied fraction of the slot array (clamped to [0.05, 0.95]).
-  /// Lower = more slack slots, shorter probe chains, more memory.
-  double fullness = 0.5;
 };
 
 class FlatPairTable {
@@ -121,13 +118,9 @@ class FlatPairTable {
   /// correctly planned table.
   InsertResult insert(const EndpointPair& key);
 
-  /// Unmap `key` (slot becomes a tombstone). The id stays allocated —
-  /// side arrays indexed by it remain valid — until `free_id` returns it.
-  bool erase(const EndpointPair& key) noexcept;
-
-  /// Return an id (previously obtained from `insert`, whose key has been
-  /// erased) to the free list for reuse by future inserts.
-  void free_id(SlotId id);
+  /// Unmap `key` (slot becomes a tombstone) and return its id to the free
+  /// list for reuse by future inserts. False if `key` was not mapped.
+  bool erase(const EndpointPair& key);
 
   /// Ensure `capacity` keys fit without further rebuilds. Ids are stable
   /// across the rebuild; only probe-slot positions move.
@@ -137,11 +130,10 @@ class FlatPairTable {
   [[nodiscard]] std::size_t slot_count() const noexcept { return slots_; }
   [[nodiscard]] std::size_t tombstones() const noexcept { return tombstones_; }
   /// Occupancy (used + tombstones) at which the next insert rebuilds:
-  /// floor(slot_count * fullness).
+  /// half the slots.
   [[nodiscard]] std::size_t virtual_capacity() const noexcept {
-    return occupancy_limit_;
+    return slots_ / 2;
   }
-  [[nodiscard]] double fullness() const noexcept { return fullness_; }
   /// One past the largest id ever allocated: the extent callers must size
   /// id-indexed side arrays to.
   [[nodiscard]] SlotId id_bound() const noexcept { return next_id_; }
@@ -213,16 +205,14 @@ class FlatPairTable {
         | (static_cast<std::uint64_t>(st) << sh);
   }
 
-  /// Slot count that holds `capacity` keys at the configured fullness.
-  [[nodiscard]] std::size_t slots_for(std::size_t capacity) const noexcept;
+  /// Slot count that holds `capacity` keys at most half full.
+  [[nodiscard]] static std::size_t slots_for(std::size_t capacity) noexcept;
   /// Re-lay every live mapping into a fresh arena of `new_slots` slots.
   void rebuild(std::size_t new_slots);
 
-  double fullness_;
   std::size_t slots_ = 0;
   std::size_t used_ = 0;
   std::size_t tombstones_ = 0;
-  std::size_t occupancy_limit_ = 0;
   std::size_t key_off_ = 0;  ///< byte offset of the key section
   std::size_t id_off_ = 0;   ///< byte offset of the id section
   SlotId next_id_ = 0;

@@ -81,7 +81,6 @@ WindowSummary robust_summary(std::span<const double> sorted, double iqr_mult,
 
 AnomalyDetector::AnomalyDetector(DetectorConfig cfg)
     : cfg_(cfg),
-      index_(common::FlatTableConfig{.capacity = cfg.expected_pairs}),
       // A close pushes the new window before evicting the oldest, so the
       // ring holds up to lookback + 1 points (the constructor rejects
       // depths a LofRing cannot index). A slot's feature plus its sorted
@@ -97,30 +96,30 @@ AnomalyDetector::AnomalyDetector(DetectorConfig cfg)
   }
 }
 
-AnomalyDetector::PairHandle AnomalyDetector::handle_of(
+AnomalyDetector::PairHandle AnomalyDetector::add_pair(
     const EndpointPair& pair) {
-  const auto [id, inserted] = index_.insert(pair);
-  if (inserted) {
-    if (id >= hot_.size()) {
-      // Fresh id: extend the id-indexed arrays. A recycled id reuses its
-      // slot, already reset by `recycle` (its look-back block may hold
-      // stale values, but every read is bounded by the reset ring).
-      hot_.resize(id + 1);
-      cold_.resize(id + 1);
-      samples_.resize(static_cast<std::size_t>(id + 1) * kStride, 0.0);
-      lookback_.resize(static_cast<std::size_t>(id + 1) * lookback_stride_,
-                       0.0);
-      if (cfg_.track_paths) {
-        paths_.resize(static_cast<std::size_t>(id + 1) * kPathSlots);
-      }
+  PairHandle id;
+  if (!free_.empty()) {
+    // A recycled slot, already reset by `recycle` (its look-back block may
+    // hold stale values, but every read is bounded by the reset ring).
+    id = free_.back();
+    free_.pop_back();
+  } else {
+    // A fresh slot: extend the slot-indexed arrays.
+    id = static_cast<PairHandle>(hot_.size());
+    hot_.resize(id + 1);
+    cold_.resize(id + 1);
+    samples_.resize(static_cast<std::size_t>(id + 1) * kStride, 0.0);
+    lookback_.resize(static_cast<std::size_t>(id + 1) * lookback_stride_, 0.0);
+    if (cfg_.track_paths) {
+      paths_.resize(static_cast<std::size_t>(id + 1) * kPathSlots);
     }
-    cold_[id].pair = pair;
   }
+  cold_[id].pair = pair;
   return id;
 }
 
 void AnomalyDetector::reserve_pairs(std::size_t pairs) {
-  index_.reserve(pairs);
   if (pairs > hot_.capacity()) {
     hot_.reserve(pairs);
     cold_.reserve(pairs);
@@ -161,12 +160,10 @@ void AnomalyDetector::log_window(const EndpointPair& pair, SimTime start,
   window_log_.push_back(rec);
 }
 
-void AnomalyDetector::retire_pair(const EndpointPair& pair) {
-  const PairHandle id = index_.find(pair);
-  if (id == common::FlatPairTable::kNoSlot) return;
-  if (hot_[id].parked) return;
-  hot_[id].parked = true;
-  parked_.push_back(id);
+void AnomalyDetector::retire_pair(PairHandle h) {
+  if (hot_[h].parked) return;
+  hot_[h].parked = true;
+  parked_.push_back(h);
 }
 
 std::size_t AnomalyDetector::retired_count() const noexcept {
@@ -575,8 +572,6 @@ void AnomalyDetector::close_long_window(PairHandle h, SimTime at,
 }
 
 void AnomalyDetector::recycle(PairHandle h) {
-  index_.erase(cold_[h].pair);
-  index_.free_id(h);
   hot_[h] = PairHot{};
   cold_[h] = PairCold{};
   // The strip needs no reset: short_count == 0 makes it dead storage. The
@@ -586,6 +581,7 @@ void AnomalyDetector::recycle(PairHandle h) {
     std::fill_n(paths_.begin() + static_cast<std::size_t>(h) * kPathSlots,
                 kPathSlots, PathSlot{});
   }
+  free_.push_back(h);
 }
 
 std::vector<AnomalyEvent> AnomalyDetector::flush(SimTime now) {
@@ -615,9 +611,8 @@ std::vector<AnomalyEvent> AnomalyDetector::flush(SimTime now) {
   return events;
 }
 
-bool AnomalyDetector::extract_pair(const EndpointPair& pair, PairState& out) {
-  const PairHandle h = index_.find(pair);
-  if (h == common::FlatPairTable::kNoSlot) return false;
+AnomalyDetector::PairState AnomalyDetector::extract_pair(PairHandle h) {
+  PairState out;
   out.hot_ = hot_[h];
   out.cold_ = std::move(cold_[h]);
   const double* strip = samples_.data() + static_cast<std::size_t>(h) * kStride;
@@ -629,22 +624,12 @@ bool AnomalyDetector::extract_pair(const EndpointPair& pair, PairState& out) {
     const PathSlot* ps =
         paths_.data() + static_cast<std::size_t>(h) * kPathSlots;
     out.paths_.assign(ps, ps + kPathSlots);
-  } else {
-    out.paths_.clear();
   }
   // Annul any parking: a parked pair that migrates is the new home's to
   // retire (or revive).
-  parked_.erase(std::remove(parked_.begin(), parked_.end(), h),
-                parked_.end());
-  index_.erase(pair);
-  index_.free_id(h);
-  hot_[h] = PairHot{};
-  cold_[h] = PairCold{};
-  if (cfg_.track_paths) {
-    std::fill_n(paths_.begin() + static_cast<std::size_t>(h) * kPathSlots,
-                kPathSlots, PathSlot{});
-  }
-  return true;
+  std::erase(parked_, h);
+  recycle(h);
+  return out;
 }
 
 AnomalyDetector::PairHandle AnomalyDetector::adopt_pair(PairState&& st) {
@@ -653,10 +638,7 @@ AnomalyDetector::PairHandle AnomalyDetector::adopt_pair(PairState&& st) {
     throw std::logic_error(
         "adopt_pair: strip geometry mismatch (detector configs differ)");
   }
-  if (index_.find(st.cold_.pair) != common::FlatPairTable::kNoSlot) {
-    throw std::logic_error("adopt_pair: pair already mapped");
-  }
-  const PairHandle h = handle_of(st.cold_.pair);
+  const PairHandle h = add_pair(st.cold_.pair);
   hot_[h] = st.hot_;
   cold_[h] = std::move(st.cold_);
   std::copy(st.samples_.begin(), st.samples_.end(),
@@ -673,24 +655,24 @@ AnomalyDetector::PairHandle AnomalyDetector::adopt_pair(PairState&& st) {
 
 AnomalyDetector::Snapshot AnomalyDetector::snapshot() const {
   Snapshot s;
-  s.index_ = index_;
   s.hot_ = hot_;
   s.cold_ = cold_;
   s.samples_ = samples_;
   s.lookback_ = lookback_;
   s.paths_ = paths_;
   s.parked_ = parked_;
+  s.free_ = free_;
   return s;
 }
 
 void AnomalyDetector::restore(const Snapshot& snap) {
-  index_ = snap.index_;
   hot_ = snap.hot_;
   cold_ = snap.cold_;
   samples_ = snap.samples_;
   lookback_ = snap.lookback_;
   paths_ = snap.paths_;
   parked_ = snap.parked_;
+  free_ = snap.free_;
 }
 
 }  // namespace skh::core

@@ -20,14 +20,15 @@
 // differential suites in tests/core and bench_anomaly_throughput pin the
 // two to identical verdicts.
 //
-// Pair storage is cache-resident by construction: pair resolution rides a
-// fixed-capacity `common::FlatPairTable` sized at plan time
-// (`reserve_pairs`), and per-pair state is an SoA split indexed by the
-// table's stable ids — a contiguous 64-byte-aligned `PairHot` array (one
-// cache line per pair, all a rollover-free probe touches), a fixed-stride
-// sample-strip arena, a fixed-stride look-back arena, and a parallel cold
-// array, the last two read only at window closes. The layout contract
-// (slot states, probing, capacity math, handle stability across churn and
+// Pair storage is cache-resident by construction. The detector keeps no
+// pair index: its owner (`ShardedDetector`, whose router is the analyzer's
+// one pair index) adds each pair once and keeps the dense slot `add_pair`
+// returns. Per-pair state is an SoA split indexed by that slot, sized at
+// plan time (`reserve_pairs`) — a contiguous 64-byte-aligned `PairHot`
+// array (one cache line per pair, all a rollover-free probe touches), a
+// fixed-stride sample-strip arena, a fixed-stride look-back arena, and a
+// parallel cold array, the last two read only at window closes. The layout
+// contract (slot reuse, handle stability across churn and
 // snapshot/restore) is documented in ARCHITECTURE.md under "Memory layout
 // & hot path".
 #pragma once
@@ -39,7 +40,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/flat_table.h"
+#include "common/flat_table.h"  // ArenaAllocator
 #include "common/ids.h"
 #include "common/stats.h"
 #include "common/time.h"
@@ -144,10 +145,10 @@ struct DetectorConfig {
   /// iqr_mult 0 disables.
   double rtt_clamp_iqr_mult = 8.0;
   double rtt_clamp_band_frac = 0.5;
-  /// Plan-time pair capacity: sizes the flat pair table (and with it the
-  /// hot/cold/strip arenas' growth schedule) once, so ingest performs no
-  /// rehash. The hunter sets this from its ping lists; 0 starts minimal
-  /// and grows by doubling.
+  /// Plan-time pair capacity: sizes the sharded facade's pair index (its
+  /// router) and the per-pair arrays once, so mapping and ingest allocate
+  /// nothing. The hunter reserves the same from its ping lists; 0 starts
+  /// minimal and grows by doubling.
   std::size_t expected_pairs = 0;
   /// Per-path sub-series for sprayed/adaptive pairs: each pair keeps a
   /// bounded table of per-member {sent, lost, rtt} accumulators keyed by
@@ -206,11 +207,10 @@ struct DetectorCounters {
 
 class AnomalyDetector {
  public:
-  /// Stable dense per-pair id from the flat pair table; resolve once via
-  /// `handle_of`, then ingest without re-hashing the pair on every probe.
-  /// Handles survive table rebuilds, churn retirement (until the retired
-  /// slot is recycled at `flush`), and snapshot/restore.
-  using PairHandle = common::FlatPairTable::SlotId;
+  /// Dense per-pair slot from `add_pair`. The owner keeps it and ingests
+  /// by it; a slot survives churn retirement (until it is recycled at
+  /// `flush`) and snapshot/restore.
+  using PairHandle = std::uint32_t;
 
   explicit AnomalyDetector(DetectorConfig cfg = {});
 
@@ -235,14 +235,15 @@ class AnomalyDetector {
     return window_log_drops_;
   }
 
-  /// Get-or-create the handle for a pair.
-  [[nodiscard]] PairHandle handle_of(const EndpointPair& pair);
+  /// Start tracking `pair` in a fresh slot: the last one recycled, else
+  /// one past the highest. The caller keeps the slot — the detector has no
+  /// pair lookup — and adds each pair once.
+  [[nodiscard]] PairHandle add_pair(const EndpointPair& pair);
 
-  /// Pre-size the pair table (and the id-indexed state arrays) for
-  /// `pairs` concurrent pairs. Called at plan/replan time, when the ping
-  /// lists fix the pair population; mapping pairs and ingesting their
-  /// first windows after a sufficient reserve performs zero rehashes and
-  /// zero heap allocations. Growth only.
+  /// Pre-size the slot-indexed state arrays for `pairs` concurrent pairs.
+  /// Called at plan/replan time, when the ping lists fix the pair
+  /// population; adding pairs and ingesting their first windows after a
+  /// sufficient reserve performs zero heap allocations. Growth only.
   void reserve_pairs(std::size_t pairs);
 
   /// Feed one observation under a pre-resolved handle. Window boundaries
@@ -257,53 +258,48 @@ class AnomalyDetector {
   std::size_t ingest(PairHandle h, const Observation& o,
                      std::vector<AnomalyEvent>& out);
 
-  /// Churn integration: mark `pair` — whose endpoints vanished from the
-  /// plan (container death, RNIC rebind on migration) — as retired. Its
-  /// state stays resident and mapped, so a straggling in-flight result
-  /// revives it with full continuity; state that is still retired at
-  /// `flush` has its final windows judged exactly as a live pair's and its
-  /// slot is then recycled for reuse. No-op if the pair is unknown.
-  void retire_pair(const EndpointPair& pair);
+  /// Churn integration: mark the pair in slot `h` — whose endpoints
+  /// vanished from the plan (container death, RNIC rebind on migration) —
+  /// as retired. Its state stays resident, so a straggling in-flight
+  /// result revives it with full continuity; state that is still retired
+  /// at `flush` has its final windows judged exactly as a live pair's and
+  /// its slot is then recycled for reuse.
+  void retire_pair(PairHandle h);
+  /// Whether slot `h` is retired and not revived since: the slots the next
+  /// `flush` recycles.
+  [[nodiscard]] bool parked(PairHandle h) const noexcept {
+    return hot_[h].parked;
+  }
 
   /// Force-close all open windows (end of campaign) and return any final
   /// events. Only windows that reached their nominal span are evaluated: a
   /// few-second partial window carries no evidence at window granularity
   /// and must not fire (e.g.) a 30-minute Z-test alarm. Afterwards,
-  /// still-retired pairs (see `retire_pair`) are recycled: their handles
-  /// and table ids return to the free lists and their slots reset.
+  /// still-retired pairs (see `retire_pair`) are recycled: their slots
+  /// reset and return to the free list.
   [[nodiscard]] std::vector<AnomalyEvent> flush(SimTime now);
 
   [[nodiscard]] const DetectorConfig& config() const noexcept { return cfg_; }
 
-  /// Live (mapped) pairs, including retired-but-not-yet-recycled ones.
+  /// Live pairs, including retired-but-not-yet-recycled ones.
   [[nodiscard]] std::size_t pair_count() const noexcept {
-    return index_.size();
+    return hot_.size() - free_.size();
   }
   /// Pairs currently parked by `retire_pair` awaiting the flush recycle.
   [[nodiscard]] std::size_t retired_count() const noexcept;
-  /// The underlying pair table (capacity planning / layout telemetry).
-  [[nodiscard]] const common::FlatPairTable& pair_table() const noexcept {
-    return index_;
-  }
-  /// Visit every mapped pair as f(pair) — slot order, deterministic for a
-  /// given ingest history. Used by the hunter's churn sweep.
-  template <typename F>
-  void for_each_pair(F&& f) const {
-    index_.for_each([&f](const EndpointPair& p, PairHandle) { f(p); });
-  }
 
   /// Ingest counters, including the LOF scoring counts.
   [[nodiscard]] const DetectorCounters& counters() const noexcept {
     return counters_;
   }
 
-  /// Opaque copy of the full per-pair analysis state (pair table, hot
-  /// lines, sample strips, LOF look-back blocks, long-term baselines,
-  /// sequence tracking, retirement parking). Every piece of pair state is
-  /// value-semantic — the table, strip and look-back arenas copy as flat
-  /// bytes — so a plain copy IS the serialized form; restoring it and
-  /// continuing is bit-identical to never having stopped, and handles
-  /// resolved before the snapshot stay valid after a restore. Config,
+  /// Opaque copy of the full per-pair analysis state (hot lines, sample
+  /// strips, LOF look-back blocks, long-term baselines, sequence tracking,
+  /// retirement parking, the slot free list). Every piece of pair state is
+  /// value-semantic — the strip and look-back arenas copy as flat bytes —
+  /// so a plain copy IS the serialized form; restoring it and continuing
+  /// is bit-identical to never having stopped, and slots handed out before
+  /// the snapshot name the same pairs after a restore. Config,
   /// counters and the window log are not part of the snapshot (they belong
   /// to the process, not the analysis), so restoring a freshly constructed
   /// detector's snapshot is a cold reset that keeps them.
@@ -322,19 +318,17 @@ class AnomalyDetector {
   /// with the detector that did the counted work, so fleet-summed
   /// counters are rebalance-invariant.
   class PairState;
-  /// Remove `pair` and move its full state into `out`; the slot is
-  /// recycled (handle freed, any parking annulled). Returns false (and
-  /// leaves `out` untouched) if the pair is unknown.
-  [[nodiscard]] bool extract_pair(const EndpointPair& pair, PairState& out);
-  /// Insert a previously extracted pair. The pair must not already be
-  /// mapped here and the state's look-back and path-slot geometry must
-  /// match this detector's config (both throw std::logic_error — a
-  /// rebalance that trips either is a routing bug, not a data condition).
-  /// Returns the new handle.
+  /// Move the full state of the pair in slot `h` out; the slot is
+  /// recycled (any parking annulled).
+  [[nodiscard]] PairState extract_pair(PairHandle h);
+  /// Add a previously extracted pair in a fresh slot and return it. The
+  /// state's look-back and path-slot geometry must match this detector's
+  /// config (std::logic_error otherwise — a rebalance that trips it is a
+  /// routing bug, not a data condition).
   PairHandle adopt_pair(PairState&& st);
 
  private:
-  // Per-pair state is split hot/cold (SoA by stable table id). `PairHot`
+  // Per-pair state is split hot/cold (SoA by slot). `PairHot`
   // holds exactly what a probe with no window rollover touches — the
   // gray-telemetry rejection fields, boundary checks, counters, and the
   // streak rule — packed into one 64-byte cache line; delivered samples
@@ -416,8 +410,9 @@ class AnomalyDetector {
   /// sorted in place (the common, allocation-free case) or merged with the
   /// spill into reused scratch. Valid until the next ingest/close.
   [[nodiscard]] std::span<const double> window_sorted(PairHandle h);
-  /// Reset a recycled slot to freshly-constructed state. The look-back
-  /// block keeps its stale doubles: the reset ring makes them unreachable.
+  /// Reset slot `h` to freshly-constructed state and return it to the
+  /// free list. The look-back block keeps its stale doubles: the reset
+  /// ring makes them unreachable.
   void recycle(PairHandle h);
   /// Append one closed-window record to the bounded log (no-op when
   /// logging is off; counts a drop when the log is full).
@@ -439,8 +434,7 @@ class AnomalyDetector {
   static constexpr std::size_t kFeatureP50 = 1;
 
   DetectorConfig cfg_;
-  common::FlatPairTable index_;
-  // Dense, indexed by stable table id; hot_[h], cold_[h], and the strip
+  // Dense, indexed by slot; hot_[h], cold_[h], and the strip
   // samples_[h * kStride ..] describe one pair.
   std::vector<PairHot> hot_;
   std::vector<PairCold> cold_;
@@ -463,9 +457,11 @@ class AnomalyDetector {
   /// when cfg.track_paths (empty otherwise, so the single-path deployment
   /// pays no memory and no cache traffic for the feature).
   std::vector<PathSlot, common::ArenaAllocator<PathSlot>> paths_;
-  /// Ids parked by retire_pair, recycled at flush (entries whose `parked`
-  /// flag was cleared by a reviving probe are skipped).
+  /// Slots parked by retire_pair, recycled at flush (entries whose
+  /// `parked` flag was cleared by a reviving probe are skipped).
   std::vector<PairHandle> parked_;
+  /// Recycled slots, reused last-in first-out by add_pair.
+  std::vector<PairHandle> free_;
   std::vector<double> sort_scratch_;  ///< spill-merge buffer, reused
   // Closed-window log (flight-recorder feed). Not analysis state: excluded
   // from Snapshot, like the counters. Capacity tracks reserve_pairs so a
@@ -488,13 +484,13 @@ class AnomalyDetector {
 
    private:
     friend class AnomalyDetector;
-    common::FlatPairTable index_;
     std::vector<PairHot> hot_;
     std::vector<PairCold> cold_;
     std::vector<double, common::ArenaAllocator<double>> samples_;
     std::vector<double, common::ArenaAllocator<double>> lookback_;
     std::vector<PathSlot, common::ArenaAllocator<PathSlot>> paths_;
     std::vector<PairHandle> parked_;
+    std::vector<PairHandle> free_;
   };
 
   class PairState {

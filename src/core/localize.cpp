@@ -200,14 +200,14 @@ void collect_components(const topo::Path& path,
 
 }  // namespace
 
-std::map<sim::ComponentRef, Localizer::PathTally> Localizer::tally_paths(
+Localizer::Tally Localizer::tally_paths(
     const std::vector<EndpointPair>& pairs,
     std::span<const PathScopedAnomaly> path_hints) const {
   // Hinted equal-cost members per pair (a pair may be hinted on several).
   std::map<EndpointPair, std::vector<std::uint32_t>> hinted;
   for (const auto& h : path_hints) hinted[h.pair].push_back(h.path_id);
 
-  std::map<sim::ComponentRef, PathTally> tally;
+  Tally tally;
   for (const auto& p : pairs) {
     // Per-pair component sets — each component counts once per pair even
     // when both probe directions were flagged or several hinted members
@@ -261,7 +261,11 @@ std::map<sim::ComponentRef, Localizer::PathTally> Localizer::tally_paths(
 std::vector<sim::ComponentRef> Localizer::physical_intersection(
     const std::vector<EndpointPair>& pairs,
     std::span<const PathScopedAnomaly> path_hints) const {
-  const auto tally = tally_paths(pairs, path_hints);
+  return intersection_culprits(tally_paths(pairs, path_hints), pairs.size());
+}
+
+std::vector<sim::ComponentRef> Localizer::intersection_culprits(
+    const Tally& tally, std::size_t n_pairs) {
   double best = 0.0;
   for (const auto& [c, t] : tally) best = std::max(best, t.weight);
   // One pair's worth of evidence is just "the pair's own path" — the
@@ -286,7 +290,7 @@ std::vector<sim::ComponentRef> Localizer::physical_intersection(
     if (t.weight != best) continue;
     if (t.touched < 2 ||
         static_cast<double>(t.touched) <
-            0.7 * static_cast<double>(pairs.size())) {
+            0.7 * static_cast<double>(n_pairs)) {
       continue;
     }
     (c.kind == sim::ComponentKind::kPhysicalLink ? links : switches)
@@ -298,7 +302,11 @@ std::vector<sim::ComponentRef> Localizer::physical_intersection(
 std::vector<LocalizationVote> Localizer::physical_intersection_votes(
     const std::vector<EndpointPair>& pairs,
     std::span<const PathScopedAnomaly> path_hints) const {
-  const auto tally = tally_paths(pairs, path_hints);
+  return intersection_votes(tally_paths(pairs, path_hints));
+}
+
+std::vector<LocalizationVote> Localizer::intersection_votes(
+    const Tally& tally) {
   std::vector<LocalizationVote> votes;
   // A count of one is just "the pair's own path", not intersection
   // evidence — the same floor physical_intersection applies. Grouped by
@@ -513,11 +521,13 @@ Localization Localizer::localize_impl(
   }
 
   // Step 2: underlay physical intersection, refined by host-agent
-  // traceroutes when several links tie.
+  // traceroutes when several links tie. One tally feeds the verdict and
+  // the vote record.
+  const Tally tally = tally_paths(anomalous_pairs, path_hints);
   auto refined = refine_with_traceroute(
-      anomalous_pairs, physical_intersection(anomalous_pairs, path_hints),
+      anomalous_pairs, intersection_culprits(tally, anomalous_pairs.size()),
       at);
-  loc.votes = physical_intersection_votes(anomalous_pairs, path_hints);
+  loc.votes = intersection_votes(tally);
   loc.votes.insert(loc.votes.end(), refined.votes.begin(),
                    refined.votes.end());
   if (obs_ != nullptr) {

@@ -194,9 +194,16 @@ class Localizer {
     std::size_t rev = 0;
     std::size_t path = 0;
   };
-  [[nodiscard]] std::map<sim::ComponentRef, PathTally> tally_paths(
+  using Tally = std::map<sim::ComponentRef, PathTally>;
+  [[nodiscard]] Tally tally_paths(
       const std::vector<EndpointPair>& pairs,
       std::span<const PathScopedAnomaly> path_hints) const;
+  /// physical_intersection's verdict over a tally of `n_pairs` pairs.
+  [[nodiscard]] static std::vector<sim::ComponentRef> intersection_culprits(
+      const Tally& tally, std::size_t n_pairs);
+  /// physical_intersection_votes's record of a tally.
+  [[nodiscard]] static std::vector<LocalizationVote> intersection_votes(
+      const Tally& tally);
 
   [[nodiscard]] sim::ComponentRef component_of_overlay_node(
       VPortId node, bool loop) const;

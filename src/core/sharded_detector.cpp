@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/rng.h"
-
 namespace skh::core {
 namespace {
 
@@ -45,50 +43,16 @@ constexpr std::pair<const char*, std::uint64_t DetectorCounters::*>
 
 }  // namespace
 
-ShardRing::ShardRing(std::size_t n_shards, std::size_t vnodes)
-    : n_shards_(std::max<std::size_t>(1, n_shards)) {
-  points_.reserve(n_shards_ * vnodes);
-  for (std::size_t s = 0; s < n_shards_; ++s) {
-    for (std::size_t v = 0; v < vnodes; ++v) {
-      points_.push_back(Point{
-          seed_mix(0x5348524453484152ULL /*"SHRDSHAR"*/,
-                           (static_cast<std::uint64_t>(s) << 20) | v),
-          static_cast<std::uint32_t>(s)});
-    }
-  }
-  std::sort(points_.begin(), points_.end(),
-            [](const Point& a, const Point& b) {
-              if (a.hash != b.hash) return a.hash < b.hash;
-              return a.shard < b.shard;  // collision tie-break: stable
-            });
-}
-
-std::size_t ShardRing::shard_of(std::uint64_t key) const noexcept {
-  if (n_shards_ == 1 || points_.empty()) return 0;
-  const std::uint64_t h = seed_mix(key, 0x706169722d696473ULL);
-  auto it = std::lower_bound(points_.begin(), points_.end(), h,
-                             [](const Point& p, std::uint64_t v) {
-                               return p.hash < v;
-                             });
-  if (it == points_.end()) it = points_.begin();  // wrap
-  return it->shard;
-}
-
 ShardedDetector::ShardedDetector(DetectorConfig cfg, std::size_t n_shards,
                                  common::ThreadPool* pool)
     : cfg_(cfg),
-      ring_(std::max<std::size_t>(1, n_shards)),
       pool_(pool),
       router_(common::FlatTableConfig{.capacity = cfg.expected_pairs}) {
   static_assert(std::size(kPublishedSeries) == kPublished);
   const std::size_t n = std::max<std::size_t>(1, n_shards);
-  // Per-shard table capacity: the ring spreads the expectation close to
-  // evenly; 1/4 headroom keeps a mildly skewed split rehash-free too.
+  // Fresh ids split evenly (`id % n`), so each shard plans for its share.
   DetectorConfig shard_cfg = cfg;
-  if (cfg.expected_pairs > 0 && n > 1) {
-    shard_cfg.expected_pairs = cfg.expected_pairs / n +
-                               cfg.expected_pairs / (4 * n) + 16;
-  }
+  shard_cfg.expected_pairs = (cfg.expected_pairs + n - 1) / n;
   shards_.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
     shards_.push_back(std::make_unique<AnomalyDetector>(shard_cfg));
@@ -162,9 +126,9 @@ ShardedDetector::GlobalHandle ShardedDetector::handle_of(
       pair_of_.resize(gid + 1);
       next_of_.resize(gid + 1, common::FlatPairTable::kNoSlot);
     }
-    const std::size_t s = ring_.shard_of(gid);
+    const std::size_t s = gid % shards_.size();
     shard_of_[gid] = static_cast<std::uint32_t>(s);
-    local_of_[gid] = shards_[s]->handle_of(pair);
+    local_of_[gid] = shards_[s]->add_pair(pair);
     pair_of_[gid] = pair;
   }
   if (last_ < next_of_.size()) next_of_[last_] = gid;
@@ -180,9 +144,7 @@ void ShardedDetector::reserve_pairs(std::size_t pairs) {
     next_of_.reserve(pairs);
   }
   const std::size_t n = shards_.size();
-  const std::size_t per =
-      n == 1 ? pairs : pairs / n + pairs / (4 * n) + 16;
-  for (auto& shard : shards_) shard->reserve_pairs(per);
+  for (auto& shard : shards_) shard->reserve_pairs((pairs + n - 1) / n);
 }
 
 std::size_t ShardedDetector::ingest_batch(
@@ -319,29 +281,31 @@ std::uint64_t ShardedDetector::window_log_drops() const {
 void ShardedDetector::retire_pair(const EndpointPair& pair) {
   const GlobalHandle gid = router_.find(pair);
   if (gid == common::FlatPairTable::kNoSlot) return;
-  shards_[shard_of_[gid]]->retire_pair(pair);
+  shards_[shard_of_[gid]]->retire_pair(local_of_[gid]);
 }
 
 std::vector<AnomalyEvent> ShardedDetector::flush(SimTime now) {
+  // The ids whose slots are still parked are the ones the shard flushes
+  // below recycle; read them by slot before the slots are reused.
+  std::vector<GlobalHandle> freed;
+  for (GlobalHandle gid = 0; gid < shard_of_.size(); ++gid) {
+    if (shard_of_[gid] != kUnplaced &&
+        shards_[shard_of_[gid]]->parked(local_of_[gid])) {
+      freed.push_back(gid);
+    }
+  }
   std::vector<AnomalyEvent> events;
   for (auto& shard : shards_) {
     const auto tail = shard->flush(now);
     events.insert(events.end(), tail.begin(), tail.end());
   }
-  // Reconcile the router with shard-side recycling: a pair whose shard
-  // slot was recycled (still retired at flush) gives its global id back,
-  // unmapped and unplaced together (the handle_of invariant). Ascending id
-  // order — a pure function of the id set, so the router's free list (and
-  // thus future id reuse) is shard-count-invariant.
-  for (GlobalHandle gid = 0; gid < shard_of_.size(); ++gid) {
-    if (shard_of_[gid] == kUnplaced) continue;
-    const auto& shard = *shards_[shard_of_[gid]];
-    if (shard.pair_table().find(pair_of_[gid]) ==
-        common::FlatPairTable::kNoSlot) {
-      router_.erase(pair_of_[gid]);
-      router_.free_id(gid);
-      shard_of_[gid] = kUnplaced;
-    }
+  // Each freed id leaves the router and its placement together (the
+  // handle_of invariant). Ascending id order — a pure function of the id
+  // set, so the router's free list (and thus future id reuse) is
+  // shard-count-invariant.
+  for (const GlobalHandle gid : freed) {
+    router_.erase(pair_of_[gid]);
+    shard_of_[gid] = kUnplaced;
   }
   canonicalize_events(events);
   publish();
@@ -371,9 +335,8 @@ std::size_t ShardedDetector::migrate_range(GlobalHandle lo, GlobalHandle hi,
   for (GlobalHandle gid = lo; gid < end; ++gid) {
     const std::uint32_t from = shard_of_[gid];
     if (from == kUnplaced || from == to) continue;
-    AnomalyDetector::PairState st;
-    if (!shards_[from]->extract_pair(pair_of_[gid], st)) continue;
-    local_of_[gid] = shards_[to]->adopt_pair(std::move(st));
+    local_of_[gid] =
+        shards_[to]->adopt_pair(shards_[from]->extract_pair(local_of_[gid]));
     shard_of_[gid] = static_cast<std::uint32_t>(to);
     ++moved;
   }

@@ -10,12 +10,15 @@
 // guarantees the stronger property the hunter's case tracking needs —
 // bit-identical verdicts at 1, 4, or 16 shards — with three invariants:
 //
-//  1. *Stable global ids.* A router `common::FlatPairTable` assigns every
-//     pair a dense global id in discovery order. Discovery order depends
-//     only on the probe schedule, never on the shard count, so the id a
-//     pair gets (and everything keyed off it) is shard-count-invariant.
-//     Placement is consistent-hash on that id (`ShardRing`), so it too is
-//     a pure function of (id, shard count).
+//  1. *Stable global ids.* A router `common::FlatPairTable` — the
+//     analyzer's one pair index — assigns every pair a dense global id in
+//     discovery order. Discovery order depends only on the probe schedule,
+//     never on the shard count, so the id a pair gets (and everything
+//     keyed off it) is shard-count-invariant. A new id lands on shard
+//     `id % N`, a pure function of (id, shard count) that splits fresh ids
+//     evenly; a migrated id keeps the shard it moved to. Each shard is a
+//     slot-indexed store with no pair lookup of its own: the facade keeps
+//     every id's shard-local slot.
 //  2. *Order-preserving batches.* `ingest_batch` partitions a probe round
 //     by shard, preserving round order within each shard (same-pair
 //     results always land in the same shard, so per-pair order holds),
@@ -69,28 +72,6 @@
 
 namespace skh::core {
 
-/// Consistent-hash ring over shard indices, keyed by stable global pair
-/// id. Each shard contributes `vnodes` points (splitmix-derived, so the
-/// ring is a pure function of the shard count); a key routes to the owner
-/// of the first point at or after its own hash. Pure and deterministic:
-/// no RNG, no state beyond the sorted point list.
-class ShardRing {
- public:
-  ShardRing() : ShardRing(1) {}
-  explicit ShardRing(std::size_t n_shards, std::size_t vnodes = 64);
-
-  [[nodiscard]] std::size_t shard_of(std::uint64_t key) const noexcept;
-  [[nodiscard]] std::size_t shard_count() const noexcept { return n_shards_; }
-
- private:
-  struct Point {
-    std::uint64_t hash;
-    std::uint32_t shard;
-  };
-  std::vector<Point> points_;  ///< sorted by hash
-  std::size_t n_shards_ = 1;
-};
-
 /// Detector-shaped facade over N pair-space shards. Drop-in for
 /// `AnomalyDetector` in the hunter: same handle/retire/flush/snapshot
 /// surface, same counters, with ingest by probe-round batch, plus the
@@ -119,8 +100,8 @@ class ShardedDetector {
   /// `Experiment` does).
   void attach_obs(obs::Context* ctx);
 
-  /// Get-or-create the global handle for a pair; assigns placement for
-  /// newly discovered pairs via the ring. Order-learned: the id returned
+  /// Get-or-create the global handle for a pair; a newly discovered pair
+  /// is added to shard `id % N`. Order-learned: the id returned
   /// after the previous call's id last time is tried first, and accepted
   /// only if it is placed and names `pair` — the router maps every placed
   /// id's pair to that id, so a hit is exactly the id a table lookup
@@ -145,8 +126,8 @@ class ShardedDetector {
   void drain_window_log(std::vector<obs::WindowRecord>& out);
   [[nodiscard]] std::uint64_t window_log_drops() const;
 
-  /// Plan-time capacity: sizes the router and divides the expectation
-  /// across shards. Growth only.
+  /// Plan-time capacity: sizes the router and gives each shard an even
+  /// share. Growth only.
   void reserve_pairs(std::size_t pairs);
 
   /// Ingest one probe round — the facade's only ingest call. Items are
@@ -167,8 +148,9 @@ class ShardedDetector {
   void retire_pair(const EndpointPair& pair);
 
   /// Force-close all open windows on every shard and recycle still-retired
-  /// pairs (global ids included). Events are returned in canonical order
-  /// (`canonicalize_events`) — identical at any shard count.
+  /// pairs: their shard slots, then their global ids in ascending order.
+  /// Events are returned in canonical order (`canonicalize_events`) —
+  /// identical at any shard count.
   [[nodiscard]] std::vector<AnomalyEvent> flush(SimTime now);
 
   [[nodiscard]] const DetectorConfig& config() const noexcept { return cfg_; }
@@ -236,15 +218,13 @@ class ShardedDetector {
   void publish();
 
   DetectorConfig cfg_;
-  ShardRing ring_;
   common::ThreadPool* pool_ = nullptr;  ///< not owned; may be null
   std::vector<std::unique_ptr<AnomalyDetector>> shards_;
   common::FlatPairTable router_;  ///< pair -> global id, discovery order
-  // Dense by global id: owning shard, local handle there, and the pair
-  // itself (recycle needs key lookups without re-deriving from shards).
-  // Invariant: for every placed id g (shard_of_[g] != kUnplaced) the router
-  // maps pair_of_[g] to g — handle_of sets both, flush clears both, restore
-  // copies both.
+  // Dense by global id: owning shard, the pair's slot there, and the pair
+  // itself (flush unmaps freed ids by key). Invariant: for every placed id
+  // g (shard_of_[g] != kUnplaced) the router maps pair_of_[g] to g —
+  // handle_of sets both, flush clears both, restore copies both.
   std::vector<std::uint32_t> shard_of_;
   std::vector<AnomalyDetector::PairHandle> local_of_;
   std::vector<EndpointPair> pair_of_;

@@ -490,9 +490,7 @@ SkeletonHunter::Snapshot SkeletonHunter::checkpoint() const {
   s.detector_ = detector_.snapshot();
   s.cases_ = cases_;
   s.blacklist_ = blacklist_;
-  s.monitors_ = monitors_;
   s.collective_ = collective_;
-  s.ticks_ = ticks_;
   return s;
 }
 
@@ -519,9 +517,7 @@ void SkeletonHunter::restore(const Snapshot& snap) {
   detector_.restore(snap.detector_);
   cases_ = snap.cases_;
   blacklist_ = snap.blacklist_;
-  monitors_ = snap.monitors_;
   collective_ = snap.collective_;
-  ticks_ = snap.ticks_;
 }
 
 void SkeletonHunter::cold_reset_analyzer() {
@@ -532,9 +528,9 @@ void SkeletonHunter::cold_reset_analyzer() {
   cases_.clear();
   blacklist_ = Blacklist{};
   // Collective diagnosis state (strikes, latches, pending hangs) dies with
-  // the process; the communicator registrations survive like monitors_ —
-  // they came from the control plane, not from analysis.
-  for (auto& [task, plane] : collective_) plane.diag.reset_state();
+  // the process; the communicator registrations survive — they came from
+  // the control plane, not from analysis.
+  for (auto& [task, diag] : collective_) diag.reset_state();
 }
 
 void SkeletonHunter::route_by_task(std::span<const AnomalyEvent> events) {
@@ -640,11 +636,9 @@ void SkeletonHunter::route_events(TaskId task,
 
 void SkeletonHunter::register_collectives(
     TaskId task, const std::vector<workload::CollectiveGroup>& gs) {
-  CollectivePlane plane;
-  plane.diag = collective::CollectiveDiagnoser(cfg_.collective);
-  for (const auto& g : gs) plane.diag.register_group(g);
-  plane.groups = gs;
-  collective_[task] = std::move(plane);
+  collective::CollectiveDiagnoser diag(cfg_.collective);
+  for (const auto& g : gs) diag.register_group(g);
+  collective_[task] = std::move(diag);
 }
 
 void SkeletonHunter::ingest_collective_steps(
@@ -656,7 +650,7 @@ void SkeletonHunter::ingest_collective_steps(
   if (it == collective_.end()) return;
   ins_.coll_steps.add(records.size());
   verdict_scratch_.clear();
-  it->second.diag.ingest(records, events_.now(), verdict_scratch_);
+  it->second.ingest(records, events_.now(), verdict_scratch_);
   for (const auto& v : verdict_scratch_) {
     if (v.kind == collective::VerdictKind::kHang) {
       ins_.coll_hangs.inc();
@@ -669,16 +663,14 @@ void SkeletonHunter::ingest_collective_steps(
 
 std::uint64_t SkeletonHunter::collective_steps() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& [task, plane] : collective_) {
-    total += plane.diag.steps_ingested();
-  }
+  for (const auto& [task, diag] : collective_) total += diag.steps_ingested();
   return total;
 }
 
 std::uint64_t SkeletonHunter::collective_verdicts() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& [task, plane] : collective_) {
-    total += plane.diag.hang_verdicts() + plane.diag.slow_verdicts();
+  for (const auto& [task, diag] : collective_) {
+    total += diag.hang_verdicts() + diag.slow_verdicts();
   }
   return total;
 }

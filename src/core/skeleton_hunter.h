@@ -54,10 +54,10 @@ struct SkeletonHunterConfig {
   /// expose.
   probe::EngineConfig engine{};
   DetectorConfig detector{};
-  /// Analyzer shards the pair space is partitioned across (consistent-hash
-  /// on stable global pair id; see core/sharded_detector.h). Verdicts are
-  /// bit-identical at any shard count — sharding buys ingest parallelism,
-  /// never behavior. 1 keeps the classic single-analyzer path.
+  /// Analyzer shards the pair space is partitioned across (a new pair's
+  /// stable global id modulo the shard count; see core/sharded_detector.h).
+  /// Verdicts are bit-identical at any shard count — sharding buys ingest
+  /// parallelism, never behavior. 1 keeps the classic single-analyzer path.
   std::size_t analyzer_shards = 1;
   InferenceConfig inference{};
   bool incremental_activation = true;   ///< ablation: registration gating
@@ -220,10 +220,12 @@ class SkeletonHunter {
 
   // --- gray telemetry & warm restart ---------------------------------------
   class Snapshot;
-  /// Serialize the analyzer state (detector windows + streaks, case
-  /// registry, blacklist, task monitors) into an opaque snapshot. Agents
-  /// and the probe engine are NOT captured — the sidecars are separate
-  /// processes that keep running while the analyzer is down.
+  /// Serialize the analysis state (detector windows + streaks, case
+  /// registry, blacklist, collective diagnosis) into an opaque snapshot.
+  /// Controller state — task monitors and their plans, agents, the probe
+  /// engine, the tick count — is NOT captured: the controller keeps
+  /// running while the analyzer is down, so a churn it handles during a
+  /// blackout stays handled after the restore.
   [[nodiscard]] Snapshot checkpoint() const;
   /// Warm-restart the analyzer from a snapshot taken by checkpoint().
   void restore(const Snapshot& snap);
@@ -334,17 +336,12 @@ class SkeletonHunter {
   Localizer localizer_;
   probe::TelemetryChannel telemetry_;
 
-  /// Per-task collective signal plane: the registered communicators and
-  /// their diagnosis state. Value-semantic on purpose — the blackout
-  /// checkpoint copies it like the monitors.
-  struct CollectivePlane {
-    std::vector<workload::CollectiveGroup> groups;
-    collective::CollectiveDiagnoser diag;
-  };
-
   Blacklist blacklist_;
   std::map<TaskId, TaskMonitor> monitors_;
-  std::map<TaskId, CollectivePlane> collective_;
+  /// Per-task collective signal plane: the registered communicators and
+  /// their diagnosis state. Value-semantic on purpose — the blackout
+  /// checkpoint copies it.
+  std::map<TaskId, collective::CollectiveDiagnoser> collective_;
   /// Per-ingest verdict scratch, reused.
   std::vector<collective::CollectiveVerdict> verdict_scratch_;
   std::map<ContainerId, probe::Agent> agents_;
@@ -422,9 +419,7 @@ class SkeletonHunter {
     ShardedDetector::Snapshot detector_;
     std::vector<FailureCase> cases_;
     Blacklist blacklist_;
-    std::map<TaskId, TaskMonitor> monitors_;
-    std::map<TaskId, CollectivePlane> collective_;
-    std::uint64_t ticks_ = 0;
+    std::map<TaskId, collective::CollectiveDiagnoser> collective_;
   };
 };
 

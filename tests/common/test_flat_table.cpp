@@ -5,7 +5,7 @@
 // containers with the same randomized insert/erase/find/iterate history
 // and require identical observable state at every step — including the
 // parts std::unordered_map does not have an analogue for (stable dense
-// ids, tombstone reuse, fullness-triggered rebuilds), which are checked
+// ids, tombstone reuse, occupancy-triggered rebuilds), which are checked
 // against the documented invariants instead.
 #include "common/flat_table.h"
 
@@ -61,10 +61,10 @@ TEST(FlatPairTable, InsertFindEraseRoundTrip) {
 }
 
 TEST(FlatPairTable, PlannedCapacityNeverRebuilds) {
-  // The plan-time contract: a table sized for C keys at fullness f does
-  // zero rehashes and zero grows while holding <= C keys.
+  // The plan-time contract: a table sized for C keys does zero rehashes
+  // and zero grows while holding <= C keys.
   constexpr std::size_t kPlanned = 500;
-  FlatPairTable t({.capacity = kPlanned, .fullness = 0.5});
+  FlatPairTable t({.capacity = kPlanned});
   const std::size_t slots_before = t.slot_count();
   EXPECT_GE(t.virtual_capacity(), kPlanned);
   for (std::uint32_t i = 0; i < kPlanned; ++i) {
@@ -77,20 +77,20 @@ TEST(FlatPairTable, PlannedCapacityNeverRebuilds) {
 }
 
 TEST(FlatPairTable, FullnessControlsSlackAndProbeLength) {
-  // Same keys, looser fullness: more slots, strictly no more probe steps.
-  auto probe_steps = [](double fullness) {
-    FlatPairTable t({.capacity = 1000, .fullness = fullness});
-    for (std::uint32_t i = 0; i < 1000; ++i) t.insert(key_of(i, 1u << 20));
-    return std::pair{t.slot_count(), t.stats().probe_steps};
-  };
-  const auto [slots_tight, steps_tight] = probe_steps(0.9);
-  const auto [slots_loose, steps_loose] = probe_steps(0.25);
-  EXPECT_GT(slots_loose, slots_tight);
-  EXPECT_LE(steps_loose, steps_tight);
+  // The table plans to be at most half full: a planned capacity gets more
+  // than twice as many slots, and at that fullness linear probing shifts
+  // an insert less than one slot on average.
+  constexpr std::uint32_t kPlanned = 1000;
+  FlatPairTable t({.capacity = kPlanned});
+  EXPECT_GT(t.slot_count(), 2 * kPlanned);
+  EXPECT_EQ(t.virtual_capacity(), t.slot_count() / 2);
+  for (std::uint32_t i = 0; i < kPlanned; ++i) t.insert(key_of(i, 1u << 20));
+  EXPECT_EQ(t.stats().grows, 0U);
+  EXPECT_LT(t.stats().probe_steps, kPlanned);
 }
 
 TEST(FlatPairTable, FullnessBoundaryTriggersExactlyAtVirtualCapacity) {
-  FlatPairTable t({.capacity = 8, .fullness = 0.5});
+  FlatPairTable t({.capacity = 8});
   const std::size_t vcap = t.virtual_capacity();
   const std::size_t slots = t.slot_count();
   std::uint32_t i = 0;
@@ -102,11 +102,11 @@ TEST(FlatPairTable, FullnessBoundaryTriggersExactlyAtVirtualCapacity) {
 }
 
 TEST(FlatPairTable, TombstoneReuseKeepsSlotArrayStable) {
-  // Churn in place: erase+free then insert a fresh key, forever. Occupancy
+  // Churn in place: erase then insert a fresh key, forever. Occupancy
   // never exceeds the virtual capacity, so the slot array must never grow;
   // tombstones must be reclaimed by probe-chain reuse or purge rebuilds,
-  // and freed ids must be recycled instead of growing the id space.
-  FlatPairTable t({.capacity = 64, .fullness = 0.5});
+  // and erased keys' ids must be recycled instead of growing the id space.
+  FlatPairTable t({.capacity = 64});
   std::vector<EndpointPair> live;
   for (std::uint32_t i = 0; i < 64; ++i) {
     live.push_back(key_of(i, 1u << 20));
@@ -120,9 +120,8 @@ TEST(FlatPairTable, TombstoneReuseKeepsSlotArrayStable) {
     const auto old_id = t.find(live[victim]);
     ASSERT_NE(old_id, FlatPairTable::kNoSlot);
     ASSERT_TRUE(t.erase(live[victim]));
-    t.free_id(old_id);
     live[victim] = key_of(64 + round, 1u << 20);
-    t.insert(live[victim]);
+    EXPECT_EQ(t.insert(live[victim]).id, old_id);  // the freed id, reused
     ASSERT_EQ(t.size(), 64U);
   }
   EXPECT_EQ(t.slot_count(), slots);
@@ -154,9 +153,8 @@ TEST(FlatPairTable, DifferentialFuzzAgainstUnorderedMap) {
   // Mixed workload, deliberately under-planned so the fuzz crosses grow
   // and purge rebuilds, walks probe chains over tombstones, and recycles
   // ids — every transition of the 2-bit slot state machine.
-  FlatPairTable t({.capacity = 4, .fullness = 0.7});
+  FlatPairTable t({.capacity = 4});
   std::unordered_map<EndpointPair, FlatPairTable::SlotId> model;
-  std::vector<FlatPairTable::SlotId> freed;
   RngStream rng{0xD1FF};
   constexpr std::uint32_t kUniverse = 300;  // small: lots of re-insertion
 
@@ -179,16 +177,10 @@ TEST(FlatPairTable, DifferentialFuzzAgainstUnorderedMap) {
       ASSERT_EQ(t.find(k),
                 it == model.end() ? FlatPairTable::kNoSlot : it->second)
           << "step " << step;
-    } else {  // erase (+ free the id half the time, like pair retirement)
+    } else {  // erase (the id goes back to the free list)
       const auto it = model.find(k);
       ASSERT_EQ(t.erase(k), it != model.end()) << "step " << step;
-      if (it != model.end()) {
-        if (rng.uniform_int(0, 1) == 0) {
-          t.free_id(it->second);
-          freed.push_back(it->second);
-        }
-        model.erase(it);
-      }
+      if (it != model.end()) model.erase(it);
     }
     ASSERT_EQ(t.size(), model.size()) << "step " << step;
   }
@@ -206,8 +198,8 @@ TEST(FlatPairTable, DifferentialFuzzAgainstUnorderedMap) {
     EXPECT_EQ(it->second, id);
   }
 
-  // Id-space invariants: live ids and outstanding freed ids are disjoint,
-  // and everything is below the advertised bound.
+  // Id-space invariants: live ids are distinct and below the advertised
+  // bound.
   std::unordered_set<FlatPairTable::SlotId> live_ids;
   for (const auto& [k, id] : model) {
     EXPECT_LT(id, t.id_bound());

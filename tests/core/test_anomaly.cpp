@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -35,11 +36,28 @@ Observation obs(double t_seconds, bool delivered, double rtt = 16.0) {
   return {0, SimTime::seconds(t_seconds), delivered, rtt};
 }
 
+/// The detector keeps no pair index: in production its owner, the sharded
+/// facade, keeps the slot `add_pair` hands out for each pair. Tests that
+/// feed by pair keep that index here, adding a pair on first sight.
+class Detector : public AnomalyDetector {
+ public:
+  using AnomalyDetector::AnomalyDetector;
+
+  PairHandle handle_of(const EndpointPair& p) {
+    const auto [it, fresh] = slots_.try_emplace(p);
+    if (fresh) it->second = add_pair(p);
+    return it->second;
+  }
+
+ private:
+  std::map<EndpointPair, PairHandle> slots_;
+};
+
 /// Feed one observation of pair `p`; fired events are appended to `out`.
 /// The production detector resolves a handle first, the batch reference
 /// takes the pair itself.
-std::size_t feed(AnomalyDetector& det, const EndpointPair& p,
-                 const Observation& o, std::vector<AnomalyEvent>& out) {
+std::size_t feed(Detector& det, const EndpointPair& p, const Observation& o,
+                 std::vector<AnomalyEvent>& out) {
   return det.ingest(det.handle_of(p), o, out);
 }
 std::size_t feed(ReferenceDetector& ref, const EndpointPair& p,
@@ -68,14 +86,14 @@ std::vector<AnomalyEvent> feed_healthy(Det& det, double t0, double seconds,
 }
 
 TEST(Anomaly, HealthyTrafficRaisesNothing) {
-  AnomalyDetector det;
+  Detector det;
   RngStream rng{1};
   const auto events = feed_healthy(det, 0, 1200, rng);
   EXPECT_TRUE(events.empty());
 }
 
 TEST(Anomaly, UnreachableStreakFiresOnce) {
-  AnomalyDetector det;
+  Detector det;
   std::vector<AnomalyEvent> all;
   for (int i = 0; i < 10; ++i) {
     (void)feed(det, pair(), obs(i, false), all);
@@ -86,7 +104,7 @@ TEST(Anomaly, UnreachableStreakFiresOnce) {
 }
 
 TEST(Anomaly, RecoveryRearmsUnreachable) {
-  AnomalyDetector det;
+  Detector det;
   for (int i = 0; i < 5; ++i) (void)feed(det, obs(i, false));
   (void)feed(det, obs(5, true));
   std::vector<AnomalyEvent> all;
@@ -97,7 +115,7 @@ TEST(Anomaly, RecoveryRearmsUnreachable) {
 }
 
 TEST(Anomaly, WindowLossRateFires) {
-  AnomalyDetector det;
+  Detector det;
   RngStream rng{2};
   std::vector<AnomalyEvent> all;
   // 30s window with 20% loss; losses spread out so no streak of 3 forms.
@@ -111,7 +129,7 @@ TEST(Anomaly, WindowLossRateFires) {
 }
 
 TEST(Anomaly, ShortTermLatencyShiftFires) {
-  AnomalyDetector det;
+  Detector det;
   RngStream rng{3};
   // Build a healthy look-back (>= k+1 windows), then the Fig. 18 jump.
   auto events = feed_healthy(det, 0, 400, rng);
@@ -129,7 +147,7 @@ TEST(Anomaly, ShortTermLatencyShiftFires) {
 TEST(Anomaly, TransientSpikeInOneWindowOnly) {
   // A single 30s congestion episode fires at most briefly and then the
   // detector re-converges — no alarm storm.
-  AnomalyDetector det;
+  Detector det;
   RngStream rng{4};
   (void)feed_healthy(det, 0, 400, rng);
   std::size_t events_during = 0;
@@ -151,7 +169,7 @@ TEST(Anomaly, LongTermGradualDriftFires) {
   // the accumulated shift (Figure 14).
   DetectorConfig cfg;
   cfg.lof.outlier_threshold = 1e9;  // isolate the long-term detector
-  AnomalyDetector det(cfg);
+  Detector det(cfg);
   RngStream rng{5};
   std::vector<AnomalyEvent> all;
   for (double t = 0; t < 5400; t += 1.0) {
@@ -169,7 +187,7 @@ TEST(Anomaly, LongTermGradualDriftFires) {
 TEST(Anomaly, StableLongTermPassesZTest) {
   DetectorConfig cfg;
   cfg.lof.outlier_threshold = 1e9;
-  AnomalyDetector det(cfg);
+  Detector det(cfg);
   RngStream rng{6};
   std::vector<AnomalyEvent> all;
   for (double t = 0; t < 7200; t += 1.0) {
@@ -182,7 +200,7 @@ TEST(Anomaly, StableLongTermPassesZTest) {
 }
 
 TEST(Anomaly, FlushClosesOpenWindows) {
-  AnomalyDetector det;
+  Detector det;
   for (int i = 0; i < 20; ++i) {
     // 50% loss in a window that never closes on its own.
     (void)feed(det, obs(i, i % 2 == 0, 16.0));
@@ -197,7 +215,7 @@ TEST(Anomaly, FlushClosesOpenWindows) {
 
 TEST(Anomaly, SparseSamplesSkipAnalysis) {
   // Fewer than min_samples_per_window: the window is not judged.
-  AnomalyDetector det;
+  Detector det;
   std::vector<AnomalyEvent> all;
   for (int w = 0; w < 10; ++w) {
     // 2 probes per 30s window, one lost (50% loss but too few samples).
@@ -212,7 +230,7 @@ TEST(Anomaly, SparseSamplesSkipAnalysis) {
 }
 
 TEST(Anomaly, PairsAreIndependent) {
-  AnomalyDetector det;
+  Detector det;
   // Pair A fails; pair B stays healthy and must not alarm.
   const EndpointPair healthy{{ContainerId{2}, RnicId{16}},
                              {ContainerId{3}, RnicId{24}}};
@@ -227,7 +245,7 @@ TEST(Anomaly, PairsAreIndependent) {
 TEST(Anomaly, RolloverStampsNominalBoundary) {
   // Regression (S1): the close fired by a late probe used to be stamped at
   // the probe's sent_at, dating a [0, 30) window's verdict at t=100.
-  AnomalyDetector det;
+  Detector det;
   for (int i = 0; i < 20; ++i) {
     // 20% loss spread out so no unreachable streak forms.
     (void)feed(det, obs(i, i % 5 != 0, 16.0));
@@ -242,7 +260,7 @@ TEST(Anomaly, GapSpanningWindowsRealignsGrid) {
   // Regression (S1): after a gap spanning several windows the next window
   // must reopen on the nominal grid ([90, 120) here), not at the late
   // sample, so its close is stamped 120 rather than 130.
-  AnomalyDetector det;
+  Detector det;
   std::vector<AnomalyEvent> all;
   for (int i = 0; i < 20; ++i) {
     (void)feed(det, pair(), obs(i, i % 5 != 0, 16.0), all);
@@ -285,7 +303,7 @@ TEST(Anomaly, FlushSkipsPartialLongWindow) {
       EXPECT_NE(e.kind, AnomalyKind::kLatencyLongTerm);
     }
   };
-  check(AnomalyDetector(cfg));
+  check(Detector(cfg));
   check(ReferenceDetector(cfg));
 }
 
@@ -323,7 +341,7 @@ TEST(Anomaly, StreamingMatchesBatchVerdicts) {
     return std::pair{events, det.counters()};
   };
 
-  const auto [streaming_events, sc] = run(AnomalyDetector{});
+  const auto [streaming_events, sc] = run(Detector{});
   const auto [batch_events, bc] = run(ReferenceDetector{});
 
   ASSERT_FALSE(streaming_events.empty());
@@ -364,7 +382,7 @@ TEST(AnomalyDefenses, DuplicatesAndStaleReplaysDoNotChangeVerdicts) {
   // run: rejected results may not touch window state at all.
   const auto run = [](bool inject_junk) {
     AnomalyDetector det;
-    const auto h = det.handle_of(pair());
+    const auto h = det.add_pair(pair());
     std::vector<AnomalyEvent> events;
     RngStream rng{5};
     std::uint64_t seq = 0;
@@ -435,11 +453,11 @@ TEST(AnomalyDefenses, QuorumSkipsStarvedWindows) {
   };
   for (const bool reference : {false, true}) {
     const auto [gated, gc] = reference ? run(ReferenceDetector(config(5)))
-                                       : run(AnomalyDetector(config(5)));
+                                       : run(Detector(config(5)));
     EXPECT_TRUE(gated.empty()) << "reference=" << reference;
     EXPECT_GE(gc.windows_insufficient, 19u);
     const auto [open, oc] = reference ? run(ReferenceDetector(config(0)))
-                                      : run(AnomalyDetector(config(0)));
+                                      : run(Detector(config(0)));
     EXPECT_FALSE(open.empty()) << "reference=" << reference;
     EXPECT_EQ(oc.windows_insufficient, 0u);
   }
@@ -463,7 +481,7 @@ TEST(AnomalyDefenses, CorruptedRttsRaiseNothingOnAHealthyPath) {
     return events;
   };
   for (const bool corrupt : {false, true}) {
-    EXPECT_TRUE(run(corrupt, AnomalyDetector{}).empty())
+    EXPECT_TRUE(run(corrupt, Detector{}).empty())
         << "corrupt=" << corrupt;
     EXPECT_TRUE(run(corrupt, ReferenceDetector{}).empty())
         << "reference, corrupt=" << corrupt;
@@ -488,7 +506,7 @@ TEST(AnomalyDefenses, RttClampShapesTheShortTermScore) {
     }
     return events;
   };
-  const auto got = run(AnomalyDetector{});
+  const auto got = run(Detector{});
   const auto want = run(ReferenceDetector{});
   ASSERT_FALSE(want.empty());
   EXPECT_EQ(want[0].kind, AnomalyKind::kLatencyShortTerm);
@@ -552,7 +570,7 @@ TEST(AnomalyDefenses, StreamingMatchesBatchUnderGrayTelemetry) {
   };
   DetectorConfig cfg;
   cfg.window_quorum = 5;
-  const auto [se, sc] = run(AnomalyDetector(cfg));
+  const auto [se, sc] = run(Detector(cfg));
   const auto [be, bc] = run(ReferenceDetector(cfg));
   ASSERT_FALSE(se.empty());
   ASSERT_EQ(se.size(), be.size());
@@ -588,7 +606,7 @@ TEST(AnomalyDefenses, SnapshotRestoreResumesBitIdentically) {
   }
 
   AnomalyDetector live;
-  const auto h = live.handle_of(pair());
+  const auto h = live.add_pair(pair());
   std::vector<AnomalyEvent> live_events;
   for (const auto& [s, t, d, r] : head) {
     (void)live.ingest(h, {s, SimTime::seconds(t), d, r}, live_events);
@@ -602,14 +620,14 @@ TEST(AnomalyDefenses, SnapshotRestoreResumesBitIdentically) {
   const auto live_tail = live.flush(SimTime::seconds(1200));
   live_events.insert(live_events.end(), live_tail.begin(), live_tail.end());
 
-  // ...while a cold replacement restores the checkpoint and takes over.
+  // ...while a cold replacement restores the checkpoint and takes over,
+  // under the slot the live detector handed out.
   AnomalyDetector restored;
   restored.restore(snap);
-  const auto h2 = restored.handle_of(pair());
-  EXPECT_EQ(h2, h);  // the pair index survives the snapshot
+  EXPECT_EQ(restored.pair_count(), 1U);
   std::vector<AnomalyEvent> restored_events;
   for (const auto& [s, t, d, r] : tail) {
-    (void)restored.ingest(h2, {s, SimTime::seconds(t), d, r},
+    (void)restored.ingest(h, {s, SimTime::seconds(t), d, r},
                           restored_events);
   }
   const auto rest_tail = restored.flush(SimTime::seconds(1200));
@@ -636,7 +654,7 @@ TEST(AnomalyDefenses, RestoreLeavesLofCountersMonotonic) {
   // older snapshot rolls the pairs back, never the count of LOF scores
   // already computed.
   AnomalyDetector det;
-  const auto h = det.handle_of(pair());
+  const auto h = det.add_pair(pair());
   std::vector<AnomalyEvent> out;
   RngStream rng{17};
   // Every third window runs 50% slow, past the magnitude gate, so those
@@ -671,14 +689,14 @@ TEST(Anomaly, RejectsALookbackTheRingCannotIndex) {
 }
 
 TEST(AnomalyChurn, ReservePairsMakesIngestAllocationFree) {
-  // The plan-time contract end to end: after reserve_pairs(N), mapping N
+  // The plan-time contract end to end: after reserve_pairs(N), adding N
   // pairs and feeding them through more windows than the look-back holds
   // — closes that fill the ring and evict from it, then a shifted window
-  // that scores and fires — performs zero table rebuilds and zero heap
-  // allocations.
+  // that scores and fires — performs zero heap allocations.
   constexpr std::uint32_t kPairs = 256;
   AnomalyDetector det;
   det.reserve_pairs(kPairs);
+  std::vector<AnomalyDetector::PairHandle> hs(kPairs);
   const std::size_t healthy = det.config().lookback_windows + 2;
   std::vector<AnomalyEvent> out;
   out.reserve(2 * kPairs);
@@ -694,8 +712,9 @@ TEST(AnomalyChurn, ReservePairsMakesIngestAllocationFree) {
       for (int s = 0; s < samples; ++s) {
         const double t = 30.0 * static_cast<double>(w) + 5.0 * s;
         for (std::uint32_t i = 0; i < kPairs; ++i) {
+          if (w == 0 && s == 0) hs[i] = det.add_pair(pair_n(i));
           const double rtt = base * std::exp(rng.normal(0.0, 0.05));
-          (void)det.ingest(det.handle_of(pair_n(i)), obs(t, true, rtt), out);
+          (void)det.ingest(hs[i], obs(t, true, rtt), out);
         }
       }
     }
@@ -703,8 +722,6 @@ TEST(AnomalyChurn, ReservePairsMakesIngestAllocationFree) {
   }
   EXPECT_EQ(allocs, 0U);
   EXPECT_EQ(det.pair_count(), kPairs);
-  EXPECT_EQ(det.pair_table().stats().grows, 0U);
-  EXPECT_EQ(det.pair_table().stats().purges, 0U);
   // The shifted window really went through scoring, and fired.
   EXPECT_EQ(det.counters().lof_fast_path, kPairs);
   EXPECT_FALSE(out.empty());
@@ -714,16 +731,17 @@ TEST(AnomalyChurn, ReservePairsMakesIngestAllocationFree) {
 TEST(AnomalyChurn, StragglerRevivesRetiredPairWithContinuity) {
   AnomalyDetector det;
   RngStream rng{7};
-  const auto h = det.handle_of(pair());
+  const auto h = det.add_pair(pair());
   std::vector<AnomalyEvent> out;
   std::uint64_t seq = 0;
   for (double t = 0; t < 90; t += 1.0) {
     const double rtt = 16.0 * std::exp(rng.normal(0.0, 0.05));
     (void)det.ingest(h, {++seq, SimTime::seconds(t), true, rtt}, out);
   }
-  det.retire_pair(pair());
+  det.retire_pair(h);
+  EXPECT_TRUE(det.parked(h));
   EXPECT_EQ(det.retired_count(), 1U);
-  EXPECT_EQ(det.pair_count(), 1U);  // parked, still mapped
+  EXPECT_EQ(det.pair_count(), 1U);  // parked, still resident
 
   // A replayed duplicate of the last delivery must NOT revive the pair:
   // rejection runs before revival, and a lying delivery is not evidence
@@ -735,8 +753,8 @@ TEST(AnomalyChurn, StragglerRevivesRetiredPairWithContinuity) {
   // A genuine straggling in-flight result revives the pair in place —
   // same handle, history intact: the duplicate above was only recognized
   // because the pre-retirement sequence state survived parking.
-  EXPECT_EQ(det.handle_of(pair()), h);
   (void)det.ingest(h, {++seq, SimTime::seconds(90.0), true, 16.0}, out);
+  EXPECT_FALSE(det.parked(h));
   EXPECT_EQ(det.retired_count(), 0U);
 }
 
@@ -746,27 +764,22 @@ TEST(AnomalyChurn, FlushRecyclesRetiredSlotsForReuse) {
   std::vector<AnomalyEvent> out;
   std::vector<AnomalyDetector::PairHandle> hs;
   for (std::uint32_t i = 0; i < 8; ++i) {
-    hs.push_back(det.handle_of(pair_n(i)));
+    hs.push_back(det.add_pair(pair_n(i)));
     (void)det.ingest(hs.back(), obs(1.0, true), out);
   }
-  det.retire_pair(pair_n(3));
-  det.retire_pair(pair_n(6));
+  det.retire_pair(hs[3]);
+  det.retire_pair(hs[6]);
   // Handles stay valid while parked; recycling happens only at flush.
   EXPECT_EQ(det.pair_count(), 8U);
   (void)det.flush(SimTime::seconds(120.0));
   EXPECT_EQ(det.pair_count(), 6U);
   EXPECT_EQ(det.retired_count(), 0U);
-  // The recycled ids serve the next pairs instead of growing the id
-  // space; the survivors keep their handles.
-  const auto id_bound = det.pair_table().id_bound();
-  const auto ha = det.handle_of(pair_n(100));
-  const auto hb = det.handle_of(pair_n(101));
-  EXPECT_LT(ha, id_bound);
-  EXPECT_LT(hb, id_bound);
-  EXPECT_GE(det.pair_table().stats().recycled_ids, 2U);
-  for (std::uint32_t i : {0U, 1U, 2U, 4U, 5U, 7U}) {
-    EXPECT_EQ(det.handle_of(pair_n(i)), hs[i]);
-  }
+  // The recycled slots serve the next pairs, last recycled first, instead
+  // of growing the arrays.
+  EXPECT_EQ(det.add_pair(pair_n(100)), hs[6]);
+  EXPECT_EQ(det.add_pair(pair_n(101)), hs[3]);
+  EXPECT_EQ(det.add_pair(pair_n(102)), 8U);
+  EXPECT_EQ(det.pair_count(), 9U);
 }
 
 TEST(AnomalyChurn, RecycledIdStartsWithAnEmptyLookback) {
@@ -785,9 +798,9 @@ TEST(AnomalyChurn, RecycledIdStartsWithAnEmptyLookback) {
                           base * std::exp(rng.normal(0.0, 0.05)));
     }
   }
-  const auto run_tenant = [&tenant](AnomalyDetector& det) {
+  const auto run_tenant = [&tenant](AnomalyDetector& det,
+                                    AnomalyDetector::PairHandle h) {
     std::vector<AnomalyEvent> events;
-    const auto h = det.handle_of(pair_n(1));
     for (const auto& [t, rtt] : tenant) {
       (void)det.ingest(h, obs(t, true, rtt), events);
     }
@@ -804,7 +817,7 @@ TEST(AnomalyChurn, RecycledIdStartsWithAnEmptyLookback) {
   // recycled at flush.
   AnomalyDetector det;
   det.set_window_logging(true);
-  const auto h0 = det.handle_of(pair_n(0));
+  const auto h0 = det.add_pair(pair_n(0));
   std::vector<AnomalyEvent> out;
   for (int w = 0; w < 12; ++w) {
     for (int s = 0; s < 6; ++s) {
@@ -812,15 +825,17 @@ TEST(AnomalyChurn, RecycledIdStartsWithAnEmptyLookback) {
       (void)det.ingest(h0, obs(30.0 * w + 5.0 * s, true, rtt), out);
     }
   }
-  det.retire_pair(pair_n(0));
+  det.retire_pair(h0);
   (void)det.flush(SimTime::seconds(360.0));
   ASSERT_EQ(det.pair_count(), 0U);
-  EXPECT_EQ(det.handle_of(pair_n(1)), h0);  // the tenant gets the id
+  const auto h1 = det.add_pair(pair_n(1));
+  EXPECT_EQ(h1, h0);  // the tenant gets the slot
 
   AnomalyDetector fresh;
   fresh.set_window_logging(true);
-  const auto [got, got_windows] = run_tenant(det);
-  const auto [want, want_windows] = run_tenant(fresh);
+  const auto [got, got_windows] = run_tenant(det, h1);
+  const auto [want, want_windows] =
+      run_tenant(fresh, fresh.add_pair(pair_n(1)));
   ASSERT_FALSE(want.empty());
   EXPECT_EQ(want[0].kind, AnomalyKind::kLatencyShortTerm);
   ASSERT_EQ(got.size(), want.size());
@@ -846,15 +861,15 @@ TEST(AnomalyChurn, SnapshotCarriesParkedStateBitIdentically) {
   AnomalyDetector live;
   std::vector<AnomalyEvent> live_events;
   std::vector<AnomalyDetector::PairHandle> hs;
-  for (std::uint32_t i = 0; i < 4; ++i) hs.push_back(live.handle_of(pair_n(i)));
+  for (std::uint32_t i = 0; i < 4; ++i) hs.push_back(live.add_pair(pair_n(i)));
   for (double t = 0; t < 300; t += 1.0) {
     for (std::uint32_t i = 0; i < 4; ++i) {
       const double rtt = 16.0 * std::exp(rng.normal(0.0, 0.05));
       (void)live.ingest(hs[i], obs(t, true, rtt), live_events);
     }
   }
-  live.retire_pair(pair_n(1));
-  live.retire_pair(pair_n(2));
+  live.retire_pair(hs[1]);
+  live.retire_pair(hs[2]);
   const auto snap = live.snapshot();
 
   AnomalyDetector restored;
@@ -862,7 +877,7 @@ TEST(AnomalyChurn, SnapshotCarriesParkedStateBitIdentically) {
   EXPECT_EQ(restored.retired_count(), 2U);
   EXPECT_EQ(restored.pair_count(), 4U);
   for (std::uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(restored.handle_of(pair_n(i)), hs[i]);
+    EXPECT_EQ(restored.parked(hs[i]), i == 1 || i == 2);
   }
 
   const auto live_tail = live.flush(SimTime::seconds(400.0));
@@ -882,7 +897,7 @@ TEST(AnomalyPaths, OffByDefaultAndPairEventsStayPathAgnostic) {
   // path-scoped events appear, and whole-pair verdicts carry kAnyPath.
   AnomalyDetector det;
   EXPECT_FALSE(det.config().track_paths);
-  const auto h = det.handle_of(pair());
+  const auto h = det.add_pair(pair());
   std::vector<AnomalyEvent> all;
   std::uint64_t seq = 0;
   for (int i = 0; i < 35; ++i) {
@@ -905,7 +920,7 @@ TEST(AnomalyPaths, GrayMemberFiresPathScopedLossOnly) {
   DetectorConfig cfg;
   cfg.track_paths = true;
   AnomalyDetector det(cfg);
-  const auto h = det.handle_of(pair());
+  const auto h = det.add_pair(pair());
   std::vector<AnomalyEvent> all;
   std::uint64_t seq = 0;
   int member2_count = 0;
@@ -937,7 +952,7 @@ TEST(AnomalyPaths, SlowMemberFiresPathScopedLatencyShift) {
   DetectorConfig cfg;
   cfg.track_paths = true;
   AnomalyDetector det(cfg);
-  const auto h = det.handle_of(pair());
+  const auto h = det.add_pair(pair());
   std::vector<AnomalyEvent> all;
   std::uint64_t seq = 0;
   for (int i = 0; i < 240; ++i) {
@@ -977,7 +992,7 @@ TEST(AnomalyPaths, SnapshotAndMigrationCarryPathAccumulators) {
   };
 
   AnomalyDetector live(cfg);
-  const auto h = live.handle_of(pair());
+  const auto h = live.add_pair(pair());
   std::vector<AnomalyEvent> live_events;
   std::uint64_t seq = 0;
   feed(live, h, 0, 200, seq, live_events);
@@ -986,20 +1001,19 @@ TEST(AnomalyPaths, SnapshotAndMigrationCarryPathAccumulators) {
   AnomalyDetector restored(cfg);
   restored.restore(snap);
   AnomalyDetector adopted(cfg);
+  AnomalyDetector::PairHandle adopted_h;
   {
     AnomalyDetector from_snap(cfg);
     from_snap.restore(snap);
-    AnomalyDetector::PairState st;
-    ASSERT_TRUE(from_snap.extract_pair(pair(), st));
-    (void)adopted.adopt_pair(std::move(st));
+    adopted_h = adopted.adopt_pair(from_snap.extract_pair(h));
+    EXPECT_EQ(from_snap.pair_count(), 0U);
   }
 
   std::uint64_t seq_r = seq, seq_a = seq;
   std::vector<AnomalyEvent> restored_events, adopted_events;
   feed(live, h, 200, 480, seq, live_events);
-  feed(restored, restored.handle_of(pair()), 200, 480, seq_r,
-       restored_events);
-  feed(adopted, adopted.handle_of(pair()), 200, 480, seq_a, adopted_events);
+  feed(restored, h, 200, 480, seq_r, restored_events);
+  feed(adopted, adopted_h, 200, 480, seq_a, adopted_events);
 
   ASSERT_FALSE(restored_events.empty());
   ASSERT_GE(live_events.size(), restored_events.size());

@@ -186,17 +186,22 @@ TEST(Experiment, AutoBlacklistBlocksReplacement) {
 /// skeleton applied, ready to be hit by restarts/migrations/crashes.
 class ExperimentChurn : public ::testing::Test {
  protected:
-  ExperimentChurn() : exp_(small_config()) {
-    cluster::TaskRequest req;
-    req.num_containers = 4;
-    req.gpus_per_container = 8;
-    req.lifetime = SimTime::hours(2);
-    task_ = *exp_.launch_task(req);
-    exp_.run_to_running(task_);
+  ExperimentChurn() : exp_(small_config()), task_(launch(exp_)) {
     par_.tp = 8;
     par_.pp = 2;
     par_.dp = 2;
     skeleton_ = exp_.apply_skeleton(task_, exp_.layout_of(task_, par_));
+  }
+
+  /// The fixture's task on `exp`: 4 containers x 8 GPUs, run to running.
+  static TaskId launch(Experiment& exp) {
+    cluster::TaskRequest req;
+    req.num_containers = 4;
+    req.gpus_per_container = 8;
+    req.lifetime = SimTime::hours(2);
+    const TaskId task = *exp.launch_task(req);
+    exp.run_to_running(task);
+    return task;
   }
 
   ContainerId victim() {
@@ -302,6 +307,52 @@ TEST_F(ExperimentChurn, MigrationReinfersOverReboundEndpoints) {
     EXPECT_TRUE(live.contains(p.src));
     EXPECT_TRUE(live.contains(p.dst));
   }
+}
+
+TEST_F(ExperimentChurn, RestartDuringABlackoutStaysHandledAfterTheRestore) {
+  // The controller keeps running while the analyzer is down: a restart it
+  // handles during a blackout re-plans the agents onto the basic list, and
+  // the warm restart at the blackout's end must not roll its own view of
+  // the task back to the skeleton the churn invalidated.
+  ExperimentConfig cfg = small_config();
+  cfg.hunter.telemetry.faults = {{sim::TelemetryFaultKind::kAnalyzerBlackout,
+                                  SimTime::minutes(14), SimTime::minutes(18),
+                                  0.0}};
+  Experiment exp(cfg);
+  const TaskId task = launch(exp);
+  const auto layout = exp.layout_of(task, par_);
+  ASSERT_TRUE(exp.apply_skeleton(task, layout).has_value());
+  const std::size_t skeleton_targets = exp.hunter().current_targets(task);
+  const ContainerId restarted = exp.orchestrator().task(task).containers[0];
+  ASSERT_LT(exp.events().now(), SimTime::minutes(14));
+  exp.events().schedule_at(SimTime::minutes(15), [&] {
+    exp.orchestrator().restart_container(restarted);
+  });
+  exp.hunter().start(SimTime::minutes(20));
+  exp.events().run_until(SimTime::minutes(20));
+  ASSERT_EQ(exp.hunter().analyzer_restores(), 1u);
+  ASSERT_FALSE(exp.hunter().analyzer_in_blackout());
+
+  // Still degraded, still probing the basic list.
+  EXPECT_TRUE(exp.hunter().task_degraded(task));
+  EXPECT_GT(exp.hunter().current_targets(task), skeleton_targets);
+  const auto degraded_gauge = [&exp] {
+    for (const auto& g : exp.obs().registry.scrape().gauges) {
+      if (g.name == "hunter.degraded_tasks") return g.value;
+    }
+    return -1.0;
+  };
+  EXPECT_EQ(degraded_gauge(), 1.0);
+
+  // Re-inference waits for two fresh batches, as without the blackout, and
+  // then clears degraded mode everywhere.
+  exp.run_to_running(task);
+  EXPECT_FALSE(exp.apply_skeleton(task, layout).has_value());
+  EXPECT_TRUE(exp.hunter().task_degraded(task));
+  EXPECT_TRUE(exp.apply_skeleton(task, layout).has_value());
+  EXPECT_FALSE(exp.hunter().task_degraded(task));
+  EXPECT_EQ(exp.hunter().current_targets(task), skeleton_targets);
+  EXPECT_EQ(degraded_gauge(), 0.0);
 }
 
 TEST(Experiment, CheckpointRestoreRoundTripIsBitIdentical) {

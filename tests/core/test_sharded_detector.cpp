@@ -137,19 +137,39 @@ bool canonical_before(const obs::WindowRecord& a, const obs::WindowRecord& b) {
          std::tuple{b.end, b.start, b.pair, b.flags};
 }
 
-TEST(ShardRing, DeterministicAndCovering) {
-  const ShardRing a(4), b(4);
-  std::set<std::size_t> hit;
-  for (std::uint64_t key = 0; key < 4096; ++key) {
-    const std::size_t s = a.shard_of(key);
-    EXPECT_EQ(s, b.shard_of(key));  // pure function of (key, shard count)
-    ASSERT_LT(s, 4u);
-    hit.insert(s);
-  }
-  EXPECT_EQ(hit.size(), 4u);  // vnodes spread keys over every shard
-  const ShardRing one(1);
-  for (std::uint64_t key = 0; key < 64; ++key) {
-    EXPECT_EQ(one.shard_of(key), 0u);
+// Placement: a new id lands on shard id % N, so fresh ids split as evenly
+// as they can at any shard count, and a migrated id stays where it was
+// moved — through a flush and through a restore of a snapshot taken after
+// the move.
+TEST(ShardedDetector, FreshIdsSplitEvenlyAndMigratedIdsKeepTheirShard) {
+  constexpr std::uint32_t kPairs = 1001;
+  for (const std::size_t shards : {1u, 2u, 4u, 16u}) {
+    ShardedDetector det({}, shards);
+    std::vector<std::size_t> owned(shards, 0);
+    for (std::uint32_t i = 0; i < kPairs; ++i) {
+      const auto gid = det.handle_of(pair_n(i));
+      ASSERT_LT(det.shard_of(gid), shards);
+      ++owned[det.shard_of(gid)];
+    }
+    for (const std::size_t n : owned) {
+      EXPECT_GE(n, kPairs / shards) << shards << " shards";
+      EXPECT_LE(n, (kPairs + shards - 1) / shards) << shards << " shards";
+    }
+
+    const std::size_t to = shards - 1;
+    (void)det.migrate_range(0, 40, to);
+    const auto snap = det.snapshot();
+    const auto on_target = [&det, to] {
+      for (ShardedDetector::GlobalHandle gid = 0; gid < 40; ++gid) {
+        if (det.shard_of(gid) != to) return false;
+      }
+      return true;
+    };
+    EXPECT_TRUE(on_target()) << shards << " shards";
+    (void)det.flush(SimTime::seconds(1));
+    EXPECT_TRUE(on_target()) << shards << " shards, after flush";
+    det.restore(snap);
+    EXPECT_TRUE(on_target()) << shards << " shards, after restore";
   }
 }
 
@@ -164,10 +184,11 @@ TEST(ShardedDetector, EventStreamInvariantAcrossShardCounts) {
 
   // Reference: plain detector, sequential, canonicalized flush tail.
   AnomalyDetector ref;
+  std::vector<AnomalyDetector::PairHandle> slot(kPairs);
+  for (std::uint32_t i = 0; i < kPairs; ++i) slot[i] = ref.add_pair(pair_n(i));
   std::vector<AnomalyEvent> ref_events;
   for (const Obs& o : obs) {
-    (void)ref.ingest(ref.handle_of(pair_n(o.pair)), o.observation(),
-                     ref_events);
+    (void)ref.ingest(slot[o.pair], o.observation(), ref_events);
   }
   auto ref_tail = ref.flush(SimTime::seconds(kSeconds));
   canonicalize_events(ref_tail);
@@ -323,6 +344,63 @@ TEST(ShardedDetector, RetireAndFlushRecycleGlobalIds) {
   const auto gid = det.handle_of(pair_n(100));
   EXPECT_LT(gid, 8u);
   EXPECT_EQ(det.pair_count(), 7u);
+}
+
+// Flush frees exactly the ids whose slots are still parked — read by slot
+// before the shards recycle them — whichever shard holds them: one parked
+// before a migration (the parking moves with the state), one parked after
+// it, two never moved. A pair revived by a straggler keeps its id. The
+// freed ids come back to new pairs in the same order at every shard count.
+TEST(ShardedDetector, FlushFreesExactlyTheStillParkedIds) {
+  constexpr std::uint32_t kPairs = 12;
+  const std::set<std::uint32_t> freed = {1, 2, 5, 9};
+  std::vector<std::vector<ShardedDetector::GlobalHandle>> reuse;
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    ShardedDetector det({}, shards);
+    std::vector<ShardedDetector::BatchItem> batch;
+    std::vector<ShardedDetector::GlobalHandle> gid(kPairs);
+    for (std::uint32_t i = 0; i < kPairs; ++i) {
+      gid[i] = det.handle_of(pair_n(i));
+      batch.push_back({gid[i], {1 + i, SimTime::seconds(0), true, 16.0}});
+    }
+    std::vector<AnomalyEvent> events;
+    std::vector<std::uint32_t> fired;
+    det.ingest_batch(batch, events, fired);
+    det.retire_pair(pair_n(2));
+    (void)det.migrate_range(0, 4, shards - 1);
+    for (const std::uint32_t i : {1u, 5u, 6u, 9u}) det.retire_pair(pair_n(i));
+    // A straggler revives pair 6.
+    const std::vector<ShardedDetector::BatchItem> straggler = {
+        {gid[6], {100, SimTime::seconds(1), true, 16.0}}};
+    det.ingest_batch(straggler, events, fired);
+    EXPECT_EQ(det.retired_count(), freed.size()) << shards << " shards";
+
+    (void)det.flush(SimTime::seconds(120));
+    EXPECT_EQ(det.pair_count(), kPairs - freed.size()) << shards << " shards";
+    EXPECT_EQ(det.retired_count(), 0u);
+    for (std::uint32_t i = 0; i < kPairs; ++i) {
+      const auto found = det.find_handle(pair_n(i));
+      if (freed.contains(i)) {
+        EXPECT_EQ(found, common::FlatPairTable::kNoSlot)
+            << "pair " << i << " at " << shards << " shards";
+      } else {
+        EXPECT_EQ(found, gid[i]) << "pair " << i << " at " << shards
+                                 << " shards";
+      }
+    }
+
+    std::vector<ShardedDetector::GlobalHandle> got;
+    for (std::uint32_t i = 100; i < 100 + freed.size(); ++i) {
+      got.push_back(det.handle_of(pair_n(i)));
+    }
+    std::set<ShardedDetector::GlobalHandle> want_ids;
+    for (const std::uint32_t i : freed) want_ids.insert(gid[i]);
+    EXPECT_EQ(std::set(got.begin(), got.end()), want_ids)
+        << shards << " shards";
+    reuse.push_back(got);
+  }
+  EXPECT_EQ(reuse[1], reuse[0]);
+  EXPECT_EQ(reuse[2], reuse[0]);
 }
 
 // The window-log drain is one canonical sequence whatever produced it:
