@@ -41,7 +41,9 @@ examples/fault_drill --churn-gate
 examples/fault_drill --telemetry-gate
 examples/fault_drill --forensic-gate
 examples/quickstart
+examples/moe_training
 bench/bench_accuracy
+bench/bench_ablation_constraints
 bench/bench_fig18_casestudy
 bench/bench_table1_issues
 examples/production_campaign

@@ -50,14 +50,17 @@ void add_tree_pairs(const std::vector<std::size_t>& members,
   }
 }
 
-/// Median lag of a group's member series relative to `reference`.
+/// Median lag of a group's member series relative to the reference series,
+/// given as its fft_real spectrum.
 int group_lag(const std::vector<std::size_t>& members,
               const std::vector<EndpointObservation>& obs,
-              const std::vector<double>& reference) {
+              std::span<const dsp::Complex> reference) {
   std::vector<int> lags;
   lags.reserve(members.size());
   for (std::size_t m : members) {
-    lags.push_back(dsp::best_lag(reference, obs[m].throughput));
+    const auto& series = obs[m].throughput;
+    lags.push_back(
+        dsp::best_lag(reference, dsp::fft_real(series), series.size()));
   }
   return median_lag(std::move(lags));
 }
@@ -85,6 +88,13 @@ std::optional<InferredSkeleton> infer_skeleton(
     const InferenceConfig& cfg) {
   const std::size_t n = observations.size();
   if (n < 4) return std::nullopt;
+  // Features and lags compare series sample by sample.
+  const std::size_t samples = observations.front().throughput.size();
+  for (const auto& o : observations) {
+    if (o.throughput.empty() || o.throughput.size() != samples) {
+      return std::nullopt;
+    }
+  }
 
   // 1. Frequency-domain features of every endpoint's burst series.
   ml::FeatureMatrix features;
@@ -131,7 +141,8 @@ std::optional<InferredSkeleton> infer_skeleton(
   // 4. Pipeline-stage levels from burst time shifts: the first stage bursts
   // earliest (§5.1). Groups whose lags agree within the tolerance share a
   // stage level.
-  const auto& reference = observations[out.position_groups[0][0]].throughput;
+  const auto reference =
+      dsp::fft_real(observations[out.position_groups[0][0]].throughput);
   std::vector<int> lags(out.position_groups.size());
   for (std::size_t g = 0; g < out.position_groups.size(); ++g) {
     lags[g] = group_lag(out.position_groups[g], observations, reference);

@@ -69,8 +69,9 @@ struct InferredSkeleton {
                                                 int tolerance);
 
 /// Run the full inference. Returns nullopt when clustering finds no feasible
-/// grouping (irregular workload, §7.3 limitation) — callers then fall back
-/// to the basic ping list.
+/// grouping (irregular workload, §7.3 limitation), and for fewer than four
+/// endpoints or series that are empty or of unequal length — callers then
+/// fall back to the basic ping list.
 [[nodiscard]] std::optional<InferredSkeleton> infer_skeleton(
     const std::vector<EndpointObservation>& observations,
     const InferenceConfig& cfg = {});

@@ -24,19 +24,26 @@ void fft_inplace(std::span<Complex> data, bool inverse) {
     j ^= bit;
     if (i < j) std::swap(data[i], data[j]);
   }
-  // Iterative butterflies.
+  // Iterative butterflies. A stage's twiddles are filled once, by the
+  // w *= wlen recurrence that each of its blocks would otherwise rerun, so
+  // every block multiplies by the same values bit for bit.
+  std::vector<Complex> twiddles(n / 2);
   for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
     const double angle = 2.0 * std::numbers::pi / static_cast<double>(len) *
                          (inverse ? 1.0 : -1.0);
     const Complex wlen{std::cos(angle), std::sin(angle)};
-    for (std::size_t i = 0; i < n; i += len) {
-      Complex w{1.0, 0.0};
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const Complex u = data[i + k];
-        const Complex v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wlen;
+    Complex w{1.0, 0.0};
+    for (std::size_t k = 0; k < half; ++k) {
+      twiddles[k] = w;
+      w *= wlen;
+    }
+    for (Complex* lo = data.data(); lo != data.data() + n; lo += len) {
+      Complex* hi = lo + half;
+      for (std::size_t k = 0; k < half; ++k) {
+        const Complex v = hi[k] * twiddles[k];
+        hi[k] = lo[k] - v;
+        lo[k] += v;
       }
     }
   }
@@ -75,35 +82,54 @@ std::vector<double> magnitude_spectrum(std::span<const Complex> spectrum) {
   return mags;
 }
 
+std::vector<double> circular_xcorr(std::span<const Complex> fa,
+                                   std::span<const Complex> fb,
+                                   std::size_t n) {
+  if (fa.size() != fb.size() || !is_pow2(fa.size()) || n > fa.size()) {
+    throw std::invalid_argument("circular_xcorr: spectra do not match");
+  }
+  std::vector<Complex> prod(fa.size());
+  for (std::size_t i = 0; i < prod.size(); ++i) {
+    prod[i] = std::conj(fa[i]) * fb[i];
+  }
+  fft_inplace(prod, /*inverse=*/true);
+  std::vector<double> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = prod[i].real();
+  return out;
+}
+
 std::vector<double> circular_xcorr(std::span<const double> a,
                                    std::span<const double> b) {
   if (a.size() != b.size()) {
     throw std::invalid_argument("circular_xcorr: size mismatch");
   }
-  const std::size_t n = next_pow2(std::max<std::size_t>(a.size(), 1));
-  std::vector<Complex> fa(n, Complex{}), fb(n, Complex{});
-  for (std::size_t i = 0; i < a.size(); ++i) fa[i] = Complex{a[i], 0.0};
-  for (std::size_t i = 0; i < b.size(); ++i) fb[i] = Complex{b[i], 0.0};
-  fft_inplace(fa);
-  fft_inplace(fb);
-  for (std::size_t i = 0; i < n; ++i) fa[i] = std::conj(fa[i]) * fb[i];
-  fft_inplace(fa, /*inverse=*/true);
-  std::vector<double> out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = fa[i].real();
-  return out;
+  return circular_xcorr(fft_real(a), fft_real(b), a.size());
 }
 
-int best_lag(std::span<const double> a, std::span<const double> b) {
-  const auto corr = circular_xcorr(a, b);
+namespace {
+
+/// Index of the first maximum of `corr`, read as a signed lag in
+/// [-n/2, n/2) of an n-periodic correlation, n = corr.size().
+int signed_peak_lag(const std::vector<double>& corr) {
   const std::size_t n = corr.size();
   std::size_t best = 0;
   for (std::size_t i = 1; i < n; ++i) {
     if (corr[i] > corr[best]) best = i;
   }
-  // Map [0, n) to signed lag [-n/2, n/2).
   auto lag = static_cast<long>(best);
   if (lag >= static_cast<long>(n / 2)) lag -= static_cast<long>(n);
   return static_cast<int>(lag);
+}
+
+}  // namespace
+
+int best_lag(std::span<const Complex> fa, std::span<const Complex> fb,
+             std::size_t n) {
+  return signed_peak_lag(circular_xcorr(fa, fb, n));
+}
+
+int best_lag(std::span<const double> a, std::span<const double> b) {
+  return signed_peak_lag(circular_xcorr(a, b));
 }
 
 }  // namespace skh::dsp

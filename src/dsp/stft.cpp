@@ -1,5 +1,6 @@
 #include "dsp/stft.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -18,8 +19,8 @@ Spectrogram stft(std::span<const double> signal, const StftConfig& cfg) {
   out.hop = cfg.hop;
   const auto window = make_window(cfg.window, cfg.frame_size);
 
+  std::vector<Complex> frame(cfg.frame_size);
   for (std::size_t start = 0; start < signal.size(); start += cfg.hop) {
-    std::vector<Complex> frame(cfg.frame_size, Complex{});
     const std::size_t avail = std::min(cfg.frame_size, signal.size() - start);
     // Demean the frame before windowing: mean throughput reflects message
     // sizes, not periodicity, and would otherwise leak through the window
@@ -30,6 +31,8 @@ Spectrogram stft(std::span<const double> signal, const StftConfig& cfg) {
     for (std::size_t i = 0; i < avail; ++i) {
       frame[i] = Complex{(signal[start + i] - mean) * window[i], 0.0};
     }
+    std::fill(frame.begin() + static_cast<std::ptrdiff_t>(avail), frame.end(),
+              Complex{});
     fft_inplace(frame);
     std::vector<double> mags(cfg.frame_size / 2 + 1);
     for (std::size_t k = 0; k < mags.size(); ++k) mags[k] = std::abs(frame[k]);

@@ -36,7 +36,9 @@ struct Clustering {
 
 /// Plain average-linkage agglomerative clustering down to `k` clusters using
 /// Euclidean distance between feature rows. Used in the unconstrained
-/// ablation and as the engine of the constrained variant.
+/// ablation and as the engine of the constrained variant. Costs O(n^2 d)
+/// for the point distances plus O(n^3) for the merges; the first pair (in
+/// cluster order) of minimum linkage merges first.
 [[nodiscard]] Clustering hierarchical_cluster(const FeatureMatrix& features,
                                               std::size_t k);
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "../testutil.h"
+#include "support/reference_kernels.h"
 #include "workload/traffic.h"
 
 namespace skh::core {
@@ -52,6 +55,25 @@ TEST(BestCorrelation, MismatchedSizesAreZero) {
   const std::vector<double> a(64, 1.0);
   const std::vector<double> b(32, 1.0);
   EXPECT_DOUBLE_EQ(best_correlation(a, b), 0.0);
+}
+
+TEST(BestCorrelation, MatchesThePairwiseReferenceBitForBit) {
+  // 900 samples: the 15-minute, 1 Hz burst series the fidelity gate sees.
+  RngStream rng{13};
+  const std::size_t n = 900;
+  for (int trial = 0; trial < 16; ++trial) {
+    std::vector<double> a(n), b(n);
+    const auto shift = static_cast<std::size_t>(rng.uniform_int(0, 60));
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = ((i % 30) > 24 ? 15.0 : 2.0) + rng.normal(0, 0.5);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      b[(i + shift) % n] = a[i] + rng.normal(0, trial % 4 == 0 ? 5.0 : 0.3);
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(best_correlation(a, b)),
+              std::bit_cast<std::uint64_t>(reference::best_correlation(a, b)))
+        << trial;
+  }
 }
 
 class FidelityTest : public ::testing::Test {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "../testutil.h"
+#include "core/fidelity.h"
 
 namespace skh::core {
 namespace {
@@ -101,6 +105,21 @@ TEST_F(InferenceTest, FallsBackOnIdleWorkload) {
   EXPECT_EQ(result.has_value(), again.has_value());
 }
 
+TEST_F(InferenceTest, ShortOrEmptySeriesFallBackInsteadOfThrowing) {
+  // Features and lags compare series sample by sample: a cut or missing
+  // series means keeping the basic list, not an exception.
+  InferenceConfig cfg;
+  cfg.candidate_dp = {2, 4};
+  const auto obs = testutil::observations_for(env_, layout_);
+  ASSERT_TRUE(infer_skeleton(obs, cfg).has_value());
+  auto cut = obs;
+  cut[5].throughput.resize(600);
+  EXPECT_FALSE(infer_skeleton(cut, cfg).has_value());
+  auto empty = obs;
+  empty[5].throughput.clear();
+  EXPECT_FALSE(infer_skeleton(empty, cfg).has_value());
+}
+
 TEST_F(InferenceTest, TooFewEndpointsInfeasible) {
   std::vector<EndpointObservation> obs;
   EXPECT_FALSE(infer_skeleton(obs, {}).has_value());
@@ -144,6 +163,120 @@ TEST(Inference, MoeTaskStillClusters) {
   const auto result = infer_skeleton(obs, cfg);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->dp, 4u);
+}
+
+/// One inference input for the fingerprint below: a task shape, its
+/// parallelism, its burst traffic and the DP degrees inference may pick.
+struct FingerprintLayout {
+  const char* name;
+  topo::TopologyConfig topology;
+  std::uint32_t containers;
+  workload::ParallelismConfig par;
+  bool idle;
+  std::vector<std::uint32_t> candidate_dp;
+};
+
+/// FNV-1a over the bits of everything inference and the fidelity gate
+/// compute for one layout: every endpoint's STFT feature, the groups, stage
+/// levels, dp/pp, skeleton pairs, and the fidelity reports of the inferred
+/// skeleton and of the true one.
+std::uint64_t inference_fingerprint(const FingerprintLayout& l) {
+  SimEnv env(l.topology);
+  const auto task = testutil::run_task_to_running(env, l.containers);
+  const auto layout = testutil::layout_of(env, task, l.par);
+  workload::BurstConfig bcfg;
+  bcfg.idle = l.idle;
+  const auto obs = testutil::observations_for(env, layout, bcfg);
+  InferenceConfig cfg;
+  cfg.candidate_dp = l.candidate_dp;
+
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto fold = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xffu)) * 0x100000001b3ull;
+    }
+  };
+  const auto fold_report = [&](const FidelityReport& r) {
+    fold(std::bit_cast<std::uint64_t>(r.pair_alignment));
+    fold(std::bit_cast<std::uint64_t>(r.active_coverage));
+    fold(std::bit_cast<std::uint64_t>(r.active_fraction));
+    fold(std::bit_cast<std::uint64_t>(r.score));
+  };
+  for (const auto& o : obs) {
+    for (double v : dsp::stft_feature(o.throughput, cfg.stft)) {
+      fold(std::bit_cast<std::uint64_t>(v));
+    }
+  }
+  const auto inferred = infer_skeleton(obs, cfg);
+  fold(inferred.has_value() ? 1 : 0);
+  if (inferred) {
+    fold(inferred->dp);
+    fold(inferred->num_groups);
+    fold(inferred->pp);
+    for (const auto& group : inferred->position_groups) {
+      fold(group.size());
+      for (std::size_t i : group) fold(i);
+    }
+    for (std::uint32_t stage : inferred->stage_of_group) fold(stage);
+    for (const auto& p : inferred->pairs) {
+      fold(p.src.container.value());
+      fold(p.src.rnic.value());
+      fold(p.dst.container.value());
+      fold(p.dst.rnic.value());
+    }
+    fold_report(validate_skeleton(inferred->pairs, obs));
+  }
+  const auto tm = workload::build_traffic_matrix(layout);
+  std::vector<EndpointPair> truth;
+  for (const auto& e : tm.edges()) truth.push_back(EndpointPair{e.a, e.b});
+  fold_report(validate_skeleton(truth, obs));
+  return h;
+}
+
+TEST(InferenceFingerprint, MatchesTheRecordedInference) {
+  // Recorded before clustering cached its linkages, the FFT its twiddles
+  // and cross-correlation its spectra; any drift in a feature, a merge
+  // order, a lag or a correlation changes these.
+  workload::ParallelismConfig churn_spray;  // pipebench's churn_spray tasks
+  churn_spray.tp = 8;
+  churn_spray.pp = 4;
+  churn_spray.dp = 4;
+  topo::TopologyConfig churn_fabric = testutil::small_topology(128, 8);
+  churn_fabric.hosts_per_segment = 4;
+  churn_fabric.spines_per_rail = 8;
+  workload::ParallelismConfig moe;
+  moe.tp = 8;
+  moe.pp = 2;
+  moe.dp = 4;
+  moe.moe = true;
+  moe.ep = 2;
+  workload::ParallelismConfig wide;
+  wide.tp = 8;
+  wide.pp = 4;
+  wide.dp = 8;
+  workload::ParallelismConfig small;
+  small.tp = 8;
+  small.pp = 2;
+  small.dp = 2;
+  const struct {
+    FingerprintLayout layout;
+    std::uint64_t fingerprint;
+  } expected[] = {
+      {{"churn_spray 16x8", churn_fabric, 16, churn_spray, false, {2, 4}},
+       0xe6ae691816ec83c2ull},
+      {{"moe 8x8", testutil::small_topology(8, 8), 8, moe, false, {2, 4}},
+       0x83ccb16cb75b7c8dull},
+      {{"wide 32x8", testutil::small_topology(32, 8), 32, wide, false,
+        {4, 8, 16}},
+       0x30d830a3bb0b01f0ull},
+      {{"idle 4x8", testutil::small_topology(), 4, small, true, {2, 4}},
+       0x0b1e062732e38aadull},
+  };
+  for (const auto& e : expected) {
+    const std::uint64_t got = inference_fingerprint(e.layout);
+    EXPECT_EQ(got, e.fingerprint)
+        << e.layout.name << std::hex << " got 0x" << got;
+  }
 }
 
 TEST(MergeLagLevels, AnchorsEachLevelAtItsFirstLag) {

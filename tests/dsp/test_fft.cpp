@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <span>
 
 #include "common/rng.h"
+#include "support/reference_kernels.h"
 
 namespace skh::dsp {
 namespace {
@@ -122,6 +125,58 @@ TEST_P(LagSweep, RecoverShift) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shifts, LagSweep, ::testing::Values(0, 1, 2, 5, 7));
+
+template <class T>
+bool same_bits(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(FftReference, StageTwiddlesMatchThePerBlockRecurrenceBitForBit) {
+  RngStream rng{11};
+  for (std::size_t n = 1; n <= 4096; n <<= 1) {
+    std::vector<Complex> data(n);
+    for (auto& x : data) x = Complex{rng.normal(0, 1), rng.normal(0, 1)};
+    for (const bool inverse : {false, true}) {
+      auto fast = data;
+      auto slow = data;
+      fft_inplace(fast, inverse);
+      reference::fft_inplace(slow, inverse);
+      EXPECT_TRUE(same_bits<Complex>(fast, slow))
+          << "n=" << n << " inverse=" << inverse;
+    }
+  }
+}
+
+TEST(XcorrReference, SpectrumFormMatchesPairwiseTransformsBitForBit) {
+  // 900 samples: the 15-minute, 1 Hz burst series inference correlates.
+  RngStream rng{12};
+  const std::size_t n = 900;
+  for (int trial = 0; trial < 16; ++trial) {
+    std::vector<double> a(n), b(n);
+    const auto shift = static_cast<std::size_t>(rng.uniform_int(0, 40));
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = ((i % 30) > 24 ? 15.0 : 2.0) + rng.normal(0, 0.5);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      b[(i + shift) % n] = a[i] + rng.normal(0, trial % 4 == 0 ? 5.0 : 0.3);
+    }
+    const auto want = reference::circular_xcorr(a, b);
+    const auto fa = fft_real(a);
+    const auto fb = fft_real(b);
+    EXPECT_TRUE(same_bits<double>(circular_xcorr(a, b), want)) << trial;
+    EXPECT_TRUE(same_bits<double>(circular_xcorr(fa, fb, n), want)) << trial;
+    EXPECT_EQ(best_lag(a, b), reference::best_lag(a, b)) << trial;
+    EXPECT_EQ(best_lag(fa, fb, n), reference::best_lag(a, b)) << trial;
+  }
+}
+
+TEST(Xcorr, SpectrumFormRejectsMismatchedSpectra) {
+  const std::vector<Complex> a(8), b(16), odd(12);
+  EXPECT_THROW((void)circular_xcorr(a, b, 8), std::invalid_argument);
+  EXPECT_THROW((void)circular_xcorr(odd, odd, 12), std::invalid_argument);
+  EXPECT_THROW((void)circular_xcorr(a, a, 9), std::invalid_argument);
+}
 
 }  // namespace
 }  // namespace skh::dsp

@@ -68,6 +68,21 @@ TEST_F(SystemTest, HealthyCampaignHasNoFalsePositives) {
   EXPECT_GT(hunter.total_probes(), 0u);
 }
 
+TEST_F(SystemTest, ShortSeriesKeepTheBasicList) {
+  SkeletonHunter hunter(env_.topo, env_.overlay, env_.orch, env_.events,
+                        env_.faults, RngStream{1}, fast_config());
+  const auto task = launch_monitored(hunter, 4);
+  workload::ParallelismConfig par;
+  par.tp = 8;
+  par.pp = 2;
+  par.dp = 2;
+  auto obs = testutil::observations_for(env_, testutil::layout_of(env_, task, par));
+  obs[5].throughput.resize(600);
+  const std::size_t basic = hunter.current_targets(task);
+  EXPECT_FALSE(hunter.supply_observations(task, obs).has_value());
+  EXPECT_EQ(hunter.current_targets(task), basic);
+}
+
 TEST_F(SystemTest, PhasedStartupRaisesNoAlarmsWithActivationGating) {
   // The §5.1 initialization claim: registration-based activation prevents
   // false positives while containers come up at different times. Probing

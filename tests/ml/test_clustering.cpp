@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "common/rng.h"
+#include "support/reference_kernels.h"
 
 namespace skh::ml {
 namespace {
@@ -169,6 +173,100 @@ TEST_P(NoiseSweep, RobustToFeatureNoise) {
 
 INSTANTIATE_TEST_SUITE_P(Noise, NoiseSweep,
                          ::testing::Values(0.0, 0.1, 0.5, 1.0));
+
+/// Random rows for the reference comparison: `dims` normal coordinates, or
+/// coordinates on the grid {0, 1, 2} so that many linkages tie exactly;
+/// with `dup_every` > 0 every dup_every-th row repeats the one before it.
+FeatureMatrix reference_features(RngStream& rng, std::size_t n,
+                                 std::size_t dims, bool grid,
+                                 std::size_t dup_every) {
+  FeatureMatrix f;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (dup_every > 0 && i % dup_every == dup_every - 1) {
+      f.push_back(f.back());
+      continue;
+    }
+    std::vector<double> row(dims);
+    for (auto& x : row) {
+      x = grid ? static_cast<double>(rng.uniform_int(0, 2)) : rng.normal(0, 1);
+    }
+    f.push_back(std::move(row));
+  }
+  return f;
+}
+
+void expect_same(const std::optional<Clustering>& got,
+                 const std::optional<Clustering>& want,
+                 const std::string& what) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << what;
+  if (!got) return;
+  EXPECT_EQ(got->clusters, want->clusters) << what;
+  EXPECT_EQ(got->assignment, want->assignment) << what;
+}
+
+TEST(ClusteringReference, CachedLinkagesMatchTheNaiveAgglomeration) {
+  struct Case {
+    std::size_t n;
+    std::size_t dims;
+    bool grid;
+    std::size_t dup_every;
+    std::size_t per_host;  ///< items per host for Eq. 3
+    std::vector<std::size_t> ks;
+  };
+  // 33 dims is the STFT feature; the largest cases use fewer to keep the
+  // naive O(n^3 d) reference quick.
+  const Case cases[] = {
+      {8, 33, false, 0, 2, {2, 4}},
+      {16, 33, true, 0, 4, {4, 8}},
+      {16, 33, false, 0, 8, {2, 4}},  // at most 2 per cluster: k = 4 blocks
+      {32, 33, false, 3, 4, {4, 8, 16}},
+      {64, 33, true, 4, 16, {8, 16, 32}},  // k = 8 blocks at 4 hosts
+      {128, 33, false, 0, 8, {16, 32, 64}},
+      {128, 3, true, 5, 8, {16, 32}},
+      {256, 4, false, 7, 8, {32}},
+      {512, 2, true, 0, 8, {64}},
+  };
+  RngStream rng{21};
+  for (const Case& c : cases) {
+    const auto f = reference_features(rng, c.n, c.dims, c.grid, c.dup_every);
+    std::vector<std::size_t> host_of(c.n);
+    for (std::size_t i = 0; i < c.n; ++i) host_of[i] = 1000 + i / c.per_host;
+    const std::string at = "n=" + std::to_string(c.n) + " dims=" +
+                           std::to_string(c.dims) + " grid=" +
+                           std::to_string(c.grid) + " k=";
+    for (std::size_t k : c.ks) {
+      const auto plain = hierarchical_cluster(f, k);
+      expect_same(plain, reference::agglomerate(f, k, {}), at + "plain " +
+                  std::to_string(k));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(mean_intra_cluster_distance(f, plain)),
+                std::bit_cast<std::uint64_t>(
+                    reference::mean_intra_cluster_distance(f, plain)));
+      const ConstrainedClusterConfig one{host_of, {k}};
+      expect_same(constrained_cluster(f, one),
+                  reference::constrained_cluster(f, one),
+                  at + "host " + std::to_string(k));
+    }
+    const ConstrainedClusterConfig all{host_of, c.ks};
+    expect_same(constrained_cluster(f, all),
+                reference::constrained_cluster(f, all), at + "candidates");
+  }
+}
+
+TEST(ClusteringReference, InfeasibleHostsMatchTheReference) {
+  // Sixteen items on two hosts: no host-disjoint cluster holds more than
+  // two, so k = 4 and k = 2 are infeasible and k = 8 is the only answer.
+  RngStream rng{22};
+  const auto f = reference_features(rng, 16, 33, false, 0);
+  std::vector<std::size_t> host_of(16);
+  for (std::size_t i = 0; i < 16; ++i) host_of[i] = i % 2;
+  for (const std::vector<std::size_t>& ks :
+       {std::vector<std::size_t>{2}, {2, 4}, {2, 4, 8}}) {
+    const ConstrainedClusterConfig cfg{host_of, ks};
+    const auto got = constrained_cluster(f, cfg);
+    expect_same(got, reference::constrained_cluster(f, cfg), "ks");
+    EXPECT_EQ(got.has_value(), ks.back() == 8);
+  }
+}
 
 }  // namespace
 }  // namespace skh::ml
