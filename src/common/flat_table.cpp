@@ -1,13 +1,18 @@
 #include "common/flat_table.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstring>
 
+#include <sys/mman.h>
+
 namespace skh::common {
 
 namespace {
+
+std::atomic<std::uint64_t> g_mapped_blocks{0};
 
 constexpr std::size_t kMinSlots = 64;  // one full state word at minimum
 constexpr std::size_t kSlotsPerWord = 32;
@@ -19,6 +24,36 @@ constexpr std::size_t cache_align(std::size_t n) noexcept {
 }
 
 }  // namespace
+
+// AddressSanitizer puts redzones only around heap blocks, so its builds
+// keep these blocks on the heap, page-aligned, where an overrun is caught.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr std::align_val_t kPageAlign{4096};
+
+void* map_pages(std::size_t bytes) {
+  void* p = ::operator new(bytes, kPageAlign);
+  g_mapped_blocks.fetch_add(1, std::memory_order_relaxed);
+  return p;
+}
+
+void unmap_pages(void* p, std::size_t) noexcept {
+  ::operator delete(p, kPageAlign);
+}
+#else
+void* map_pages(std::size_t bytes) {
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  g_mapped_blocks.fetch_add(1, std::memory_order_relaxed);
+  return p;
+}
+
+void unmap_pages(void* p, std::size_t bytes) noexcept { ::munmap(p, bytes); }
+#endif
+
+std::uint64_t mapped_blocks() noexcept {
+  return g_mapped_blocks.load(std::memory_order_relaxed);
+}
 
 FlatPairTable::FlatPairTable(FlatTableConfig cfg) {
   if (cfg.capacity > 0) reserve(cfg.capacity);

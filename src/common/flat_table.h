@@ -33,12 +33,32 @@
 
 namespace skh::common {
 
-/// 64-byte-aligned allocator for the slot arena (and for any side array
-/// that wants cache-line-aligned rows, e.g. the detector's sample strips).
+/// Maps `bytes` of private anonymous pages, page-aligned; throws
+/// std::bad_alloc when the kernel refuses. AddressSanitizer builds take the
+/// block from the heap instead, so its redzones guard it.
+[[nodiscard]] void* map_pages(std::size_t bytes);
+/// Returns pages from `map_pages(bytes)` to the kernel.
+void unmap_pages(void* p, std::size_t bytes) noexcept;
+/// Blocks `map_pages` has mapped in this process so far; the
+/// allocation-free contracts count them beside operator new.
+[[nodiscard]] std::uint64_t mapped_blocks() noexcept;
+
+/// Blocks of this many bytes and more get pages of their own. It is
+/// glibc's default mmap threshold, fixed here because glibc raises its own
+/// after the process frees a larger mapped block.
+inline constexpr std::size_t kOwnPagesBytes = std::size_t{128} << 10;
+
+/// 64-byte-aligned allocator for the slot arena, the detector's per-pair
+/// arrays and the recorder's window rings.
 /// Alignment is a property of the allocator (not a runtime offset fix-up)
 /// so that the section offsets computed at rebuild stay valid across value
 /// copies — a copied table (e.g. inside a detector snapshot) reuses them
-/// untouched.
+/// untouched. A block of `kOwnPagesBytes` or more is mapped on pages of its
+/// own and unmapped when freed: these arrays regrow at plan time, each
+/// replan a little larger, and on the allocator's heap every old block
+/// would leave a hole the next, larger one cannot use, so the process
+/// footprint would climb with each replan instead of tracking what is
+/// live.
 template <typename T = std::byte>
 struct ArenaAllocator {
   using value_type = T;
@@ -53,11 +73,17 @@ struct ArenaAllocator {
   ArenaAllocator(const ArenaAllocator<U>&) noexcept {}
 
   [[nodiscard]] T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{64}));
+    const std::size_t bytes = n * sizeof(T);
+    if (bytes >= kOwnPagesBytes) return static_cast<T*>(map_pages(bytes));
+    return static_cast<T*>(::operator new(bytes, std::align_val_t{64}));
   }
-  void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t{64});
+  void deallocate(T* p, std::size_t n) noexcept {
+    const std::size_t bytes = n * sizeof(T);
+    if (bytes >= kOwnPagesBytes) {
+      unmap_pages(p, bytes);
+    } else {
+      ::operator delete(p, std::align_val_t{64});
+    }
   }
   template <typename U>
   friend bool operator==(const ArenaAllocator&, const ArenaAllocator<U>&) {

@@ -328,6 +328,11 @@ class AnomalyDetector {
   PairHandle adopt_pair(PairState&& st);
 
  private:
+  /// A per-pair array: cache-line aligned, and on pages of its own once
+  /// large, so plan-time regrowth returns the old block to the kernel.
+  template <typename T>
+  using PairArray = std::vector<T, common::ArenaAllocator<T>>;
+
   // Per-pair state is split hot/cold (SoA by slot). `PairHot`
   // holds exactly what a probe with no window rollover touches — the
   // gray-telemetry rejection fields, boundary checks, counters, and the
@@ -436,12 +441,12 @@ class AnomalyDetector {
   DetectorConfig cfg_;
   // Dense, indexed by slot; hot_[h], cold_[h], and the strip
   // samples_[h * kStride ..] describe one pair.
-  std::vector<PairHot> hot_;
-  std::vector<PairCold> cold_;
+  PairArray<PairHot> hot_;
+  PairArray<PairCold> cold_;
   /// Strip arena, 64-byte aligned so that every pair's strip is exactly
   /// one cache line — a probe dirties one hot line and one strip line,
   /// nothing else.
-  std::vector<double, common::ArenaAllocator<double>> samples_;
+  PairArray<double> samples_;
   /// The one LOF scoring workspace, shared by every pair's look-back.
   ml::StreamingLof lof_;
   /// Look-back arena, one block of `lookback_stride_` doubles per pair:
@@ -451,12 +456,12 @@ class AnomalyDetector {
   /// reference median, as many entries as the ring holds. A close reaches
   /// it through a computed address, not a pointer chase into a per-pair
   /// heap block; at the default depth a block is 88 doubles, 11 lines.
-  std::vector<double, common::ArenaAllocator<double>> lookback_;
+  PairArray<double> lookback_;
   std::size_t lookback_stride_;
   /// Per-path sub-series arena: kPathSlots slots per pair, allocated only
   /// when cfg.track_paths (empty otherwise, so the single-path deployment
   /// pays no memory and no cache traffic for the feature).
-  std::vector<PathSlot, common::ArenaAllocator<PathSlot>> paths_;
+  PairArray<PathSlot> paths_;
   /// Slots parked by retire_pair, recycled at flush (entries whose
   /// `parked` flag was cleared by a reviving probe are skipped).
   std::vector<PairHandle> parked_;
@@ -467,7 +472,7 @@ class AnomalyDetector {
   // from Snapshot, like the counters. Capacity tracks reserve_pairs so a
   // full-fleet flush (≤2 windows per pair) never drops.
   bool log_windows_ = false;
-  std::vector<obs::WindowRecord> window_log_;
+  PairArray<obs::WindowRecord> window_log_;
   std::size_t window_log_cap_ = 4096;
   std::uint64_t window_log_drops_ = 0;
   // Monotonic process telemetry, untouched by restore, extract and adopt.
@@ -484,11 +489,11 @@ class AnomalyDetector {
 
    private:
     friend class AnomalyDetector;
-    std::vector<PairHot> hot_;
-    std::vector<PairCold> cold_;
-    std::vector<double, common::ArenaAllocator<double>> samples_;
-    std::vector<double, common::ArenaAllocator<double>> lookback_;
-    std::vector<PathSlot, common::ArenaAllocator<PathSlot>> paths_;
+    PairArray<PairHot> hot_;
+    PairArray<PairCold> cold_;
+    PairArray<double> samples_;
+    PairArray<double> lookback_;
+    PairArray<PathSlot> paths_;
     std::vector<PairHandle> parked_;
     std::vector<PairHandle> free_;
   };

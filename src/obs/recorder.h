@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_table.h"  // ArenaAllocator
 #include "common/ids.h"
 #include "common/time.h"
 
@@ -123,8 +124,10 @@ class FlightRecorder {
  private:
   RecorderConfig cfg_;
   // Per-pair rings, flattened: slot gid holds windows_[gid*depth ..
-  // gid*depth+depth). cursor_/count_ pack the ring state per pair.
-  std::vector<WindowRecord> windows_;
+  // gid*depth+depth). cursor_/count_ pack the ring state per pair. The
+  // rings regrow with every replan, so once large they sit on pages of
+  // their own, like the detector's per-pair arrays.
+  std::vector<WindowRecord, common::ArenaAllocator<WindowRecord>> windows_;
   std::vector<std::uint8_t> cursor_;
   std::vector<std::uint8_t> count_;
 

@@ -223,5 +223,29 @@ TEST(FlatPairTable, ForEachOrderIsDeterministicForSameHistory) {
   EXPECT_EQ(build(), build());
 }
 
+TEST(ArenaAllocator, LargeBlocksGetPagesOfTheirOwn) {
+  using Array = std::vector<double, ArenaAllocator<double>>;
+  const auto aligned = [](const void* p, std::uintptr_t to) {
+    return reinterpret_cast<std::uintptr_t>(p) % to == 0;
+  };
+  const std::uint64_t before = mapped_blocks();
+  Array small(kOwnPagesBytes / sizeof(double) - 1);
+  EXPECT_TRUE(aligned(small.data(), 64));
+  EXPECT_EQ(mapped_blocks(), before);
+
+  Array large(kOwnPagesBytes / sizeof(double), 0.5);
+  EXPECT_TRUE(aligned(large.data(), 4096));
+  EXPECT_EQ(mapped_blocks(), before + 1);
+  large.back() = 2.0;
+  // Regrowth maps the new block, copies, and unmaps the old one.
+  large.reserve(2 * large.size());
+  EXPECT_EQ(mapped_blocks(), before + 2);
+  EXPECT_EQ(large.front(), 0.5);
+  EXPECT_EQ(large.back(), 2.0);
+  const Array copy = large;
+  EXPECT_EQ(mapped_blocks(), before + 3);
+  EXPECT_EQ(copy, large);
+}
+
 }  // namespace
 }  // namespace skh::common

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "common/flat_table.h"
+
 namespace {
 
 std::atomic<int> g_alloc_scopes{0};
@@ -26,12 +28,13 @@ void* counted_alloc(std::size_t n, std::size_t align) {
 
 namespace skh::testutil {
 
-AllocationCounter::AllocationCounter() : start_(g_allocs.load()) {
+AllocationCounter::AllocationCounter()
+    : start_(g_allocs.load() + common::mapped_blocks()) {
   g_alloc_scopes.fetch_add(1);
 }
 AllocationCounter::~AllocationCounter() { g_alloc_scopes.fetch_sub(1); }
 std::uint64_t AllocationCounter::count() const {
-  return g_allocs.load() - start_;
+  return g_allocs.load() + common::mapped_blocks() - start_;
 }
 
 }  // namespace skh::testutil
