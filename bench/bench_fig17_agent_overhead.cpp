@@ -10,19 +10,18 @@ using namespace skh::probe;
 
 int main() {
   print_banner("Figure 17: resource consumption of the agent");
-  AgentOverheadModel model;
   // A typical skeleton-optimized agent holds a few dozen active targets.
   constexpr std::size_t kTargets = 30;
 
   TablePrinter table({"t(min)", "cpu(%)", "memory(MB)"});
   for (double minutes : {0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 90.0}) {
-    const auto s = model.sample(SimTime::minutes(minutes), kTargets);
+    const auto s = agent_overhead(SimTime::minutes(minutes), kTargets);
     table.add_row({TablePrinter::num(minutes, 1),
                    TablePrinter::num(s.cpu_percent, 2),
                    TablePrinter::num(s.memory_mb, 1)});
   }
   table.print();
-  const auto steady = model.sample(SimTime::hours(3), kTargets);
+  const auto steady = agent_overhead(SimTime::hours(3), kTargets);
   std::printf("\nsteady state: %.2f%% CPU, %.1f MB"
               " (paper: converges to ~1%% and ~35 MB)\n",
               steady.cpu_percent, steady.memory_mb);

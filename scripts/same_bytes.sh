@@ -46,6 +46,12 @@ bench/bench_accuracy
 bench/bench_ablation_constraints
 bench/bench_fig18_casestudy
 bench/bench_table1_issues
+bench/bench_fig07_bursts
+bench/bench_fig13_stft
+bench/bench_fig15_probe_scale
+bench/bench_fig16_probe_time
+bench/bench_fig17_agent_overhead
+bench/bench_ablation_activation
 examples/production_campaign
 bench/bench_verdict_latency'
 

@@ -44,7 +44,6 @@ class Orchestrator {
   // --- queries --------------------------------------------------------------
   [[nodiscard]] const TaskInfo& task(TaskId id) const;
   [[nodiscard]] const ContainerInfo& container(ContainerId id) const;
-  [[nodiscard]] std::size_t num_tasks() const noexcept { return tasks_.size(); }
   [[nodiscard]] std::vector<Endpoint> endpoints_of_task(TaskId id) const;
   /// Endpoints of containers currently in Running state.
   [[nodiscard]] std::vector<Endpoint> running_endpoints_of_task(

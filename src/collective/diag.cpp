@@ -3,6 +3,16 @@
 #include <algorithm>
 
 namespace skh::collective {
+namespace {
+
+/// A step duration beyond this many times the sibling median is a
+/// straggler strike.
+constexpr double kStragglerRatio = 3.0;
+/// Consecutive strikes before a kSlow verdict (transient filtering — one
+/// slow step is noise, a streak is a sick host).
+constexpr std::uint32_t kStragglerStrikes = 3;
+
+}  // namespace
 
 std::string_view to_string(VerdictKind k) noexcept {
   switch (k) {
@@ -76,7 +86,7 @@ void CollectiveDiagnoser::diagnose_group(GroupState& g, std::uint32_t gid,
   for (const auto& r : g.pending) {
     if (r.done) continue;
     all_done = false;
-    if (r.started && now - r.start >= cfg_.hang_timeout) {
+    if (r.started && now - r.start >= kHangTimeout) {
       if (root == nullptr || r.step < root->step ||
           (r.step == root->step && r.rank < root->rank)) {
         root = &r;
@@ -148,9 +158,9 @@ void CollectiveDiagnoser::diagnose_group(GroupState& g, std::uint32_t gid,
   }
   if (g.pending.empty()) return;
   for (std::uint32_t rank = 0; rank < n; ++rank) {
-    if (worst_ratio[rank] > cfg_.straggler_ratio) {
+    if (worst_ratio[rank] > kStragglerRatio) {
       if (g.strikes[rank] < 0xffff) ++g.strikes[rank];
-      if (g.strikes[rank] >= cfg_.straggler_strikes &&
+      if (g.strikes[rank] >= kStragglerStrikes &&
           !g.slow_reported[rank]) {
         g.slow_reported[rank] = 1;
         ++slow_verdicts_;

@@ -55,16 +55,12 @@ struct CollectiveVerdict {
   double severity = 0.0;
 };
 
+/// A started-but-incomplete step older than this is a hang. Must be
+/// shorter than the emitter's iteration period or hangs are only seen one
+/// iteration late.
+inline constexpr SimTime kHangTimeout = SimTime::seconds(25);
+
 struct CollectiveDiagConfig {
-  /// A started-but-incomplete step older than this is a hang. Must be
-  /// shorter than the emitter's iteration period or hangs are only seen
-  /// one iteration late.
-  SimTime hang_timeout = SimTime::seconds(25);
-  /// A step duration beyond ratio * sibling-median is a straggler strike.
-  double straggler_ratio = 3.0;
-  /// Consecutive strikes before a kSlow verdict (transient filtering —
-  /// one slow step is noise, a streak is a sick host).
-  std::uint32_t straggler_strikes = 3;
   /// Wait-for chain length cap in a verdict (bounded evidence).
   std::size_t max_waiters = 16;
 };

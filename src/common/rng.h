@@ -78,9 +78,6 @@ class RngStream {
   [[nodiscard]] double lognormal(double mu, double sigma) {
     return std::lognormal_distribution<double>{mu, sigma}(engine_);
   }
-  [[nodiscard]] double exponential(double rate) {
-    return std::exponential_distribution<double>{rate}(engine_);
-  }
   [[nodiscard]] bool bernoulli(double p) {
     return std::bernoulli_distribution{p}(engine_);
   }

@@ -166,12 +166,6 @@ void AnomalyDetector::retire_pair(PairHandle h) {
   parked_.push_back(h);
 }
 
-std::size_t AnomalyDetector::retired_count() const noexcept {
-  std::size_t n = 0;
-  for (const PairHandle id : parked_) n += hot_[id].parked ? 1 : 0;
-  return n;
-}
-
 std::size_t AnomalyDetector::ingest(PairHandle h, const Observation& o,
                                     std::vector<AnomalyEvent>& out) {
   const std::size_t before = out.size();
@@ -252,7 +246,7 @@ std::size_t AnomalyDetector::ingest(PairHandle h, const Observation& o,
   } else {
     ++st.short_lost;
     ++st.fail_streak;
-    if (st.fail_streak >= cfg_.unreachable_streak &&
+    if (st.fail_streak >= kUnreachableStreak &&
         !st.unreachable_alarmed) {
       st.unreachable_alarmed = true;
       out.push_back(AnomalyEvent{cold_[h].pair, sent_at,
@@ -338,8 +332,8 @@ void AnomalyDetector::evaluate_paths(PairHandle h, SimTime at,
     // Member loss rule: over threshold in absolute terms AND clearly worse
     // than the pooled siblings (4x guards against fleet-wide loss being
     // re-reported once per member).
-    if (s.lost >= cfg_.min_lost_per_window &&
-        loss >= cfg_.loss_rate_threshold && loss >= 4.0 * rest_loss) {
+    if (s.lost >= kMinLostPerWindow &&
+        loss >= kLossRateThreshold && loss >= 4.0 * rest_loss) {
       events.push_back(AnomalyEvent{cold.pair, at, AnomalyKind::kPacketLoss,
                                     loss, s.key - 1});
       s = PathSlot{s.key, 0, 0, 0.0f};  // re-arm: keep the member, drop
@@ -347,7 +341,7 @@ void AnomalyDetector::evaluate_paths(PairHandle h, SimTime at,
       continue;
     }
     // Member latency rule: mean RTT relatively shifted against the pooled
-    // siblings' mean (same min_relative_shift knob as the LOF gate).
+    // siblings' mean (same kMinRelativeShift gate as the LOF gate).
     const std::uint32_t del = s.sent - s.lost;
     const std::uint64_t rest_del = rest_sent - rest_lost;
     if (del >= cfg_.min_samples_per_window &&
@@ -356,7 +350,7 @@ void AnomalyDetector::evaluate_paths(PairHandle h, SimTime at,
       const double rest_mean =
           (tot_rtt - static_cast<double>(s.rtt_sum)) /
           static_cast<double>(rest_del);
-      if (rest_mean > 0.0 && mean / rest_mean - 1.0 >= cfg_.min_relative_shift) {
+      if (rest_mean > 0.0 && mean / rest_mean - 1.0 >= kMinRelativeShift) {
         events.push_back(AnomalyEvent{cold.pair, at,
                                       AnomalyKind::kLatencyShortTerm,
                                       mean / rest_mean, s.key - 1});
@@ -437,16 +431,15 @@ void AnomalyDetector::close_short_window(PairHandle h, SimTime at,
   if (hot.short_sent >= cfg_.min_samples_per_window) {
     const double loss_rate = static_cast<double>(hot.short_lost) /
                              static_cast<double>(hot.short_sent);
-    if (loss_rate >= cfg_.loss_rate_threshold &&
-        hot.short_lost >= cfg_.min_lost_per_window) {
+    if (loss_rate >= kLossRateThreshold &&
+        hot.short_lost >= kMinLostPerWindow) {
       events.push_back(
           AnomalyEvent{cold.pair, at, AnomalyKind::kPacketLoss, loss_rate});
       log_flags |= obs::kWindowLossFired;
     }
     if (sorted.size() >= cfg_.min_samples_per_window) {
       const WindowSummary summary =
-          robust_summary(sorted, cfg_.rtt_clamp_iqr_mult,
-                         cfg_.rtt_clamp_band_frac);
+          robust_summary(sorted, kRttClampIqrMult, kRttClampBandFrac);
       const std::array<double, kFeatureDim> feature{
           summary.p25,  summary.p50,    summary.p75, summary.min,
           summary.mean, summary.stddev, summary.max};
@@ -476,7 +469,7 @@ void AnomalyDetector::close_short_window(PairHandle h, SimTime at,
         // regardless.
         const double shift =
             ref_median > 0.0 ? (summary.p50 - ref_median) / ref_median : 0.0;
-        if (shift >= cfg_.min_relative_shift) {
+        if (shift >= kMinRelativeShift) {
           const double score = lof_.last_score(ring, pts);
           ++counters_.lof_fast_path;
           counters_.lof_kdist_rebuilds += ring.size;
@@ -541,14 +534,14 @@ void AnomalyDetector::close_long_window(PairHandle h, SimTime at,
       cold.baseline = ml::fit_lognormal(cold.long_log);
     } else {
       const auto result =
-          ml::z_test(*cold.baseline, cold.long_log, cfg_.z_alpha);
+          ml::z_test(*cold.baseline, cold.long_log, kZAlpha);
       const auto window_fit = ml::fit_lognormal(cold.long_log);
       // Signed: only degradation (upward drift) is a failure; the recovery
       // window after a fault shifts downward and must not re-alarm.
       const double shift = std::exp(window_fit.mu - cold.baseline->mu) - 1.0;
       log_score = static_cast<float>(std::abs(result.z));
       log_flags |= obs::kWindowScored;
-      if (result.reject && shift >= cfg_.long_term_min_shift) {
+      if (result.reject && shift >= kLongTermMinShift) {
         events.push_back(AnomalyEvent{cold.pair, at,
                                       AnomalyKind::kLatencyLongTerm,
                                       std::abs(result.z)});

@@ -102,6 +102,36 @@ struct Observation {
 [[nodiscard]] WindowSummary robust_summary(std::span<const double> sorted,
                                            double iqr_mult, double band_frac);
 
+/// LOF is a *relative* density score: on a tight healthy population even
+/// microscopic deviations score high. A window is only anomalous when its
+/// LOF exceeds the threshold AND its median deviates from the look-back
+/// median by at least this fraction (transient-congestion filtering,
+/// §5.2: "filter out these transient latency spikes").
+inline constexpr double kMinRelativeShift = 0.15;
+/// With thousands of (pair x window) tests per hour, the per-test alpha
+/// of the long-term Z-test must price in multiple testing: 1e-6 keeps the
+/// campaign-level false-alarm expectation well below one.
+inline constexpr double kZAlpha = 1e-6;
+/// Operational significance floor: a statistically significant but
+/// sub-5% median drift is not a failure worth a ticket.
+inline constexpr double kLongTermMinShift = 0.05;
+/// A short window alarms on loss at this loss rate...
+inline constexpr double kLossRateThreshold = 0.05;
+/// ...and only with at least this many drops: one unlucky drop among a
+/// handful of probes is statistically expected even on healthy paths with
+/// sub-0.1% loss.
+inline constexpr std::size_t kMinLostPerWindow = 2;
+/// Consecutive undelivered probes that raise an unreachable event.
+inline constexpr int kUnreachableStreak = 3;
+/// Robust-scale clamp: before the LOF feature vector is built, samples
+/// above p75 + max(kRttClampIqrMult * IQR, kRttClampBandFrac * p50) of
+/// their own window are winsorized to that cap (see `robust_summary`), so
+/// one corrupted RTT (a 50x bit-flip outlier) cannot poison the
+/// look-back's mean/std/max coordinates. Percentile coordinates and the
+/// long-term fold are untouched.
+inline constexpr double kRttClampIqrMult = 8.0;
+inline constexpr double kRttClampBandFrac = 0.5;
+
 struct DetectorConfig {
   SimTime short_window = SimTime::seconds(30);
   /// 5 min of 30 s windows. The ring holds one window more than this, so
@@ -109,27 +139,8 @@ struct DetectorConfig {
   /// ml::StreamingLof::kMaxSlots - 1.
   std::size_t lookback_windows = 10;
   ml::LofConfig lof{3, 1.8};
-  /// LOF is a *relative* density score: on a tight healthy population even
-  /// microscopic deviations score high. A window is only anomalous when its
-  /// LOF exceeds the threshold AND its median deviates from the look-back
-  /// median by at least this fraction (transient-congestion filtering,
-  /// §5.2: "filter out these transient latency spikes").
-  double min_relative_shift = 0.15;
   SimTime long_window = SimTime::minutes(30);
-  /// With thousands of (pair x window) tests per hour, the per-test alpha
-  /// must price in multiple testing: 1e-6 keeps the campaign-level false-
-  /// alarm expectation well below one.
-  double z_alpha = 1e-6;
-  /// Operational significance floor: a statistically significant but
-  /// sub-5% median drift is not a failure worth a ticket.
-  double long_term_min_shift = 0.05;
-  double loss_rate_threshold = 0.05;
-  /// A window alarms on loss only with at least this many drops: one
-  /// unlucky drop among a handful of probes is statistically expected even
-  /// on healthy paths with sub-0.1% loss.
-  std::size_t min_lost_per_window = 2;
   std::size_t min_samples_per_window = 5;
-  int unreachable_streak = 3;
   /// Gray-telemetry quorum: a short window that observed fewer than this
   /// many probes is *insufficient* — it gets no loss verdict, no LOF
   /// push/score, and its samples are not fed to the long-term Z-test
@@ -137,14 +148,6 @@ struct DetectorConfig {
   /// dropping responses must starve the detector, not feed it windows so
   /// sparse their statistics are noise. 0 disables the gate.
   std::size_t window_quorum = 0;
-  /// Robust-scale clamp: before the LOF feature vector is built, samples
-  /// above p75 + max(iqr_mult * IQR, band_frac * p50) of their own window
-  /// are winsorized to that cap, so one corrupted RTT (a 50x bit-flip
-  /// outlier) cannot poison the look-back's mean/std/max coordinates.
-  /// Percentile coordinates and the long-term fold are untouched.
-  /// iqr_mult 0 disables.
-  double rtt_clamp_iqr_mult = 8.0;
-  double rtt_clamp_band_frac = 0.5;
   /// Plan-time pair capacity: sizes the sharded facade's pair index (its
   /// router) and the per-pair arrays once, so mapping and ingest allocate
   /// nothing. The hunter reserves the same from its ping lists; 0 starts
@@ -285,8 +288,6 @@ class AnomalyDetector {
   [[nodiscard]] std::size_t pair_count() const noexcept {
     return hot_.size() - free_.size();
   }
-  /// Pairs currently parked by `retire_pair` awaiting the flush recycle.
-  [[nodiscard]] std::size_t retired_count() const noexcept;
 
   /// Ingest counters, including the LOF scoring counts.
   [[nodiscard]] const DetectorCounters& counters() const noexcept {

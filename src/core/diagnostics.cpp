@@ -1,23 +1,33 @@
 #include "core/diagnostics.h"
 
 namespace skh::core {
+namespace {
 
-DiagnosticsOracle::DiagnosticsOracle(const sim::FaultInjector& faults,
-                                     RngStream rng, OracleConfig cfg)
-    : faults_(faults), rng_(std::move(rng)), cfg_(cfg) {}
+// Probability that a real fault shows a confirming diagnostic, per kind of
+// component inspected.
+constexpr double kLinkLogConfidence = 0.97;  ///< CRC / port-down counters
+constexpr double kSwitchLogConfidence = 0.95;
+constexpr double kRnicCheckConfidence = 0.92;  ///< firmware/port state queries
+constexpr double kVSwitchCheckConfidence = 0.93;  ///< OVS config inspection
+constexpr double kHostCheckConfidence = 0.90;  ///< kernel logs, hugepage config
 
-double DiagnosticsOracle::confidence_for(sim::ComponentKind kind) const {
+double confidence_for(sim::ComponentKind kind) {
   switch (kind) {
-    case sim::ComponentKind::kPhysicalLink: return cfg_.link_log_confidence;
-    case sim::ComponentKind::kPhysicalSwitch:
-      return cfg_.switch_log_confidence;
-    case sim::ComponentKind::kRnic: return cfg_.rnic_check_confidence;
-    case sim::ComponentKind::kVSwitch: return cfg_.vswitch_check_confidence;
-    case sim::ComponentKind::kHost: return cfg_.host_check_confidence;
-    case sim::ComponentKind::kContainer: return cfg_.host_check_confidence;
+    case sim::ComponentKind::kPhysicalLink: return kLinkLogConfidence;
+    case sim::ComponentKind::kPhysicalSwitch: return kSwitchLogConfidence;
+    case sim::ComponentKind::kRnic: return kRnicCheckConfidence;
+    case sim::ComponentKind::kVSwitch: return kVSwitchCheckConfidence;
+    case sim::ComponentKind::kHost: return kHostCheckConfidence;
+    case sim::ComponentKind::kContainer: return kHostCheckConfidence;
   }
   return 0.0;
 }
+
+}  // namespace
+
+DiagnosticsOracle::DiagnosticsOracle(const sim::FaultInjector& faults,
+                                     RngStream rng)
+    : faults_(faults), rng_(std::move(rng)) {}
 
 bool DiagnosticsOracle::confirms(sim::ComponentRef ref, SimTime t) {
   for (const sim::Fault* f : faults_.active_on(ref, t)) {

@@ -20,18 +20,9 @@
 
 namespace skh::core {
 
-struct OracleConfig {
-  double link_log_confidence = 0.97;   ///< CRC / port-down counters present
-  double switch_log_confidence = 0.95;
-  double rnic_check_confidence = 0.92; ///< firmware/port state queries
-  double vswitch_check_confidence = 0.93;  ///< OVS config inspection
-  double host_check_confidence = 0.90;     ///< kernel logs, hugepage config
-};
-
 class DiagnosticsOracle {
  public:
-  DiagnosticsOracle(const sim::FaultInjector& faults, RngStream rng,
-                    OracleConfig cfg = {});
+  DiagnosticsOracle(const sim::FaultInjector& faults, RngStream rng);
 
   /// Does the named component show a confirming diagnostic at time `t`?
   /// Deterministic per (component, fault): the same inspection repeated
@@ -39,11 +30,8 @@ class DiagnosticsOracle {
   [[nodiscard]] bool confirms(sim::ComponentRef ref, SimTime t);
 
  private:
-  [[nodiscard]] double confidence_for(sim::ComponentKind kind) const;
-
   const sim::FaultInjector& faults_;
   RngStream rng_;
-  OracleConfig cfg_;
   /// Memoized per-fault coin flips (stable answers across re-inspection).
   std::unordered_map<std::uint32_t, bool> decided_;
 };

@@ -24,6 +24,16 @@ double burstiness(std::span<const double> series) {
 
 namespace {
 
+/// An endpoint counts as "actively training" when its peak throughput
+/// reaches this level (idle/debug endpoints never leave noise range)...
+constexpr double kMinPeakGbps = 5.0;
+/// ...and its peak/mean ratio shows burst structure rather than a flat
+/// constant load.
+constexpr double kMinBurstiness = 2.0;
+/// Minimum cross-correlation (at the best lag) between paired endpoints'
+/// series for the pair to count as aligned.
+constexpr double kMinPairCorrelation = 0.35;
+
 /// Writes the fft_real spectrum of `series` minus its mean into `spectrum`
 /// (sized next_pow2(series.size())) and returns the demeaned sum of squares:
 /// everything best_correlation needs of one side of a pair.
@@ -71,8 +81,7 @@ double best_correlation(std::span<const double> a, std::span<const double> b) {
 
 FidelityReport validate_skeleton(
     const std::vector<EndpointPair>& skeleton_pairs,
-    const std::vector<EndpointObservation>& observations,
-    const FidelityConfig& cfg) {
+    const std::vector<EndpointObservation>& observations) {
   FidelityReport rep;
   if (observations.empty()) return rep;
 
@@ -84,8 +93,7 @@ FidelityReport validate_skeleton(
         o.throughput.empty()
             ? 0.0
             : *std::max_element(o.throughput.begin(), o.throughput.end());
-    if (peak >= cfg.min_peak_gbps &&
-        burstiness(o.throughput) >= cfg.min_burstiness) {
+    if (peak >= kMinPeakGbps && burstiness(o.throughput) >= kMinBurstiness) {
       active.insert(o.endpoint);
     }
   }
@@ -124,7 +132,7 @@ FidelityReport validate_skeleton(
       corr = correlation_peak(src_spectrum, src_var, dst_spectrum, dst_var,
                               a.size());
     }
-    if (corr >= cfg.min_pair_correlation) ++aligned;
+    if (corr >= kMinPairCorrelation) ++aligned;
   }
   rep.pair_alignment =
       judged == 0 ? 0.0

@@ -15,20 +15,9 @@
 
 namespace skh::core {
 
-struct FidelityConfig {
-  /// An endpoint counts as "actively training" when its peak throughput
-  /// reaches this level (idle/debug endpoints never leave noise range)...
-  double min_peak_gbps = 5.0;
-  /// ...and its peak/mean ratio shows burst structure rather than a flat
-  /// constant load.
-  double min_burstiness = 2.0;
-  /// Minimum cross-correlation (at the best lag) between paired endpoints'
-  /// series for the pair to count as aligned.
-  double min_pair_correlation = 0.35;
-  /// Overall fidelity threshold under which the skeleton should not be
-  /// trusted (callers fall back to the basic ping list).
-  double accept_threshold = 0.7;
-};
+/// Fidelity score under which a skeleton should not be trusted (callers
+/// fall back to the basic ping list).
+inline constexpr double kFidelityAcceptThreshold = 0.7;
 
 struct FidelityReport {
   /// Fraction of skeleton pairs whose endpoints' bursts are correlated.
@@ -41,8 +30,8 @@ struct FidelityReport {
   /// min(pair_alignment, active_coverage), gated on there being activity.
   double score = 0.0;
 
-  [[nodiscard]] bool acceptable(const FidelityConfig& cfg) const {
-    return score >= cfg.accept_threshold;
+  [[nodiscard]] bool acceptable() const {
+    return score >= kFidelityAcceptThreshold;
   }
 };
 
@@ -58,7 +47,6 @@ struct FidelityReport {
 /// (or fresher ones — the paper suggests *persistent* validation).
 [[nodiscard]] FidelityReport validate_skeleton(
     const std::vector<EndpointPair>& skeleton_pairs,
-    const std::vector<EndpointObservation>& observations,
-    const FidelityConfig& cfg = {});
+    const std::vector<EndpointObservation>& observations);
 
 }  // namespace skh::core

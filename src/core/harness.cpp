@@ -3,6 +3,19 @@
 #include <stdexcept>
 
 namespace skh::core {
+namespace {
+
+/// One training iteration's step trace is emitted (and the previous
+/// iteration's ingested) every this often. Stalls must age past the hang
+/// timeout by the time their batch is judged.
+constexpr SimTime kCollectiveIterationPeriod = SimTime::seconds(30);
+static_assert(kCollectiveIterationPeriod > collective::kHangTimeout);
+/// Per-step delay a probe-visible network fault adds to a collective step:
+/// its extra latency plus its loss probability times this retransmit
+/// penalty, summed over the faulted components the endpoint traverses.
+constexpr double kLossRetransmitUs = 5000.0;
+
+}  // namespace
 
 Experiment::Experiment(const ExperimentConfig& cfg)
     : rng_(cfg.seed),
@@ -111,13 +124,12 @@ void Experiment::schedule_churn(TaskId task,
 void Experiment::enable_collective_plane(TaskId task,
                                          const workload::TaskLayout& layout,
                                          const sim::CollectiveFaultPlan& plan,
-                                         SimTime until,
-                                         CollectivePlaneConfig cfg) {
+                                         SimTime until) {
   auto groups = workload::build_collective_groups(layout);
   hunter_.register_collectives(task, groups);
   auto state = std::make_unique<CollectivePlaneState>(CollectivePlaneState{
       workload::CollectiveTraceGenerator(
-          std::move(groups), cfg.trace,
+          std::move(groups), workload::CollectiveTraceConfig{},
           rng_.fork("collective-trace").fork(task.value())),
       task});
   CollectivePlaneState* st = state.get();
@@ -130,53 +142,46 @@ void Experiment::enable_collective_plane(TaskId task,
     e.slowdown = plan.slowdown_at(ci, t);
     return e;
   });
-  if (cfg.couple_network) {
-    const double retrans = cfg.trace.loss_retransmit_us;
-    st->gen.set_network_delay_fn(
-        [this, retrans](const Endpoint& ep,
-                        SimTime t) -> std::optional<double> {
-          const sim::ComponentRef comps[] = {
-              {sim::ComponentKind::kRnic, ep.rnic.value()},
-              {sim::ComponentKind::kPhysicalLink,
-               topo_.uplink_of(ep.rnic).value()},
-              {sim::ComponentKind::kHost, topo_.host_of(ep.rnic).value()},
-              {sim::ComponentKind::kContainer, ep.container.value()}};
-          double extra = 0.0;
-          for (const auto& c : comps) {
-            for (const sim::Fault* f : faults_.active_on(c, t)) {
-              // Phantom (monitoring-defect) faults never couple: the
-              // tenant's collectives don't cross the sidecar.
-              if (!f->ground_truth || !f->degrading_at(t)) continue;
-              if (f->effect.unreachable) return std::nullopt;
-              extra += f->effect.extra_latency_us +
-                       f->effect.loss_probability * retrans;
-            }
+  st->gen.set_network_delay_fn(
+      [this](const Endpoint& ep, SimTime t) -> std::optional<double> {
+        const sim::ComponentRef comps[] = {
+            {sim::ComponentKind::kRnic, ep.rnic.value()},
+            {sim::ComponentKind::kPhysicalLink,
+             topo_.uplink_of(ep.rnic).value()},
+            {sim::ComponentKind::kHost, topo_.host_of(ep.rnic).value()},
+            {sim::ComponentKind::kContainer, ep.container.value()}};
+        double extra = 0.0;
+        for (const auto& c : comps) {
+          for (const sim::Fault* f : faults_.active_on(c, t)) {
+            // Phantom (monitoring-defect) faults never couple: the
+            // tenant's collectives don't cross the sidecar.
+            if (!f->ground_truth || !f->degrading_at(t)) continue;
+            if (f->effect.unreachable) return std::nullopt;
+            extra += f->effect.extra_latency_us +
+                     f->effect.loss_probability * kLossRetransmitUs;
           }
-          return extra;
-        });
-  }
-  collective_tick(st, until, cfg.iteration_period);
+        }
+        return extra;
+      });
+  collective_tick(st, until);
 }
 
-void Experiment::collective_tick(CollectivePlaneState* st, SimTime until,
-                                 SimTime period) {
+void Experiment::collective_tick(CollectivePlaneState* st, SimTime until) {
   const SimTime now = events_.now();
   // Last tick's batch has aged one full period — stalled steps are past
-  // the hang timeout by construction (period > timeout is a config
-  // requirement, see CollectivePlaneConfig).
+  // the hang timeout by construction (see kCollectiveIterationPeriod).
   if (!st->pending.empty()) {
     hunter_.ingest_collective_steps(st->task, st->pending);
   }
   st->pending = st->gen.emit_iteration(st->next_iteration++, now);
   collective_fp_ = workload::fingerprint_records(st->pending, collective_fp_);
-  if (now + period <= until) {
-    events_.schedule_after(period, [this, st, until, period] {
-      collective_tick(st, until, period);
-    });
+  if (now + kCollectiveIterationPeriod <= until) {
+    events_.schedule_after(kCollectiveIterationPeriod,
+                           [this, st, until] { collective_tick(st, until); });
   } else {
     // Final batch still needs one aging period before judgment, else an
     // injected stall in the last iteration would silently vanish.
-    events_.schedule_after(period, [this, st] {
+    events_.schedule_after(kCollectiveIterationPeriod, [this, st] {
       if (!st->pending.empty()) {
         hunter_.ingest_collective_steps(st->task, st->pending);
         st->pending.clear();

@@ -21,21 +21,6 @@
 
 namespace skh::core {
 
-/// Wiring knobs for the collective signal plane on one task.
-struct CollectivePlaneConfig {
-  workload::CollectiveTraceConfig trace{};
-  /// One training iteration's step trace is emitted (and the previous
-  /// iteration's ingested) every this often. Must exceed the hang timeout
-  /// (`SkeletonHunterConfig::collective.hang_timeout`) for stalls to age
-  /// past it by the time their batch is judged.
-  SimTime iteration_period = SimTime::seconds(30);
-  /// Couple probe-visible ground-truth network faults on the endpoints'
-  /// RNIC/uplink/host/container into step durations (the cross-plane
-  /// agreement channel). Phantom faults never couple — a dead sidecar is
-  /// invisible to the tenant's collectives by definition.
-  bool couple_network = true;
-};
-
 struct ExperimentConfig {
   topo::TopologyConfig topology{};
   SkeletonHunterConfig hunter{};
@@ -91,13 +76,17 @@ class Experiment {
 
   /// Turn on the collective signal plane for a task: build its
   /// communicators from `layout`, register them with the hunter, and
-  /// schedule per-iteration step-trace emission until `until`. `plan`
-  /// holds the host-side faults (hangs, stragglers, slow hosts) — failures
-  /// the probe mesh cannot see; pass an empty plan for a healthy-host run
-  /// (zero RNG draws, so pre-collective seeds replay unchanged).
+  /// schedule step-trace emission, one training iteration every 30 s,
+  /// until `until`. `plan` holds the host-side faults (hangs, stragglers,
+  /// slow hosts) — failures the probe mesh cannot see; pass an empty plan
+  /// for a healthy-host run (zero RNG draws, so pre-collective seeds replay
+  /// unchanged). Probe-visible ground-truth network faults on an
+  /// endpoint's RNIC, uplink, host or container couple into its step
+  /// durations (the cross-plane agreement channel); phantom faults never
+  /// do — a dead sidecar is invisible to the tenant's collectives.
   void enable_collective_plane(TaskId task, const workload::TaskLayout& layout,
                                const sim::CollectiveFaultPlan& plan,
-                               SimTime until, CollectivePlaneConfig cfg = {});
+                               SimTime until);
 
   /// Chained FNV-1a fold over every step record emitted by every enabled
   /// plane, in emission order — the byte-identity witness for the trace
@@ -137,8 +126,7 @@ class Experiment {
     std::vector<workload::StepRecord> pending;
   };
   /// Ingest the pending batch, emit the next iteration, reschedule.
-  void collective_tick(CollectivePlaneState* st, SimTime until,
-                       SimTime period);
+  void collective_tick(CollectivePlaneState* st, SimTime until);
 
   RngStream rng_;
   topo::Topology topo_;

@@ -37,6 +37,10 @@ bool fault_affects_pair(const sim::Fault& fault, const EndpointPair& pair,
 
 namespace {
 
+/// Slack after fault end during which detections still count (analysis
+/// windows close after the fault clears).
+constexpr SimTime kMatchSlack = SimTime::minutes(35);
+
 /// Is the case's verdict the fault's target? Accepts the uplink <-> RNIC
 /// port aliasing in both directions (the two names denote one physical
 /// port).
@@ -72,9 +76,8 @@ bool verdict_matches(const Localization& loc, const sim::Fault& fault,
   return false;
 }
 
-bool time_overlaps(const FailureCase& c, const sim::Fault& f,
-                   SimTime slack) {
-  return c.last_event >= f.start && c.first_event <= f.end + slack;
+bool time_overlaps(const FailureCase& c, const sim::Fault& f) {
+  return c.last_event >= f.start && c.first_event <= f.end + kMatchSlack;
 }
 
 }  // namespace
@@ -101,13 +104,15 @@ double CampaignScore::localization_accuracy() const {
 
 CampaignScore score_campaign(const std::vector<FailureCase>& cases,
                              const sim::FaultInjector& faults,
-                             const topo::Topology& topo,
-                             const ScoreConfig& cfg) {
+                             const topo::Topology& topo) {
   CampaignScore score;
 
-  // Per-case: does it match any injected fault? Network-silent cases are
-  // tallied apart — the probe-plane precision/recall frame does not apply
-  // to them (no pairs, no probe-visible ground-truth fault to match).
+  // Per case: the probe-visible faults it matches (active in its time
+  // window and on the probe surface of one of its pairs), which of them
+  // it detected first, and whether its verdict names any of them.
+  // Network-silent cases are tallied apart — the probe-plane
+  // precision/recall frame does not apply to them (no pairs, no
+  // probe-visible ground-truth fault to match).
   std::vector<bool> fault_detected(faults.faults().size(), false);
   std::vector<double> latencies;
   for (const auto& c : cases) {
@@ -117,10 +122,11 @@ CampaignScore score_campaign(const std::vector<FailureCase>& cases,
     }
     ++score.cases_total;
     bool matched = false;
+    bool verdict_ok = false;
     for (const auto& f : faults.faults()) {
       if (!f.ground_truth) continue;
       if (!sim::issue_info(f.type).probe_visible) continue;
-      if (!time_overlaps(c, f, cfg.match_slack)) continue;
+      if (!time_overlaps(c, f)) continue;
       const bool affects = std::any_of(
           c.pairs.begin(), c.pairs.end(), [&](const EndpointPair& p) {
             return fault_affects_pair(f, p, topo);
@@ -131,40 +137,18 @@ CampaignScore score_campaign(const std::vector<FailureCase>& cases,
         fault_detected[f.id] = true;
         latencies.push_back((c.first_event - f.start).to_seconds());
       }
-      if (c.localization.found()) {
-        // A case may match several faults; credit the localization against
-        // the fault it names, counting the case once.
-      }
-    }
-    if (matched) {
-      ++score.cases_true;
-    } else {
-      ++score.cases_false;
-    }
-  }
-  // Localization accuracy: per matched case with a verdict, does the
-  // verdict name any fault the case matches?
-  for (const auto& c : cases) {
-    if (c.cls == CaseClass::kTenantVisibleNetworkSilent) continue;
-    bool matched_any = false;
-    bool verdict_ok = false;
-    for (const auto& f : faults.faults()) {
-      if (!f.ground_truth) continue;
-      if (!sim::issue_info(f.type).probe_visible) continue;
-      if (!time_overlaps(c, f, cfg.match_slack)) continue;
-      const bool affects = std::any_of(
-          c.pairs.begin(), c.pairs.end(), [&](const EndpointPair& p) {
-            return fault_affects_pair(f, p, topo);
-          });
-      if (!affects) continue;
-      matched_any = true;
       if (c.localization.found() && verdict_matches(c.localization, f, topo)) {
         verdict_ok = true;
       }
     }
-    if (matched_any) {
+    if (matched) {
+      ++score.cases_true;
+      // Localization accuracy is over matched cases: one is correct when
+      // its verdict names any fault it matches.
       ++score.localized_total;
       if (verdict_ok) ++score.localized_correct;
+    } else {
+      ++score.cases_false;
     }
   }
 

@@ -31,7 +31,7 @@ struct CampaignScore {
   std::size_t cases_true = 0;       ///< cases matching some fault
   std::size_t cases_false = 0;      ///< false positives
   std::size_t localized_correct = 0;  ///< matched cases naming the target
-  std::size_t localized_total = 0;    ///< matched cases with any verdict
+  std::size_t localized_total = 0;    ///< matched cases, verdict or not
   /// kTenantVisibleNetworkSilent cases (collective signal plane). Scored
   /// separately: they carry no anomalous probe pairs and report host-side
   /// incidents the network ground truth does not model, so counting them
@@ -54,15 +54,9 @@ struct CampaignScore {
                          const CampaignScore&) = default;
 };
 
-struct ScoreConfig {
-  /// Slack after fault end during which detections still count (analysis
-  /// windows close after the fault clears).
-  SimTime match_slack = SimTime::minutes(35);
-};
-
 [[nodiscard]] CampaignScore score_campaign(
     const std::vector<FailureCase>& cases, const sim::FaultInjector& faults,
-    const topo::Topology& topo, const ScoreConfig& cfg = {});
+    const topo::Topology& topo);
 
 /// Sample statistics of one metric across a Monte-Carlo campaign set.
 /// The 95% interval is the normal approximation mean ± 1.96·stddev/√n —

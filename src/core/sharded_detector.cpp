@@ -153,27 +153,6 @@ std::size_t ShardedDetector::ingest_batch(
   events.clear();
   fired_per_item.assign(items.size(), 0);
   const std::size_t n = shards_.size();
-  if (n == 1) {
-    // Degenerate path: plain sequential ingest, zero overhead over the
-    // single detector it wraps.
-    AnomalyDetector& det = *shards_[0];
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const BatchItem& it = items[i];
-      fired_per_item[i] = static_cast<std::uint32_t>(
-          det.ingest(local_of_[it.handle], it.obs, events));
-    }
-    m_items_routed_[0].add(items.size());
-  } else {
-    ingest_partitioned(items, events, fired_per_item);
-  }
-  publish();
-  return events.size();
-}
-
-void ShardedDetector::ingest_partitioned(
-    std::span<const BatchItem> items, std::vector<AnomalyEvent>& events,
-    std::vector<std::uint32_t>& fired_per_item) {
-  const std::size_t n = shards_.size();
   for (std::size_t s = 0; s < n; ++s) {
     batch_items_[s].clear();
     batch_events_[s].clear();
@@ -233,6 +212,8 @@ void ShardedDetector::ingest_partitioned(
     events.insert(events.end(), begin, begin + f.count);
     fired_per_item[f.item] = f.count;
   }
+  publish();
+  return events.size();
 }
 
 void ShardedDetector::drain_window_log(std::vector<obs::WindowRecord>& out) {
@@ -310,12 +291,6 @@ std::vector<AnomalyEvent> ShardedDetector::flush(SimTime now) {
   canonicalize_events(events);
   publish();
   return events;
-}
-
-std::size_t ShardedDetector::retired_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) n += shard->retired_count();
-  return n;
 }
 
 DetectorCounters ShardedDetector::counters() const {

@@ -75,8 +75,8 @@ namespace skh::core {
 /// Detector-shaped facade over N pair-space shards. Drop-in for
 /// `AnomalyDetector` in the hunter: same handle/retire/flush/snapshot
 /// surface, same counters, with ingest by probe-round batch, plus the
-/// rebalance API. N == 1 degenerates to a thin wrapper around one
-/// detector (no pool dispatch).
+/// rebalance API. One shard runs the same partition, shard job and sparse
+/// merge as N.
 class ShardedDetector {
  public:
   /// Stable *global* pair id from the router table — shard-count-invariant
@@ -161,7 +161,6 @@ class ShardedDetector {
   [[nodiscard]] std::size_t pair_count() const noexcept {
     return router_.size();
   }
-  [[nodiscard]] std::size_t retired_count() const noexcept;
   /// The router table (capacity planning / layout telemetry).
   [[nodiscard]] const common::FlatPairTable& pair_table() const noexcept {
     return router_;
@@ -207,11 +206,6 @@ class ShardedDetector {
   /// split).
   static constexpr std::size_t kPublished = 9;
 
-  /// The multi-shard body of `ingest_batch`: partition, one job per
-  /// shard, sparse merge by item index.
-  void ingest_partitioned(std::span<const BatchItem> items,
-                          std::vector<AnomalyEvent>& events,
-                          std::vector<std::uint32_t>& fired_per_item);
   /// Add the counts made since the last publish to the `detector.*`
   /// series and refresh the per-shard pair gauges; no-op when detached.
   /// Runs on the calling thread after the shard jobs have joined.

@@ -6,6 +6,7 @@
 
 #include "common/flat_table.h"
 #include "common/logging.h"
+#include "core/fidelity.h"
 #include "core/forensic.h"
 
 namespace skh::core {
@@ -103,7 +104,7 @@ SkeletonHunter::SkeletonHunter(const topo::Topology& topo,
                 shard_pool_.get()),
       fresh_detector_(detector_.snapshot()),
       oracle_(faults, rng.fork("oracle")),
-      localizer_(topo, overlay, oracle_, faults, cfg_.localizer),
+      localizer_(topo, overlay, oracle_, faults),
       telemetry_(cfg_.telemetry, rng.fork("telemetry")) {
   // cfg_ is a by-value member, so its telemetry plan outlives the localizer.
   localizer_.attach_telemetry(&cfg_.telemetry,
@@ -198,16 +199,17 @@ void SkeletonHunter::distribute_list(TaskId task) {
   const auto& m = monitors_.at(task);
   // Plan-time capacity for the detector's flat pair table: the list being
   // distributed fixes the pair population this task will probe, so size
-  // the table now and ingest performs zero rehashes. Upper bound (already-
-  // mapped pairs re-listed here count twice) — over-reserving only costs
-  // slack slots, under-reserving would cost a rebuild on the hot path.
-  detector_.reserve_pairs(detector_.pair_count() + m.current_list.size());
+  // the table now and ingest performs zero rehashes. The mapped pairs
+  // (retired ones included, until flush) plus the listed pairs not mapped
+  // yet: a re-listed pair is counted once.
+  std::size_t pairs = detector_.pair_count();
+  for (const auto& p : m.current_list) {
+    if (detector_.find_handle(p) == common::FlatPairTable::kNoSlot) ++pairs;
+  }
+  detector_.reserve_pairs(pairs);
   // The recorder mirrors the detector's reservation so steady-state
   // window recording never allocates.
-  if (ins_.recorder != nullptr) {
-    ins_.recorder->reserve_pairs(detector_.pair_count() +
-                                 m.current_list.size());
-  }
+  if (ins_.recorder != nullptr) ins_.recorder->reserve_pairs(pairs);
   for (ContainerId cid : orch_.task(task).containers) {
     const auto it = agents_.find(cid);
     if (it == agents_.end()) continue;
@@ -338,7 +340,6 @@ void SkeletonHunter::degrade_to_basic(TaskId task) {
   }
   m.current_list = basic_ping_list(
       m.endpoints, [this](const Endpoint& ep) { return rank_of(ep); });
-  m.skeleton_applied = false;
   if (!m.degraded) {
     m.degraded = true;
     ins_.degraded_tasks.add(1.0);
@@ -408,16 +409,17 @@ std::optional<InferredSkeleton> SkeletonHunter::try_apply_skeleton(
                  task.value(), "; keeping basic ping list");
     return std::nullopt;
   }
-  const auto fidelity = validate_skeleton(inferred->pairs, obs,
-                                          cfg_.fidelity);
-  if (!fidelity.acceptable(cfg_.fidelity)) {
+  // §7.3 mitigation: an inferred skeleton is trusted only once it aligns
+  // with the observed bursts; otherwise the basic list stays (debug
+  // clusters, unknown parallelism strategies).
+  const auto fidelity = validate_skeleton(inferred->pairs, obs);
+  if (!fidelity.acceptable()) {
     SKH_LOG_WARN("skeleton-hunter", "skeleton fidelity ", fidelity.score,
                  " below threshold for task ", task.value(),
                  "; keeping basic ping list");
     return std::nullopt;
   }
   mit->second.current_list = skeleton_ping_list(inferred->pairs);
-  mit->second.skeleton_applied = true;
   distribute_list(task);
   return inferred;
 }
@@ -636,7 +638,7 @@ void SkeletonHunter::route_events(TaskId task,
 
 void SkeletonHunter::register_collectives(
     TaskId task, const std::vector<workload::CollectiveGroup>& gs) {
-  collective::CollectiveDiagnoser diag(cfg_.collective);
+  collective::CollectiveDiagnoser diag;
   for (const auto& g : gs) diag.register_group(g);
   collective_[task] = std::move(diag);
 }

@@ -33,7 +33,6 @@
 #include "core/blacklist.h"
 #include "core/sharded_detector.h"
 #include "core/diagnostics.h"
-#include "core/fidelity.h"
 #include "core/localize.h"
 #include "core/ping_list_gen.h"
 #include "core/skeleton_inference.h"
@@ -61,23 +60,12 @@ struct SkeletonHunterConfig {
   std::size_t analyzer_shards = 1;
   InferenceConfig inference{};
   bool incremental_activation = true;   ///< ablation: registration gating
-  /// §7.3 mitigation: every inferred skeleton is validated against the
-  /// observed bursts before it is trusted; an unacceptable fidelity keeps
-  /// the basic list (covers debug clusters and unknown parallelism
-  /// strategies).
-  FidelityConfig fidelity{};
   /// Gray measurement plane: the telemetry fault plan applied to every
   /// probe round between the sidecars and the analyzer (empty = honest
   /// channel, zero RNG draws). kAnalyzerBlackout episodes take the analyzer
   /// down entirely: on entry the hunter checkpoints and cold-resets its
   /// analyzer state, on exit it restores the checkpoint and resumes warm.
   sim::TelemetryFaultPlan telemetry{};
-  /// Localizer knobs (traceroute-coverage demotion threshold).
-  LocalizerConfig localizer{};
-  /// Collective signal plane: slow/hang diagnosis knobs for the step
-  /// traces fed via ingest_collective_steps (no-op until a task registers
-  /// its communicators).
-  collective::CollectiveDiagConfig collective{};
 };
 
 /// Which signal plane a failure case came from. Probe-plane cases are
@@ -249,7 +237,6 @@ class SkeletonHunter {
     bool active = false;
     std::vector<Endpoint> endpoints;
     std::vector<EndpointPair> current_list;  ///< directed probing matrix
-    bool skeleton_applied = false;
     // --- churn reconciliation state ---------------------------------------
     bool degraded = false;  ///< churned; basic list reinstalled
     /// Fresh post-churn observation batches per endpoint (epoch resets on

@@ -12,6 +12,10 @@ namespace skh::core {
 
 namespace {
 
+/// Burst lags within this many samples collapse into one pipeline-stage
+/// level.
+constexpr int kLagMergeTolerance = 2;
+
 /// Normalize an unordered pair so set operations are well-defined.
 EndpointPair normalized(Endpoint a, Endpoint b) {
   if (b < a) std::swap(a, b);
@@ -100,7 +104,7 @@ std::optional<InferredSkeleton> infer_skeleton(
   ml::FeatureMatrix features;
   features.reserve(n);
   for (const auto& o : observations) {
-    features.push_back(dsp::stft_feature(o.throughput, cfg.stft));
+    features.push_back(dsp::stft_feature(o.throughput, kInferenceStft));
   }
 
   // 2. Constrained clustering (Eq. 1-3) into position groups.
@@ -150,7 +154,7 @@ std::optional<InferredSkeleton> infer_skeleton(
   // Anchored level merging: see merge_lag_levels for why the comparison is
   // against each level's first lag rather than the previous member.
   const std::vector<int> level_reps =
-      merge_lag_levels(lags, cfg.lag_merge_tolerance);
+      merge_lag_levels(lags, kLagMergeTolerance);
   out.pp = static_cast<std::uint32_t>(level_reps.size());
   out.stage_of_group.resize(out.position_groups.size());
   for (std::size_t g = 0; g < out.position_groups.size(); ++g) {
@@ -170,7 +174,7 @@ std::optional<InferredSkeleton> infer_skeleton(
   std::set<EndpointPair> pairs;
   for (const auto& group : out.position_groups) {
     add_ring_pairs(group, observations, pairs);
-    if (cfg.include_tree_edges) add_tree_pairs(group, observations, pairs);
+    add_tree_pairs(group, observations, pairs);
   }
   // Pipeline neighbors: adjacent-stage groups on the same RNIC rank, member
   // i of one group paired with member i of the other (same DP replica).

@@ -31,14 +31,12 @@ struct EndpointObservation {
   std::vector<double> throughput;     ///< burst series (1 Hz Gbps samples)
 };
 
+/// STFT geometry of the per-endpoint burst features clustering compares.
+inline constexpr dsp::StftConfig kInferenceStft{};
+
 struct InferenceConfig {
-  dsp::StftConfig stft{};
   /// Candidate DP degrees; empty = all divisors of N giving >= 2 groups.
   std::vector<std::uint32_t> candidate_dp;
-  /// Lags within this many samples collapse into one pipeline-stage level.
-  int lag_merge_tolerance = 2;
-  /// Include the double-binary-tree all-reduce partners in the skeleton.
-  bool include_tree_edges = true;
 };
 
 struct InferredSkeleton {

@@ -4,6 +4,18 @@
 #include <cmath>
 
 namespace skh::probe {
+namespace {
+
+constexpr double kHostStackUs = 2.0;  ///< per-end software/NIC processing
+constexpr double kJitterSigma = 0.06;  ///< log-normal RTT jitter
+/// RTT penalty while the RNIC offload is invalidated (Fig. 18: 16us ->
+/// 120us).
+constexpr double kSlowPathExtraUs = 104.0;
+/// Loop guard for the chain walk.
+constexpr std::size_t kMaxOverlaySteps = 32;
+static_assert(kMaxOverlaySteps <= overlay::OverlayNetwork::kMaxWalkSteps);
+
+}  // namespace
 
 ProbeEngine::ProbeEngine(const topo::Topology& topo,
                          const overlay::OverlayNetwork& overlay,
@@ -84,7 +96,7 @@ ProbeEngine::PathDegradation ProbeEngine::degradation(
   // path on that side (Figure 18).
   for (RnicId r : {src.rnic, dst.rnic}) {
     if (overlay_.offload_desynced(r)) {
-      d.extra_latency_us += cfg_.slow_path_extra_us;
+      d.extra_latency_us += kSlowPathExtraUs;
       d.delivery_probability *= 1.0 - 0.0008;  // the "<0.1% loss" of Fig. 18
     }
   }
@@ -96,7 +108,7 @@ ProbeEngine::PathDegradation ProbeEngine::degradation(
 
 double ProbeEngine::baseline_rtt_us(Endpoint src, Endpoint dst) const {
   const auto path = topo_.route(src.rnic, dst.rnic);
-  return 2.0 * (path.one_way_latency_us + cfg_.host_stack_us);
+  return 2.0 * (path.one_way_latency_us + kHostStackUs);
 }
 
 bool ProbeEngine::member_faulted(RnicId src, RnicId dst,
@@ -190,7 +202,7 @@ ProbeResult ProbeEngine::probe(Endpoint src, Endpoint dst, SimTime t) {
   m_issued_.inc();
   if (obs_ != nullptr) note_path_used(*flow, res.path_id);
 
-  if (!overlay_.walk(src, dst, cfg_.max_overlay_steps).reachable) {
+  if (!overlay_.walk(src, dst, kMaxOverlaySteps).reachable) {
     m_drop_overlay_.inc();  // dropped in the overlay
     if (obs_ != nullptr) {
       obs_->tracer.instant("probe", "drop.overlay", t, src.container.value(),
@@ -221,9 +233,9 @@ ProbeResult ProbeEngine::probe(Endpoint src, Endpoint dst, SimTime t) {
   // All equal-cost members share the same hop counts, so the healthy
   // baseline is mode-independent; only the degradation differs per member.
   const double base =
-      2.0 * (path_.one_way_latency_us + cfg_.host_stack_us) +
+      2.0 * (path_.one_way_latency_us + kHostStackUs) +
       d.extra_latency_us;
-  res.rtt_us = base * std::exp(rng_.normal(0.0, cfg_.jitter_sigma));
+  res.rtt_us = base * std::exp(rng_.normal(0.0, kJitterSigma));
   res.delivered = true;
   m_delivered_.inc();
   m_rtt_us_.observe(res.rtt_us);

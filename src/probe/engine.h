@@ -32,14 +32,6 @@
 namespace skh::probe {
 
 struct EngineConfig {
-  double host_stack_us = 2.0;      ///< per-end software/NIC processing
-  double jitter_sigma = 0.06;      ///< log-normal RTT jitter
-  double slow_path_extra_us = 104.0;  ///< RTT penalty, offload invalidated
-                                      ///< (Fig. 18: 16us -> 120us)
-  /// Loop guard for the chain walk; at most
-  /// overlay::OverlayNetwork::kMaxWalkSteps.
-  std::size_t max_overlay_steps = 32;
-
   // --- per-target retry/backoff (churn reconciliation) ---------------------
   // A target that keeps failing is either genuinely unreachable (a fault the
   // detector must keep sampling to confirm) or deregistered-then-reregistered

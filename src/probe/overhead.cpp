@@ -3,22 +3,30 @@
 #include <cmath>
 
 namespace skh::probe {
+namespace {
 
-OverheadSample AgentOverheadModel::sample(SimTime elapsed,
-                                          std::size_t active_targets) const {
+constexpr double kSteadyCpuPercent = 0.85;
+constexpr double kStartupCpuPercent = 3.5;
+constexpr double kCpuPer100Targets = 0.05;
+constexpr double kBaseMemoryMb = 33.0;
+constexpr double kStartupExtraMb = 10.0;
+constexpr double kMemoryPerTargetKb = 40.0;
+constexpr double kStartupTauS = 120.0;  ///< transient decay constant
+
+}  // namespace
+
+OverheadSample agent_overhead(SimTime elapsed, std::size_t active_targets) {
   OverheadSample s;
   const double t = std::max(0.0, elapsed.to_seconds());
-  const double transient = std::exp(-t / cfg_.startup_tau_s);
+  const double transient = std::exp(-t / kStartupTauS);
   const double target_load =
       static_cast<double>(active_targets) / 100.0;
-  s.cpu_percent = cfg_.steady_cpu_percent +
-                  cfg_.cpu_per_100_targets * target_load +
-                  (cfg_.startup_cpu_percent - cfg_.steady_cpu_percent) *
-                      transient;
-  s.memory_mb = cfg_.base_memory_mb +
-                cfg_.memory_per_target_kb * static_cast<double>(active_targets) /
+  s.cpu_percent = kSteadyCpuPercent + kCpuPer100Targets * target_load +
+                  (kStartupCpuPercent - kSteadyCpuPercent) * transient;
+  s.memory_mb = kBaseMemoryMb +
+                kMemoryPerTargetKb * static_cast<double>(active_targets) /
                     1024.0 +
-                cfg_.startup_extra_mb * transient;
+                kStartupExtraMb * transient;
   return s;
 }
 

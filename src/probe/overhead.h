@@ -19,28 +19,10 @@ struct OverheadSample {
   double memory_mb = 0.0;
 };
 
-struct OverheadModelConfig {
-  double steady_cpu_percent = 0.85;
-  double startup_cpu_percent = 3.5;
-  double cpu_per_100_targets = 0.05;
-  double base_memory_mb = 33.0;
-  double startup_extra_mb = 10.0;
-  double memory_per_target_kb = 40.0;
-  double startup_tau_s = 120.0;  ///< transient decay constant
-};
-
-class AgentOverheadModel {
- public:
-  explicit AgentOverheadModel(OverheadModelConfig cfg = {}) : cfg_(cfg) {}
-
-  /// Resource usage `elapsed` after agent start with `active_targets`
-  /// concurrently probed destinations.
-  [[nodiscard]] OverheadSample sample(SimTime elapsed,
-                                      std::size_t active_targets) const;
-
- private:
-  OverheadModelConfig cfg_;
-};
+/// Agent resource usage `elapsed` after agent start with `active_targets`
+/// concurrently probed destinations.
+[[nodiscard]] OverheadSample agent_overhead(SimTime elapsed,
+                                            std::size_t active_targets);
 
 /// Per-probe serialized budget on an agent (used by the Fig. 16 round-time
 /// model): probe pacing at the production probing frequency, not raw RTT.

@@ -63,14 +63,14 @@ TracerouteResult traceroute(const topo::Topology& topo,
     if (alive) {
       alive = !component_blocked(
           faults, {sim::ComponentKind::kPhysicalLink, hop.link.value()}, t);
-      rtt += 2.0 * topo.config().link_latency_us;
+      rtt += 2.0 * topo::kLinkLatencyUs;
       rtt += component_extra_latency(
           faults, {sim::ComponentKind::kPhysicalLink, hop.link.value()}, t);
     }
     if (alive && hop.sw) {
       alive = !component_blocked(
           faults, {sim::ComponentKind::kPhysicalSwitch, hop.sw->value()}, t);
-      rtt += 2.0 * topo.config().switch_latency_us;
+      rtt += 2.0 * topo::kSwitchLatencyUs;
     }
     if (alive && last) {
       alive = !component_blocked(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <iterator>
 #include <thread>
 
 #include "common/pool.h"
@@ -9,6 +10,23 @@
 namespace skh::runner {
 
 namespace {
+
+/// The probe-visible issue types the campaign's faults cycle over.
+constexpr sim::IssueType kIssueMix[] = {
+    sim::IssueType::kCrcError,
+    sim::IssueType::kSwitchPortDown,
+    sim::IssueType::kSwitchPortFlapping,
+    sim::IssueType::kRnicHardwareFailure,
+    sim::IssueType::kRnicPortDown,
+    sim::IssueType::kGidChange,
+    sim::IssueType::kNotUsingRdma,
+    sim::IssueType::kPcieNicError,
+};
+constexpr SimTime kWarmup = SimTime::minutes(5);  ///< before the first fault
+/// Host-side collective fault episodes: first start, spacing and length.
+constexpr SimTime kCollectiveStart = SimTime::minutes(7);
+constexpr SimTime kCollectiveSpacing = SimTime::minutes(10);
+constexpr SimTime kCollectiveDuration = SimTime::minutes(5);
 
 /// Map an issue type to a concrete injectable target on `victim`'s path —
 /// the same resolution the accuracy bench uses, so every issue class lands
@@ -91,7 +109,7 @@ std::unique_ptr<core::Experiment> run_campaign_experiment(
   // Fault plan: forked by name, so the schedule depends only on the seed —
   // not on how many draws the subsystems made before this point.
   RngStream frng = exp.rng().fork("fault-plan");
-  SimTime cursor = exp.events().now() + cfg.warmup;
+  SimTime cursor = exp.events().now() + kWarmup;
 
   auto random_endpoint = [&](TaskId task) -> Endpoint {
     const auto eps = exp.orchestrator().endpoints_of_task(task);
@@ -99,16 +117,14 @@ std::unique_ptr<core::Experiment> run_campaign_experiment(
         0, static_cast<std::int64_t>(eps.size()) - 1))];
   };
 
-  if (!cfg.issue_mix.empty()) {
-    for (std::size_t i = 0; i < cfg.visible_faults; ++i) {
-      const auto type = cfg.issue_mix[i % cfg.issue_mix.size()];
-      const TaskId task = tasks[static_cast<std::size_t>(frng.uniform_int(
-          0, static_cast<std::int64_t>(tasks.size()) - 1))];
-      const Endpoint victim = random_endpoint(task);
-      exp.faults().inject(type, target_for(type, victim, exp.topology()),
-                          cursor, cursor + cfg.fault_duration);
-      cursor += cfg.fault_gap;
-    }
+  for (std::size_t i = 0; i < cfg.visible_faults; ++i) {
+    const auto type = kIssueMix[i % std::size(kIssueMix)];
+    const TaskId task = tasks[static_cast<std::size_t>(frng.uniform_int(
+        0, static_cast<std::int64_t>(tasks.size()) - 1))];
+    const Endpoint victim = random_endpoint(task);
+    exp.faults().inject(type, target_for(type, victim, exp.topology()),
+                        cursor, cursor + cfg.fault_duration);
+    cursor += cfg.fault_gap;
   }
 
   // Intra-host faults: invisible to probing, bound recall (§7.3).
@@ -157,13 +173,13 @@ std::unique_ptr<core::Experiment> run_campaign_experiment(
   // seed), one plan per task so victims are task-local container indices.
   if (cfg.collective_plane) {
     RngStream kng = exp.rng().fork("collective-plan");
-    const SimTime coll_base = exp.events().now() + cfg.collective_start;
+    const SimTime coll_base = exp.events().now() + kCollectiveStart;
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       const auto n_containers = static_cast<std::uint32_t>(
           exp.orchestrator().task(tasks[i]).containers.size());
       const auto plan = sim::make_collective_storm(
-          n_containers, cfg.collective_faults, coll_base,
-          cfg.collective_spacing, cfg.collective_duration, kng);
+          n_containers, cfg.collective_faults, coll_base, kCollectiveSpacing,
+          kCollectiveDuration, kng);
       exp.enable_collective_plane(tasks[i], layouts[i], plan,
                                   cursor + cfg.drain);
       result.collective_events += plan.faults.size();
@@ -175,8 +191,7 @@ std::unique_ptr<core::Experiment> run_campaign_experiment(
   exp.hunter().finalize();
 
   result.score = core::score_campaign(exp.hunter().failure_cases(),
-                                      exp.faults(), exp.topology(),
-                                      cfg.score);
+                                      exp.faults(), exp.topology());
   result.faults = exp.faults().faults();
   result.failure_cases = exp.hunter().failure_cases().size();
   result.probes_sent = exp.hunter().total_probes();

@@ -42,25 +42,15 @@ struct CampaignConfig {
   std::vector<TaskShape> tasks{{8, 8, 4, 2}, {4, 8, 2, 2}};
   SimTime task_lifetime = SimTime::hours(24);
 
-  /// Probe-visible faults, cycling over `issue_mix` in order; victims are
-  /// drawn from the campaign's own RNG stream.
+  /// Probe-visible faults, cycling over eight Table 1 issue types in order
+  /// (see campaign_runner.cpp); victims are drawn from the campaign's own
+  /// RNG stream.
   std::size_t visible_faults = 12;
-  std::vector<sim::IssueType> issue_mix{
-      sim::IssueType::kCrcError,
-      sim::IssueType::kSwitchPortDown,
-      sim::IssueType::kSwitchPortFlapping,
-      sim::IssueType::kRnicHardwareFailure,
-      sim::IssueType::kRnicPortDown,
-      sim::IssueType::kGidChange,
-      sim::IssueType::kNotUsingRdma,
-      sim::IssueType::kPcieNicError,
-  };
   /// Intra-host (probe-invisible) faults: the §7.3 recall bound.
   std::size_t invisible_faults = 1;
   /// Crashed sidecar agents (phantoms): the §7.3 precision bound.
   std::size_t phantom_agents = 1;
 
-  SimTime warmup = SimTime::minutes(5);       ///< before the first fault
   SimTime fault_gap = SimTime::minutes(11);   ///< spacing between faults
   SimTime fault_duration = SimTime::minutes(6);
   SimTime drain = SimTime::minutes(20);       ///< probing past the last fault
@@ -92,11 +82,6 @@ struct CampaignConfig {
   /// extra RNG draws, so existing seeds replay unchanged.
   bool collective_plane = false;
   std::size_t collective_faults = 0;
-  SimTime collective_start = SimTime::minutes(7);
-  SimTime collective_spacing = SimTime::minutes(10);
-  SimTime collective_duration = SimTime::minutes(5);
-
-  core::ScoreConfig score{};
 
   /// Per-campaign observability (one registry + tracer per seed, recorded
   /// on whichever worker runs the seed, so scrapes stay bit-stable at any

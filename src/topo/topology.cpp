@@ -6,6 +6,11 @@
 #include "common/rng.h"
 
 namespace skh::topo {
+namespace {
+
+constexpr double kIntraHostLatencyUs = 1.0;  ///< NVLink/PCIe hop
+
+}  // namespace
 
 const char* to_string(RoutingMode m) noexcept {
   switch (m) {
@@ -188,8 +193,8 @@ void Topology::make_path(RnicId src, RnicId dst,
   }
   out.links.push_back(uplink_of(dst));
   out.one_way_latency_us =
-      static_cast<double>(out.links.size()) * cfg_.link_latency_us +
-      static_cast<double>(out.switches.size()) * cfg_.switch_latency_us;
+      static_cast<double>(out.links.size()) * kLinkLatencyUs +
+      static_cast<double>(out.switches.size()) * kSwitchLatencyUs;
 }
 
 LinkId Topology::switch_link(SwitchId a, SwitchId b) const {
@@ -252,7 +257,7 @@ void Topology::route_via(RnicId src, RnicId dst, std::uint32_t path_id,
   out.switches.clear();
   out.intra_host = hs == hd;
   if (hs == hd) {
-    out.one_way_latency_us = cfg_.intra_host_latency_us;
+    out.one_way_latency_us = kIntraHostLatencyUs;
     return;
   }
   const std::uint32_t rs = rail_of(src);

@@ -21,15 +21,17 @@
 
 namespace skh::topo {
 
+/// One-way propagation + serialization delay of a fabric link.
+inline constexpr double kLinkLatencyUs = 1.2;
+/// Per-switch forwarding delay.
+inline constexpr double kSwitchLatencyUs = 0.4;
+
 struct TopologyConfig {
   std::uint32_t num_hosts = 64;
   std::uint32_t rails_per_host = 8;   ///< RNICs (and GPUs) per host
   std::uint32_t hosts_per_segment = 16;
   std::uint32_t spines_per_rail = 2;  ///< ECMP width within a rail plane
   std::uint32_t num_cores = 4;        ///< ECMP width across rail planes
-  double link_latency_us = 1.2;       ///< one-way propagation+serialization
-  double switch_latency_us = 0.4;     ///< per-switch forwarding delay
-  double intra_host_latency_us = 1.0; ///< NVLink/PCIe hop
 };
 
 /// How a flow maps probes onto its equal-cost path set.

@@ -66,6 +66,8 @@ std::vector<std::uint32_t> dep_ranks(CollectiveKind kind, std::uint32_t n,
 
 namespace {
 
+constexpr SimTime kStepBase = SimTime::millis(4);  ///< nominal step duration
+
 void push_group(std::vector<CollectiveGroup>& out, CollectiveKind kind,
                 std::vector<Endpoint> members, const TaskLayout& layout) {
   if (members.size() < 2) return;
@@ -212,7 +214,7 @@ std::vector<StepRecord> CollectiveTraceGenerator::emit_iteration(
           out.push_back(rec);
           continue;
         }
-        double dur_us = cfg_.step_base.to_seconds() * 1e6 * (1.0 + jitter);
+        double dur_us = kStepBase.to_seconds() * 1e6 * (1.0 + jitter);
         dur_us *= std::max(1.0, host.slowdown);
         dur_us += *net_us;
         rec.end = ready + SimTime::micros(dur_us);

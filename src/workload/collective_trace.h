@@ -92,12 +92,7 @@ struct StepRecord {
 };
 
 struct CollectiveTraceConfig {
-  SimTime step_base = SimTime::millis(4);  ///< nominal per-step duration
-  double jitter_frac = 0.15;               ///< uniform duration jitter
-  /// Probe-visible network faults couple into the collectives: per-step
-  /// extra delay = extra_latency_us + loss_probability * retransmit
-  /// penalty, summed over the faulted components an endpoint traverses.
-  double loss_retransmit_us = 5000.0;
+  double jitter_frac = 0.15;  ///< uniform duration jitter
 };
 
 /// Simulates group iterations into StepRecords. Host-side fault effects

@@ -5,6 +5,15 @@
 #include <numbers>
 
 namespace skh::workload {
+namespace {
+
+constexpr double kSampleHz = 1.0;
+constexpr double kIterationS = 30.0;  ///< one training iteration
+constexpr double kDpBurstS = 6.0;     ///< gradient-sync burst width
+constexpr double kPeakGbps = 15.0;    ///< DP burst amplitude (1 s averaging)
+constexpr double kPpAmplitudeGbps = 4.0;
+
+}  // namespace
 
 TrafficMatrix::TrafficMatrix(std::vector<CommEdge> edges)
     : edges_(merge_edges(std::move(edges))) {}
@@ -95,47 +104,46 @@ TrafficMatrix build_traffic_matrix(const TaskLayout& layout,
 std::vector<double> burst_series(const EndpointRole& role,
                                  const ParallelismConfig& par,
                                  const BurstConfig& cfg, RngStream& rng) {
-  const auto n = static_cast<std::size_t>(cfg.duration_s * cfg.sample_hz);
+  const auto n = static_cast<std::size_t>(cfg.duration_s * kSampleHz);
   std::vector<double> out(n, 0.0);
-  const double dt = 1.0 / cfg.sample_hz;
+  const double dt = 1.0 / kSampleHz;
   // Pipeline stage s starts its activity later than stage s-1: the forward
   // pass reaches it after the earlier stages compute (§5.1 time shift).
   const double stage_shift =
-      par.pp > 1 ? 0.5 * cfg.iteration_s * static_cast<double>(role.stage) /
+      par.pp > 1 ? 0.5 * kIterationS * static_cast<double>(role.stage) /
                        static_cast<double>(par.pp)
                  : 0.0;
   // Stage-dependent micro-burst cadence: deeper stages exchange at a
   // different micro-batch rhythm, so positions differ in harmonic content
   // (Figure 13's two feature classes).
   const double pp_period =
-      cfg.iteration_s / (6.0 + 2.0 * static_cast<double>(role.stage));
+      kIterationS / (6.0 + 2.0 * static_cast<double>(role.stage));
   // Rail-dependent chunk-scheduling signature frequency.
   const double rail_period =
-      cfg.iteration_s / (3.0 + 1.5 * static_cast<double>(role.rail));
+      kIterationS / (3.0 + 1.5 * static_cast<double>(role.rail));
 
   for (std::size_t i = 0; i < n; ++i) {
     const double t = static_cast<double>(i) * dt;
     double v = std::max(0.0, rng.normal(0.05, cfg.noise_gbps));
     if (!cfg.idle) {
       const double phase =
-          std::fmod(t - stage_shift + 10.0 * cfg.iteration_s,
-                    cfg.iteration_s);
-      const bool in_dp_burst = phase >= cfg.iteration_s - cfg.dp_burst_s;
+          std::fmod(t - stage_shift + 10.0 * kIterationS, kIterationS);
+      const bool in_dp_burst = phase >= kIterationS - kDpBurstS;
       if (in_dp_burst) {
         // Gradient synchronization: the dominant burst.
-        v += cfg.peak_gbps * (0.85 + 0.15 * rng.uniform());
+        v += kPeakGbps * (0.85 + 0.15 * rng.uniform());
       } else {
         // Pipeline micro-bursts (half-duty square wave at the stage cadence).
         const double pp_phase = std::fmod(t - stage_shift + 1e3, pp_period);
         if (pp_phase < pp_period * 0.5) {
-          v += cfg.pp_amplitude_gbps * (0.9 + 0.1 * rng.uniform());
+          v += kPpAmplitudeGbps * (0.9 + 0.1 * rng.uniform());
         }
         // Rail chunk-scheduling signature (small, position-identifying).
         const double rail_phase = std::fmod(t + 1e3, rail_period);
         if (rail_phase < rail_period * 0.4) v += cfg.rail_signature_gbps;
         // MoE expert all-to-all: extra fast cadence during compute phase.
         if (par.moe && par.ep > 1) {
-          const double ep_period = cfg.iteration_s / 12.0;
+          const double ep_period = kIterationS / 12.0;
           const double ep_phase = std::fmod(t - stage_shift + 1e3, ep_period);
           if (ep_phase < ep_period * 0.5) v += 2.0;
         }

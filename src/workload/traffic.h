@@ -61,14 +61,10 @@ struct TrafficVolumes {
     const TaskLayout& layout, const TrafficVolumes& volumes = {});
 
 /// Burst-series synthesis parameters (Figure 7's axes: 900 s at 1 Hz with
-/// ~15 Gbps peaks and a ~30 s iteration period).
+/// ~15 Gbps peaks and a ~30 s iteration period; the sampling rate, the
+/// iteration's shape and the DP/PP amplitudes are fixed in traffic.cpp).
 struct BurstConfig {
   double duration_s = 900.0;
-  double sample_hz = 1.0;
-  double iteration_s = 30.0;   ///< one training iteration
-  double dp_burst_s = 6.0;     ///< gradient-sync burst width
-  double peak_gbps = 15.0;     ///< DP burst amplitude (1 s averaging)
-  double pp_amplitude_gbps = 4.0;
   double rail_signature_gbps = 1.2;
   double noise_gbps = 0.25;
   bool idle = false;  ///< true = container not training (debug shell)

@@ -114,7 +114,7 @@ TEST(Diagnoser, HealthyIterationRaisesNothing) {
 }
 
 TEST(Diagnoser, HangNamesTheRootNotTheChain) {
-  CollectiveDiagnoser diag;  // hang_timeout 25 s
+  CollectiveDiagnoser diag;  // kHangTimeout: 25 s
   diag.register_group(ring(0, 4));
   std::vector<CollectiveVerdict> out;
   const auto batch = stalled_iteration(0, 4, /*root=*/2);

@@ -105,7 +105,7 @@ TEST_F(FidelityTest, TrueSkeletonOnRealTrafficIsAcceptable) {
   EXPECT_GT(rep.pair_alignment, 0.8);
   EXPECT_GT(rep.active_coverage, 0.95);
   EXPECT_GT(rep.active_fraction, 0.9);
-  EXPECT_TRUE(rep.acceptable(FidelityConfig{}));
+  EXPECT_TRUE(rep.acceptable());
 }
 
 TEST_F(FidelityTest, IdleWorkloadIsRejected) {
@@ -115,14 +115,14 @@ TEST_F(FidelityTest, IdleWorkloadIsRejected) {
   const auto obs = testutil::observations_for(env_, layout_, idle);
   const auto rep = validate_skeleton(true_skeleton(), obs);
   EXPECT_LT(rep.active_fraction, 0.25);
-  EXPECT_FALSE(rep.acceptable(FidelityConfig{}));
+  EXPECT_FALSE(rep.acceptable());
 }
 
 TEST_F(FidelityTest, EmptySkeletonOnActiveTrafficIsRejected) {
   const auto obs = testutil::observations_for(env_, layout_);
   const auto rep = validate_skeleton({}, obs);
   EXPECT_DOUBLE_EQ(rep.active_coverage, 0.0);
-  EXPECT_FALSE(rep.acceptable(FidelityConfig{}));
+  EXPECT_FALSE(rep.acceptable());
 }
 
 TEST_F(FidelityTest, WrongPairingScoresLowAlignment) {
@@ -142,7 +142,7 @@ TEST_F(FidelityTest, WrongPairingScoresLowAlignment) {
 TEST_F(FidelityTest, EmptyObservationsScoreZero) {
   const auto rep = validate_skeleton(true_skeleton(), {});
   EXPECT_DOUBLE_EQ(rep.score, 0.0);
-  EXPECT_FALSE(rep.acceptable(FidelityConfig{}));
+  EXPECT_FALSE(rep.acceptable());
 }
 
 }  // namespace

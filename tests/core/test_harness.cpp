@@ -553,6 +553,35 @@ TEST(Experiment, BlackoutKeepsTheWindowLogSizedForTheFleet) {
   EXPECT_EQ(exp.hunter().detector().window_log_drops(), 0u);
 }
 
+TEST(Experiment, ReapplyingASkeletonReservesNoMorePairs) {
+  // A replan reserves the mapped pairs plus the listed pairs not mapped
+  // yet. Re-listing pairs that are already probed adds none, so applying
+  // the same skeleton again must not grow the reservation.
+  Experiment exp(small_config());
+  cluster::TaskRequest req;
+  req.num_containers = 8;
+  req.gpus_per_container = 8;
+  req.lifetime = SimTime::hours(2);
+  const auto task = exp.launch_task(req);
+  ASSERT_TRUE(task.has_value());
+  exp.run_to_running(*task);
+  workload::ParallelismConfig par;
+  par.tp = 8;
+  par.pp = 2;
+  par.dp = 4;
+  const auto layout = exp.layout_of(*task, par);
+  ASSERT_TRUE(exp.apply_skeleton(*task, layout).has_value());
+  exp.hunter().start(exp.events().now() + SimTime::minutes(10));
+  exp.events().run_until(exp.events().now() + SimTime::seconds(5));
+  const std::size_t mapped = exp.hunter().detector().pair_count();
+  const std::size_t capacity = exp.obs().recorder.pair_capacity();
+  ASSERT_GT(mapped, 0u);
+  ASSERT_GE(capacity, mapped);
+
+  ASSERT_TRUE(exp.apply_skeleton(*task, layout).has_value());
+  EXPECT_EQ(exp.obs().recorder.pair_capacity(), capacity);
+}
+
 TEST(Experiment, DeterministicWithSameSeed) {
   auto run = [](std::uint64_t seed) {
     ExperimentConfig cfg = small_config();

@@ -203,7 +203,7 @@ std::uint64_t inference_fingerprint(const FingerprintLayout& l) {
     fold(std::bit_cast<std::uint64_t>(r.score));
   };
   for (const auto& o : obs) {
-    for (double v : dsp::stft_feature(o.throughput, cfg.stft)) {
+    for (double v : dsp::stft_feature(o.throughput, kInferenceStft)) {
       fold(std::bit_cast<std::uint64_t>(v));
     }
   }

@@ -6,25 +6,22 @@ namespace skh::probe {
 namespace {
 
 TEST(Overhead, ConvergesToFigure17SteadyState) {
-  AgentOverheadModel model;
-  const auto steady = model.sample(SimTime::hours(2), 30);
+  const auto steady = agent_overhead(SimTime::hours(2), 30);
   EXPECT_NEAR(steady.cpu_percent, 1.0, 0.3);   // "converges to 1%"
   EXPECT_NEAR(steady.memory_mb, 35.0, 12.0);   // "converges to 35 MB"
 }
 
 TEST(Overhead, StartupTransientIsHigher) {
-  AgentOverheadModel model;
-  const auto early = model.sample(SimTime::seconds(5), 30);
-  const auto late = model.sample(SimTime::minutes(30), 30);
+  const auto early = agent_overhead(SimTime::seconds(5), 30);
+  const auto late = agent_overhead(SimTime::minutes(30), 30);
   EXPECT_GT(early.cpu_percent, late.cpu_percent * 1.5);
   EXPECT_GT(early.memory_mb, late.memory_mb);
 }
 
 TEST(Overhead, MonotoneDecayOverTime) {
-  AgentOverheadModel model;
   double prev_cpu = 1e9;
   for (double t : {10.0, 60.0, 180.0, 600.0, 3600.0}) {
-    const auto s = model.sample(SimTime::seconds(t), 20);
+    const auto s = agent_overhead(SimTime::seconds(t), 20);
     EXPECT_LE(s.cpu_percent, prev_cpu);
     prev_cpu = s.cpu_percent;
   }
@@ -34,16 +31,14 @@ TEST(Overhead, TargetsScaleWeakly) {
   // Skeleton lists keep targets small; even 10x more targets must not blow
   // the budget (the paper's point: overhead stays ~1% because the matrix
   // is minimized).
-  AgentOverheadModel model;
-  const auto few = model.sample(SimTime::hours(1), 10);
-  const auto many = model.sample(SimTime::hours(1), 100);
+  const auto few = agent_overhead(SimTime::hours(1), 10);
+  const auto many = agent_overhead(SimTime::hours(1), 100);
   EXPECT_LT(many.cpu_percent - few.cpu_percent, 0.1);
   EXPECT_LT(many.memory_mb - few.memory_mb, 5.0);
 }
 
 TEST(Overhead, NegativeElapsedClampsToStart) {
-  AgentOverheadModel model;
-  const auto s = model.sample(SimTime::seconds(-5), 10);
+  const auto s = agent_overhead(SimTime::seconds(-5), 10);
   EXPECT_GT(s.cpu_percent, 1.0);  // startup transient
 }
 

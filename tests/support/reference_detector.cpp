@@ -93,7 +93,7 @@ std::size_t ReferenceDetector::ingest(const EndpointPair& pair,
   } else {
     ++p.short_lost;
     ++p.fail_streak;
-    if (p.fail_streak >= cfg_.unreachable_streak && !p.unreachable_alarmed) {
+    if (p.fail_streak >= core::kUnreachableStreak && !p.unreachable_alarmed) {
       p.unreachable_alarmed = true;
       out.push_back(AnomalyEvent{p.pair, o.sent_at, AnomalyKind::kUnreachable,
                                  static_cast<double>(p.fail_streak)});
@@ -115,8 +115,8 @@ void ReferenceDetector::close_short_window(PairState& p, SimTime at,
   } else if (p.short_sent >= cfg_.min_samples_per_window) {
     const double loss_rate = static_cast<double>(p.short_lost) /
                              static_cast<double>(p.short_sent);
-    if (loss_rate >= cfg_.loss_rate_threshold &&
-        p.short_lost >= cfg_.min_lost_per_window) {
+    if (loss_rate >= core::kLossRateThreshold &&
+        p.short_lost >= core::kMinLostPerWindow) {
       out.push_back(AnomalyEvent{p.pair, at, AnomalyKind::kPacketLoss,
                                  loss_rate});
     }
@@ -124,7 +124,7 @@ void ReferenceDetector::close_short_window(PairState& p, SimTime at,
       std::vector<double> sorted = p.short_rtts;
       std::sort(sorted.begin(), sorted.end());
       const WindowSummary summary = core::robust_summary(
-          sorted, cfg_.rtt_clamp_iqr_mult, cfg_.rtt_clamp_band_frac);
+          sorted, core::kRttClampIqrMult, core::kRttClampBandFrac);
       const std::vector<double> feature = summary.as_feature_vector();
       if (p.lookback.size() >= cfg_.lof.k_neighbors + 1) {
         const std::vector<std::vector<double>> reference(p.lookback.begin(),
@@ -139,7 +139,7 @@ void ReferenceDetector::close_short_window(PairState& p, SimTime at,
         const double shift =
             ref_median > 0.0 ? (summary.p50 - ref_median) / ref_median : 0.0;
         if (score > cfg_.lof.outlier_threshold &&
-            shift >= cfg_.min_relative_shift) {
+            shift >= core::kMinRelativeShift) {
           out.push_back(AnomalyEvent{p.pair, at,
                                      AnomalyKind::kLatencyShortTerm, score});
         }
@@ -161,10 +161,10 @@ void ReferenceDetector::close_long_window(PairState& p, SimTime at,
     if (!p.baseline) {
       p.baseline = ml::fit_lognormal(p.long_rtts);
     } else {
-      const auto result = ml::z_test(*p.baseline, p.long_rtts, cfg_.z_alpha);
+      const auto result = ml::z_test(*p.baseline, p.long_rtts, core::kZAlpha);
       const auto window_fit = ml::fit_lognormal(p.long_rtts);
       const double shift = std::exp(window_fit.mu - p.baseline->mu) - 1.0;
-      if (result.reject && shift >= cfg_.long_term_min_shift) {
+      if (result.reject && shift >= core::kLongTermMinShift) {
         out.push_back(AnomalyEvent{p.pair, at, AnomalyKind::kLatencyLongTerm,
                                    std::abs(result.z)});
       }
