@@ -2,9 +2,11 @@
 # Documentation rot check, wired into ctest as `docs.module_map`.
 #
 # Fails when a src/<subsystem>/ directory is missing from ARCHITECTURE.md's
-# module map, or when a bench_* target is missing from README.md's
-# figure-mapping table — so adding a subsystem or bench without documenting
-# it breaks the default test run.
+# module map, when a bench_* target is missing from README.md's
+# figure-mapping table, or when ARCHITECTURE.md, README.md or EXPERIMENTS.md
+# names a gtest `Suite.Test` that no test under tests/ defines — so adding
+# a subsystem or bench without documenting it, or renaming a test the docs
+# cite as proof, breaks the default test run.
 set -u
 
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
@@ -124,7 +126,25 @@ else
   status=1
 fi
 
+# A test the docs cite as the pin of a contract must exist: a renamed or
+# deleted test leaves a citation no reader can run. Every `Suite.Test` in
+# the three documents must match a TEST, TEST_F or TEST_P under tests/.
+defined="$(grep -rhoE '^\s*TEST(_F|_P)?\(\s*[A-Za-z0-9_]+\s*,\s*[A-Za-z0-9_]+\s*\)' \
+  "$root/tests" |
+  sed -E 's/^\s*TEST(_F|_P)?\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\)/\2.\3/' |
+  sort -u)"
+for doc in "$arch" "$readme" "$experiments"; do
+  [[ -f "$doc" ]] || continue
+  for name in $(grep -oE '\b[A-Z][A-Za-z0-9_]*\.[A-Z][A-Za-z0-9_]*\b' "$doc" |
+                sort -u); do
+    if ! grep -qxF "$name" <<<"$defined"; then
+      echo "FAIL: $(basename "$doc") names test $name, which no TEST under tests/ defines"
+      status=1
+    fi
+  done
+done
+
 if [[ $status -eq 0 ]]; then
-  echo "OK: every src/ subsystem is in ARCHITECTURE.md and every bench is in README.md"
+  echo "OK: every src/ subsystem is in ARCHITECTURE.md, every bench is in README.md, and every cited test exists"
 fi
 exit $status

@@ -2,19 +2,18 @@
 # AddressSanitizer + UBSan gate, wired into ctest as `sanitize.asan_ubsan`.
 #
 # Configures a separate sub-build with SKH_SANITIZE=ON and replays the
-# memory-heaviest suites: common (window accumulators, the lock-protected
-# log sink, and the FlatPairTable differential fuzz — 20k mixed ops
-# crossing grow/purge rebuilds, tombstone probe chains, and id recycling
+# memory-heaviest suites: common (the lock-protected log sink and the
+# FlatPairTable differential fuzz — 20k mixed ops crossing grow rebuilds
 # under ASan), ml (the LOF ring's push/pop over a caller-owned block and
 # the shared scoring workspace's distance matrix), core (the detector hot path with its
 # flattened pair storage and reused buffers,
 # the churn degrade/re-infer lifecycle, the traceroute-refinement
 # partial-result edge cases in test_localize, the gray-telemetry defense
-# paths in test_anomaly, the pair retire/revive/recycle churn paths, and
+# paths in test_anomaly, slot recycling after a pair migrates, and
 # the detector/hunter snapshot round-trips, and the sharded-detector
 # batch partition and sparse event merge, pair migration, snapshot paths,
-# the order-learned handle_of successor array read against stale,
-# recycled and restored ids, and the in-place per-shard window-log sort
+# the order-learned handle_of successor array read against stale and
+# restored ids, and the in-place per-shard window-log sort
 # and heap merge in test_sharded_detector),
 # obs (per-thread shard cells — including the bound-cell
 # pointer-stability and registration-token regression tests — the trace

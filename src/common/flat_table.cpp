@@ -14,8 +14,8 @@ namespace {
 
 std::atomic<std::uint64_t> g_mapped_blocks{0};
 
-constexpr std::size_t kMinSlots = 64;  // one full state word at minimum
-constexpr std::size_t kSlotsPerWord = 32;
+constexpr std::size_t kMinSlots = 64;  // one full occupancy word at minimum
+constexpr std::size_t kSlotsPerWord = 64;
 
 /// Round `n` up to the next multiple of the 64-byte arena alignment, so
 /// every section starts on its own cache line.
@@ -79,17 +79,15 @@ void FlatPairTable::rebuild(std::size_t new_slots) {
   auto* nkeys = reinterpret_cast<EndpointPair*>(na.data() + key_off);
   auto* nids = reinterpret_cast<SlotId*>(na.data() + id_off);
 
-  // Re-place every live mapping; tombstones are dropped, ids are carried
-  // verbatim (the whole point of the id indirection).
+  // Re-place every mapping; ids are carried verbatim (the whole point of
+  // the id indirection).
   const std::size_t mask = new_slots - 1;
   for (std::size_t s = 0; s < slots_; ++s) {
-    if (state_of(s) != SlotState::kUsed) continue;
+    if (!used(s)) continue;
     const EndpointPair& key = keys()[s];
     std::size_t t = hash_key(key) & mask;
-    while (((nwords[t >> 5] >> ((t & 31U) << 1)) & 3U) != 0) {
-      t = (t + 1) & mask;
-    }
-    nwords[t >> 5] |= std::uint64_t{1} << ((t & 31U) << 1);
+    while ((nwords[t >> 6] >> (t & 63U)) & 1U) t = (t + 1) & mask;
+    nwords[t >> 6] |= std::uint64_t{1} << (t & 63U);
     nkeys[t] = key;
     nids[t] = ids()[s];
   }
@@ -98,7 +96,6 @@ void FlatPairTable::rebuild(std::size_t new_slots) {
   slots_ = new_slots;
   key_off_ = key_off;
   id_off_ = id_off;
-  tombstones_ = 0;
 }
 
 void FlatPairTable::reserve(std::size_t capacity) {
@@ -109,79 +106,28 @@ void FlatPairTable::reserve(std::size_t capacity) {
 FlatPairTable::InsertResult FlatPairTable::insert(const EndpointPair& key) {
   if (slots_ == 0) {
     rebuild(slots_for(1));
-  } else if (used_ + tombstones_ + 1 > virtual_capacity()) {
-    // Past the virtual capacity. If tombstones are the bulk of the
-    // occupancy, a same-size purge restores headroom without growing;
-    // otherwise the table is genuinely full and doubles. Either way ids
-    // are untouched.
-    if (tombstones_ >= used_ && used_ + 1 <= virtual_capacity()) {
-      ++stats_.purges;
-      rebuild(slots_);
-    } else {
-      ++stats_.grows;
-      rebuild(slots_ * 2);
-    }
+  } else if (used_ + 1 > virtual_capacity()) {
+    // Past the virtual capacity: double. Ids are untouched.
+    ++stats_.grows;
+    rebuild(slots_ * 2);
   }
 
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   const std::size_t mask = slots_ - 1;
   std::size_t s = hash_key(key) & mask;
-  std::size_t first_deleted = kNone;
   std::size_t steps = 0;
-  for (;; s = (s + 1) & mask, ++steps) {
-    const SlotState st = state_of(s);
-    if (st == SlotState::kEmpty) break;
-    if (st == SlotState::kUsed) {
-      if (keys()[s] == key) {
-        stats_.probe_steps += steps;
-        stats_.max_probe = std::max(stats_.max_probe,
-                                    static_cast<std::uint64_t>(steps));
-        return {ids()[s], false};
-      }
-    } else if (first_deleted == kNone) {
-      first_deleted = s;
-    }
+  for (; used(s); s = (s + 1) & mask, ++steps) {
+    if (keys()[s] == key) break;
   }
   stats_.probe_steps += steps;
   stats_.max_probe =
       std::max(stats_.max_probe, static_cast<std::uint64_t>(steps));
+  if (used(s)) return {ids()[s], false};
 
-  std::size_t target = s;
-  if (first_deleted != kNone) {
-    target = first_deleted;  // tombstone reuse keeps chains short
-    --tombstones_;
-  }
-  SlotId id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-    ++stats_.recycled_ids;
-  } else {
-    id = next_id_++;
-  }
-  set_state(target, SlotState::kUsed);
-  keys()[target] = key;
-  ids()[target] = id;
-  ++used_;
+  const auto id = static_cast<SlotId>(used_++);
+  words()[s >> 6] |= std::uint64_t{1} << (s & 63U);
+  keys()[s] = key;
+  ids()[s] = id;
   return {id, true};
-}
-
-bool FlatPairTable::erase(const EndpointPair& key) {
-  if (used_ == 0) return false;
-  const std::size_t mask = slots_ - 1;
-  std::size_t s = hash_key(key) & mask;
-  for (std::size_t step = 0; step <= mask; ++step, s = (s + 1) & mask) {
-    const SlotState st = state_of(s);
-    if (st == SlotState::kEmpty) return false;
-    if (st == SlotState::kUsed && keys()[s] == key) {
-      set_state(s, SlotState::kDeleted);
-      ++tombstones_;
-      --used_;
-      free_ids_.push_back(ids()[s]);
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace skh::common

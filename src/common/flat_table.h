@@ -1,27 +1,24 @@
 // Cache-resident fixed-capacity pair table for the ingest hot path.
 //
 // `FlatPairTable` maps an `EndpointPair` to a stable dense id using one
-// arena-backed open-addressing slot array: 2-bit slot states (Empty /
-// Used / Deleted) packed 32-per-word, the keys, and the ids all live in a
-// single 64-byte-aligned allocation, probed with linear shifting (the
-// probe sequence shifts one slot per step from the hash slot). The table
-// is sized once at plan time — the pair count is known after skeleton
-// inference — at most half full: for a planned capacity C the slot array
-// holds next_pow2(2C + 1) slots, so the *virtual* capacity (half the
-// slots, the occupancy at which a rebuild would trigger) is at least C and
-// steady-state probe chains stay short. A correctly planned table
-// therefore performs zero rehashes and zero allocations on the ingest
-// path.
+// arena-backed open-addressing slot array: one occupancy bit per slot
+// packed 64-per-word, the keys, and the ids all live in a single
+// 64-byte-aligned allocation, probed with linear shifting (the probe
+// sequence shifts one slot per step from the hash slot). The table is
+// insert-only — a mapping lives as long as the table — so a slot is either
+// empty or used. It is sized once at plan time — the pair count is known
+// after skeleton inference — at most half full: for a planned capacity C
+// the slot array holds next_pow2(2C + 1) slots, so the *virtual* capacity
+// (half the slots, the occupancy at which a rebuild would trigger) is at
+// least C and steady-state probe chains stay short. A correctly planned
+// table therefore performs zero rehashes and zero allocations on the
+// ingest path.
 //
-// Ids are NOT probe-slot indices. A probe slot moves when the table
-// rebuilds (growth or tombstone purge); the id is allocated once per key
-// from a bump counter + free list and never moves, so callers can index
-// dense side arrays (placement, pair slots) by id across rebuilds. `erase`
-// unmaps the key and returns its id to the free list, so a caller that
-// must keep an id's side state alive (a retired pair awaiting its final
-// windows, see core/sharded_detector) erases only once it is done with
-// it. The full layout and state-machine contract is documented in
-// ARCHITECTURE.md ("Memory layout & hot path").
+// Ids are NOT probe-slot indices. A probe slot moves when the table grows;
+// the id is allocated once per key from a bump counter, in insertion
+// order, and never moves, so callers can index dense side arrays
+// (placement, pair slots) by id across rebuilds. The full layout contract
+// is documented in ARCHITECTURE.md ("Memory layout & hot path").
 #pragma once
 
 #include <cstddef>
@@ -103,11 +100,6 @@ class FlatPairTable {
   using SlotId = std::uint32_t;
   static constexpr SlotId kNoSlot = static_cast<SlotId>(-1);
 
-  /// 2-bit per-slot state machine. Empty terminates probe chains; Deleted
-  /// (a tombstone) keeps chains walkable after an erase and is reclaimed
-  /// by the first insert that probes across it or by a purge rebuild.
-  enum class SlotState : std::uint8_t { kEmpty = 0, kUsed = 1, kDeleted = 2 };
-
   struct InsertResult {
     SlotId id;
     bool inserted;  ///< false: key already present, `id` is its mapping
@@ -115,38 +107,30 @@ class FlatPairTable {
 
   struct Stats {
     std::uint64_t grows = 0;         ///< slot-array doublings
-    std::uint64_t purges = 0;        ///< same-size rebuilds (tombstone GC)
     std::uint64_t probe_steps = 0;   ///< linear shifts beyond the hash slot
     std::uint64_t max_probe = 0;     ///< longest single insert chain
-    std::uint64_t recycled_ids = 0;  ///< ids served from the free list
+    std::uint64_t recycled_ids = 0;  ///< always 0: ids are never reused
   };
 
   explicit FlatPairTable(FlatTableConfig cfg = {});
 
   /// Id of `key`, or kNoSlot. Zero allocation, at most one cache line of
-  /// state words plus the probed key slots.
+  /// occupancy words plus the probed key slots. The table is never full
+  /// (see `insert`), so every probe chain ends at an empty slot.
   [[nodiscard]] SlotId find(const EndpointPair& key) const noexcept {
     if (used_ == 0) return kNoSlot;
     const std::size_t mask = slots_ - 1;
-    std::size_t s = hash_key(key) & mask;
-    for (std::size_t step = 0; step <= mask; ++step, s = (s + 1) & mask) {
-      const SlotState st = state_of(s);
-      if (st == SlotState::kEmpty) return kNoSlot;
-      if (st == SlotState::kUsed && keys()[s] == key) return ids()[s];
+    for (std::size_t s = hash_key(key) & mask; used(s); s = (s + 1) & mask) {
+      if (keys()[s] == key) return ids()[s];
     }
     return kNoSlot;
   }
 
-  /// Get-or-create the mapping for `key`. A new mapping takes the lowest
-  /// tombstone on its probe chain (tombstone reuse) and an id from the
-  /// free list, else from the bump counter. Rebuilds (purge or doubling)
-  /// only when occupancy would exceed the virtual capacity — never on a
-  /// correctly planned table.
+  /// Get-or-create the mapping for `key`. A new mapping takes the first
+  /// empty slot on its probe chain and the next id from the bump counter.
+  /// Doubles the slot array only when occupancy would exceed the virtual
+  /// capacity — never on a correctly planned table.
   InsertResult insert(const EndpointPair& key);
-
-  /// Unmap `key` (slot becomes a tombstone) and return its id to the free
-  /// list for reuse by future inserts. False if `key` was not mapped.
-  bool erase(const EndpointPair& key);
 
   /// Ensure `capacity` keys fit without further rebuilds. Ids are stable
   /// across the rebuild; only probe-slot positions move.
@@ -154,28 +138,18 @@ class FlatPairTable {
 
   [[nodiscard]] std::size_t size() const noexcept { return used_; }
   [[nodiscard]] std::size_t slot_count() const noexcept { return slots_; }
-  [[nodiscard]] std::size_t tombstones() const noexcept { return tombstones_; }
-  /// Occupancy (used + tombstones) at which the next insert rebuilds:
-  /// half the slots.
+  /// Occupancy at which the next insert rebuilds: half the slots.
   [[nodiscard]] std::size_t virtual_capacity() const noexcept {
     return slots_ / 2;
   }
-  /// One past the largest id ever allocated: the extent callers must size
-  /// id-indexed side arrays to.
-  [[nodiscard]] SlotId id_bound() const noexcept { return next_id_; }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-  [[nodiscard]] SlotState state_of(std::size_t slot) const noexcept {
-    return static_cast<SlotState>(
-        (words()[slot >> 5] >> ((slot & 31U) << 1)) & 3U);
-  }
-
-  /// Visit every live mapping as f(key, id), in slot order (deterministic
-  /// for a given insert/erase history).
+  /// Visit every mapping as f(key, id), in slot order (deterministic for a
+  /// given insert history).
   template <typename F>
   void for_each(F&& f) const {
     for (std::size_t s = 0; s < slots_; ++s) {
-      if (state_of(s) == SlotState::kUsed) f(keys()[s], ids()[s]);
+      if (used(s)) f(keys()[s], ids()[s]);
     }
   }
 
@@ -224,26 +198,21 @@ class FlatPairTable {
     return reinterpret_cast<SlotId*>(arena_.data() + id_off_);
   }
 
-  void set_state(std::size_t slot, SlotState st) noexcept {
-    const std::size_t sh = (slot & 31U) << 1;
-    std::uint64_t& w = words()[slot >> 5];
-    w = (w & ~(std::uint64_t{3} << sh))
-        | (static_cast<std::uint64_t>(st) << sh);
+  /// Whether `slot` holds a mapping: one occupancy bit per slot.
+  [[nodiscard]] bool used(std::size_t slot) const noexcept {
+    return (words()[slot >> 6] >> (slot & 63U)) & 1U;
   }
 
   /// Slot count that holds `capacity` keys at most half full.
   [[nodiscard]] static std::size_t slots_for(std::size_t capacity) noexcept;
-  /// Re-lay every live mapping into a fresh arena of `new_slots` slots.
+  /// Re-lay every mapping into a fresh arena of `new_slots` slots.
   void rebuild(std::size_t new_slots);
 
   std::size_t slots_ = 0;
-  std::size_t used_ = 0;
-  std::size_t tombstones_ = 0;
+  std::size_t used_ = 0;     ///< mappings, which are also the ids issued
   std::size_t key_off_ = 0;  ///< byte offset of the key section
   std::size_t id_off_ = 0;   ///< byte offset of the id section
-  SlotId next_id_ = 0;
   std::vector<std::byte, ArenaAllocator<>> arena_;
-  std::vector<SlotId> free_ids_;
   Stats stats_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace skh {
 
@@ -37,22 +36,6 @@ double stddev_of(std::span<const double> sample) {
   double s2 = 0.0;
   for (double x : sample) s2 += (x - m) * (x - m);
   return std::sqrt(s2 / static_cast<double>(sample.size() - 1));
-}
-
-WindowSummary summarize(std::span<const double> sample) {
-  WindowSummary s;
-  s.count = sample.size();
-  if (sample.empty()) return s;
-  std::vector<double> sorted(sample.begin(), sample.end());
-  std::sort(sorted.begin(), sorted.end());
-  s.min = sorted.front();
-  s.max = sorted.back();
-  s.p25 = percentile_sorted(sorted, 25.0);
-  s.p50 = percentile_sorted(sorted, 50.0);
-  s.p75 = percentile_sorted(sorted, 75.0);
-  s.mean = mean_of(sample);
-  s.stddev = stddev_of(sample);
-  return s;
 }
 
 void RunningStats::add(double x) noexcept {
@@ -92,54 +75,6 @@ double RunningStats::population_variance() const noexcept {
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-WindowSummary WindowAccumulator::summary() const {
-  WindowSummary s;
-  s.count = buf_.size();
-  if (buf_.empty()) return s;
-  ensure_sorted();
-  s.min = buf_.front();
-  s.max = buf_.back();
-  s.p25 = percentile_sorted(buf_, 25.0);
-  s.p50 = percentile_sorted(buf_, 50.0);
-  s.p75 = percentile_sorted(buf_, 75.0);
-  // Two-pass moments over the sorted buffer: `summarize` computes them in
-  // arrival order, so only addition order differs (FP rounding).
-  s.mean = mean_of(buf_);
-  s.stddev = stddev_of(buf_);
-  return s;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram: need bins>0 and hi>lo");
-  }
-}
-
-void Histogram::add(double x) noexcept {
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::cdf_at(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  std::size_t acc = 0;
-  for (std::size_t b = 0; b <= i && b < counts_.size(); ++b) acc += counts_[b];
-  return static_cast<double>(acc) / static_cast<double>(total_);
-}
 
 double ecdf(std::span<const double> sorted_sample, double x) {
   if (sorted_sample.empty()) return 0.0;

@@ -1,16 +1,15 @@
-// Summary statistics, percentiles, and histograms.
+// Summary statistics and percentiles.
 //
 // The analyzer describes each 30-second latency window by its
 // {p25, p50, p75, min, mean, std, max} (§5.2); this header provides that
-// summary plus the generic descriptive-statistics helpers used by the
-// workload/trace synthesizers and the bench harnesses.
+// summary's record plus the generic descriptive-statistics helpers used by
+// the detector, the workload/trace synthesizers and the bench harnesses.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace skh {
@@ -66,7 +65,8 @@ inline void sort_small(double* v, std::size_t n) {
 }
 
 /// Linear-interpolated percentile of an unsorted sample, q in [0, 100].
-/// Returns NaN on an empty sample.
+/// Returns NaN on an empty sample. The sort-a-copy reference that
+/// `percentile_sorted` is tested against.
 [[nodiscard]] double percentile(std::span<const double> sample, double q);
 
 /// Percentile over a pre-sorted (ascending) sample; O(1).
@@ -75,9 +75,6 @@ inline void sort_small(double* v, std::size_t n) {
 
 [[nodiscard]] double mean_of(std::span<const double> sample);
 [[nodiscard]] double stddev_of(std::span<const double> sample);
-
-/// Compute the full seven-number summary of a sample in one pass + one sort.
-[[nodiscard]] WindowSummary summarize(std::span<const double> sample);
 
 /// Streaming mean/variance (Welford). Numerically stable; O(1) memory.
 class RunningStats {
@@ -100,73 +97,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Streaming seven-number summarizer for one latency window: samples
-/// append to an order-statistics buffer that is sorted lazily, once, when
-/// the summary is asked for — not copied and re-sorted per close like
-/// `summarize`, and not scanned per sample like a sorted insert. The
-/// append touches only the buffer tail, which keeps the per-probe cache
-/// footprint at one line when thousands of accumulators are swept
-/// round-robin. Percentiles are bit-identical to `summarize`; mean/stddev
-/// agree to floating-point rounding (sorted vs arrival summation order).
-/// `reset` keeps the buffer capacity so a reused accumulator allocates
-/// only until its largest window has been seen. Not thread-safe: the lazy
-/// sort mutates the buffer under `const` accessors.
-class WindowAccumulator {
- public:
-  void add(double x) {
-    buf_.push_back(x);
-    dirty_ = true;
-  }
-  void reset() noexcept {
-    buf_.clear();
-    dirty_ = false;
-  }
-
-  [[nodiscard]] std::size_t count() const noexcept { return buf_.size(); }
-  /// Samples so far, ascending.
-  [[nodiscard]] std::span<const double> sorted() const noexcept {
-    ensure_sorted();
-    return buf_;
-  }
-  [[nodiscard]] WindowSummary summary() const;
-
- private:
-  void ensure_sorted() const noexcept {
-    if (dirty_) {
-      std::sort(buf_.begin(), buf_.end());
-      dirty_ = false;
-    }
-  }
-
-  mutable std::vector<double> buf_;
-  mutable bool dirty_ = false;
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range values clamp to the edge
-/// bins so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const {
-    return counts_.at(i);
-  }
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
-  /// Fraction of samples at or below the upper edge of bin i.
-  [[nodiscard]] double cdf_at(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Empirical CDF evaluation: fraction of `sample` values <= x.

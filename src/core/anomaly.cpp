@@ -48,8 +48,8 @@ SimTime aligned_restart(SimTime boundary, SimTime t, SimTime window) {
 
 }  // namespace
 
-// With iqr_mult == 0 (or no sample above the cap) this reproduces
-// WindowAccumulator::summary()'s sorted-order moments exactly.
+// With iqr_mult == 0 (or no sample above the cap) the moments are exactly
+// mean_of / stddev_of over the sorted samples.
 WindowSummary robust_summary(std::span<const double> sorted, double iqr_mult,
                              double band_frac) {
   WindowSummary s;
@@ -160,12 +160,6 @@ void AnomalyDetector::log_window(const EndpointPair& pair, SimTime start,
   window_log_.push_back(rec);
 }
 
-void AnomalyDetector::retire_pair(PairHandle h) {
-  if (hot_[h].parked) return;
-  hot_[h].parked = true;
-  parked_.push_back(h);
-}
-
 std::size_t AnomalyDetector::ingest(PairHandle h, const Observation& o,
                                     std::vector<AnomalyEvent>& out) {
   const std::size_t before = out.size();
@@ -197,10 +191,6 @@ std::size_t AnomalyDetector::ingest(PairHandle h, const Observation& o,
     st.last_seq = o.seq;
     st.last_sent = sent_at;
   }
-  // A straggling result for a churn-retired pair revives it: analysis
-  // continues on the retained state exactly as if it was never retired.
-  st.parked = false;
-
   // Window rollover checks happen before the sample is added, so a sample
   // after the boundary closes the previous window first. Closes are stamped
   // at the nominal boundary (start + window), not at the triggering
@@ -583,7 +573,7 @@ std::vector<AnomalyEvent> AnomalyDetector::flush(SimTime now) {
     PairHot& hot = hot_[h];
     // A still-open window is only judged when it actually reached its span:
     // a few-second partial window must not fire (say) a 30-minute Z-test.
-    // Recycled slots are naturally skipped (no open windows).
+    // Free slots are naturally skipped (no open windows).
     if (hot.short_open && now - hot.short_start >= cfg_.short_window) {
       close_short_window(static_cast<PairHandle>(h),
                          hot.short_start + cfg_.short_window, events);
@@ -593,13 +583,6 @@ std::vector<AnomalyEvent> AnomalyDetector::flush(SimTime now) {
                         hot.long_start + cfg_.long_window, events);
     }
   }
-  // Only now that every retired pair's final windows have been judged do
-  // the still-parked slots recycle; a pair revived by late traffic since
-  // its retirement keeps its slot (flag already cleared at ingest).
-  for (const PairHandle id : parked_) {
-    if (hot_[id].parked) recycle(id);
-  }
-  parked_.clear();
   counters_.events_emitted += events.size();
   return events;
 }
@@ -618,9 +601,6 @@ AnomalyDetector::PairState AnomalyDetector::extract_pair(PairHandle h) {
         paths_.data() + static_cast<std::size_t>(h) * kPathSlots;
     out.paths_.assign(ps, ps + kPathSlots);
   }
-  // Annul any parking: a parked pair that migrates is the new home's to
-  // retire (or revive).
-  std::erase(parked_, h);
   recycle(h);
   return out;
 }
@@ -642,7 +622,6 @@ AnomalyDetector::PairHandle AnomalyDetector::adopt_pair(PairState&& st) {
     std::copy(st.paths_.begin(), st.paths_.end(),
               paths_.begin() + static_cast<std::size_t>(h) * kPathSlots);
   }
-  if (hot_[h].parked) parked_.push_back(h);
   return h;
 }
 
@@ -653,7 +632,6 @@ AnomalyDetector::Snapshot AnomalyDetector::snapshot() const {
   s.samples_ = samples_;
   s.lookback_ = lookback_;
   s.paths_ = paths_;
-  s.parked_ = parked_;
   s.free_ = free_;
   return s;
 }
@@ -664,7 +642,6 @@ void AnomalyDetector::restore(const Snapshot& snap) {
   samples_ = snap.samples_;
   lookback_ = snap.lookback_;
   paths_ = snap.paths_;
-  parked_ = snap.parked_;
   free_ = snap.free_;
 }
 

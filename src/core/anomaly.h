@@ -27,10 +27,12 @@
 // plan time (`reserve_pairs`) — a contiguous 64-byte-aligned `PairHot`
 // array (one cache line per pair, all a rollover-free probe touches), a
 // fixed-stride sample-strip arena, a fixed-stride look-back arena, and a
-// parallel cold array, the last two read only at window closes. The layout
-// contract (slot reuse, handle stability across churn and
-// snapshot/restore) is documented in ARCHITECTURE.md under "Memory layout
-// & hot path".
+// parallel cold array, the last two read only at window closes. A pair
+// keeps its slot until it migrates to another detector (`extract_pair`),
+// which frees the slot for the next `add_pair`; churn frees nothing. The
+// layout contract (slot reuse, handle stability across
+// migration and snapshot/restore) is documented in ARCHITECTURE.md under
+// "Memory layout & hot path".
 #pragma once
 
 #include <cstdint>
@@ -211,8 +213,8 @@ struct DetectorCounters {
 class AnomalyDetector {
  public:
   /// Dense per-pair slot from `add_pair`. The owner keeps it and ingests
-  /// by it; a slot survives churn retirement (until it is recycled at
-  /// `flush`) and snapshot/restore.
+  /// by it; a slot survives snapshot/restore and is freed only by
+  /// `extract_pair`.
   using PairHandle = std::uint32_t;
 
   explicit AnomalyDetector(DetectorConfig cfg = {});
@@ -261,30 +263,16 @@ class AnomalyDetector {
   std::size_t ingest(PairHandle h, const Observation& o,
                      std::vector<AnomalyEvent>& out);
 
-  /// Churn integration: mark the pair in slot `h` — whose endpoints
-  /// vanished from the plan (container death, RNIC rebind on migration) —
-  /// as retired. Its state stays resident, so a straggling in-flight
-  /// result revives it with full continuity; state that is still retired
-  /// at `flush` has its final windows judged exactly as a live pair's and
-  /// its slot is then recycled for reuse.
-  void retire_pair(PairHandle h);
-  /// Whether slot `h` is retired and not revived since: the slots the next
-  /// `flush` recycles.
-  [[nodiscard]] bool parked(PairHandle h) const noexcept {
-    return hot_[h].parked;
-  }
-
   /// Force-close all open windows (end of campaign) and return any final
   /// events. Only windows that reached their nominal span are evaluated: a
   /// few-second partial window carries no evidence at window granularity
-  /// and must not fire (e.g.) a 30-minute Z-test alarm. Afterwards,
-  /// still-retired pairs (see `retire_pair`) are recycled: their slots
-  /// reset and return to the free list.
+  /// and must not fire (e.g.) a 30-minute Z-test alarm. Every pair keeps
+  /// its slot.
   [[nodiscard]] std::vector<AnomalyEvent> flush(SimTime now);
 
   [[nodiscard]] const DetectorConfig& config() const noexcept { return cfg_; }
 
-  /// Live pairs, including retired-but-not-yet-recycled ones.
+  /// Pairs holding a slot.
   [[nodiscard]] std::size_t pair_count() const noexcept {
     return hot_.size() - free_.size();
   }
@@ -296,9 +284,9 @@ class AnomalyDetector {
 
   /// Opaque copy of the full per-pair analysis state (hot lines, sample
   /// strips, LOF look-back blocks, long-term baselines, sequence tracking,
-  /// retirement parking, the slot free list). Every piece of pair state is
-  /// value-semantic — the strip and look-back arenas copy as flat bytes —
-  /// so a plain copy IS the serialized form; restoring it and continuing
+  /// the slot free list). Every piece of pair state is value-semantic —
+  /// the strip and look-back arenas copy as flat bytes — so a plain copy
+  /// IS the serialized form; restoring it and continuing
   /// is bit-identical to never having stopped, and slots handed out before
   /// the snapshot name the same pairs after a restore. Config,
   /// counters and the window log are not part of the snapshot (they belong
@@ -312,15 +300,14 @@ class AnomalyDetector {
 
   /// Movable container for one pair's complete analysis state: hot line
   /// (with the look-back ring state), cold state (baselines, spill),
-  /// sample strip, look-back block, parked flag. The unit of shard
-  /// rebalance: a pair extracted from one detector and adopted by another
-  /// (with the same config geometry) continues its analysis
-  /// bit-identically, as if it had lived there all along. Counters stay
-  /// with the detector that did the counted work, so fleet-summed
-  /// counters are rebalance-invariant.
+  /// sample strip, look-back block. The unit of shard rebalance: a pair
+  /// extracted from one detector and adopted by another (with the same
+  /// config geometry) continues its analysis bit-identically, as if it
+  /// had lived there all along. Counters stay with the detector that did
+  /// the counted work, so fleet-summed counters are rebalance-invariant.
   class PairState;
   /// Move the full state of the pair in slot `h` out; the slot is
-  /// recycled (any parking annulled).
+  /// recycled.
   [[nodiscard]] PairState extract_pair(PairHandle h);
   /// Add a previously extracted pair in a fresh slot and return it. The
   /// state's look-back and path-slot geometry must match this detector's
@@ -360,7 +347,6 @@ class AnomalyDetector {
     bool short_open = false;
     bool long_open = false;
     bool unreachable_alarmed = false;
-    bool parked = false;  ///< retired by churn, awaiting flush recycle
     /// Live slots of the pair's look-back block. Here rather than in the
     /// block so a close computes every block address it touches — the
     /// slot it pushes into, the head it evicts — without another miss.
@@ -463,10 +449,7 @@ class AnomalyDetector {
   /// when cfg.track_paths (empty otherwise, so the single-path deployment
   /// pays no memory and no cache traffic for the feature).
   PairArray<PathSlot> paths_;
-  /// Slots parked by retire_pair, recycled at flush (entries whose
-  /// `parked` flag was cleared by a reviving probe are skipped).
-  std::vector<PairHandle> parked_;
-  /// Recycled slots, reused last-in first-out by add_pair.
+  /// Slots freed by extract_pair, reused last-in first-out by add_pair.
   std::vector<PairHandle> free_;
   std::vector<double> sort_scratch_;  ///< spill-merge buffer, reused
   // Closed-window log (flight-recorder feed). Not analysis state: excluded
@@ -495,7 +478,6 @@ class AnomalyDetector {
     PairArray<double> samples_;
     PairArray<double> lookback_;
     PairArray<PathSlot> paths_;
-    std::vector<PairHandle> parked_;
     std::vector<PairHandle> free_;
   };
 

@@ -36,10 +36,8 @@ class Blacklist {
  public:
   /// Ban a component from `at` until explicitly cleared.
   BanOutcome add(sim::ComponentRef ref, SimTime at);
-  /// Repair finished: lift the ban. `at` feeds the flap-hysteresis clock;
-  /// the default keeps legacy call sites (tests) compiling, at the cost of
-  /// treating the clear as ancient history.
-  void clear(sim::ComponentRef ref, SimTime at = SimTime{});
+  /// Repair finished: lift the ban. `at` feeds the flap-hysteresis clock.
+  void clear(sim::ComponentRef ref, SimTime at);
 
   /// One short-window span by default: a ban/clear/ban cycle faster than
   /// the detector can even produce a new window of evidence is a flap.

@@ -109,27 +109,21 @@ void ShardedDetector::publish() {
 ShardedDetector::GlobalHandle ShardedDetector::handle_of(
     const EndpointPair& pair) {
   // Rounds list their pairs in the order of the round before, so the id
-  // that followed the last one returned is usually the answer. A placed id
+  // that followed the last one returned is usually the answer. A mapped id
   // whose pair matches is exactly what the router would return.
   if (last_ < next_of_.size()) {
     const GlobalHandle next = next_of_[last_];
-    if (next < pair_of_.size() && shard_of_[next] != kUnplaced &&
-        pair_of_[next] == pair) {
-      return last_ = next;
-    }
+    if (next < pair_of_.size() && pair_of_[next] == pair) return last_ = next;
   }
   const auto [gid, inserted] = router_.insert(pair);
   if (inserted) {
-    if (gid >= shard_of_.size()) {
-      shard_of_.resize(gid + 1, kUnplaced);
-      local_of_.resize(gid + 1);
-      pair_of_.resize(gid + 1);
-      next_of_.resize(gid + 1, common::FlatPairTable::kNoSlot);
-    }
+    // Ids are issued in order, so a new id is the next index of every
+    // per-id array.
     const std::size_t s = gid % shards_.size();
-    shard_of_[gid] = static_cast<std::uint32_t>(s);
-    local_of_[gid] = shards_[s]->add_pair(pair);
-    pair_of_[gid] = pair;
+    shard_of_.push_back(static_cast<std::uint32_t>(s));
+    local_of_.push_back(shards_[s]->add_pair(pair));
+    pair_of_.push_back(pair);
+    next_of_.push_back(common::FlatPairTable::kNoSlot);
   }
   if (last_ < next_of_.size()) next_of_[last_] = gid;
   return last_ = gid;
@@ -259,34 +253,11 @@ std::uint64_t ShardedDetector::window_log_drops() const {
   return n;
 }
 
-void ShardedDetector::retire_pair(const EndpointPair& pair) {
-  const GlobalHandle gid = router_.find(pair);
-  if (gid == common::FlatPairTable::kNoSlot) return;
-  shards_[shard_of_[gid]]->retire_pair(local_of_[gid]);
-}
-
 std::vector<AnomalyEvent> ShardedDetector::flush(SimTime now) {
-  // The ids whose slots are still parked are the ones the shard flushes
-  // below recycle; read them by slot before the slots are reused.
-  std::vector<GlobalHandle> freed;
-  for (GlobalHandle gid = 0; gid < shard_of_.size(); ++gid) {
-    if (shard_of_[gid] != kUnplaced &&
-        shards_[shard_of_[gid]]->parked(local_of_[gid])) {
-      freed.push_back(gid);
-    }
-  }
   std::vector<AnomalyEvent> events;
   for (auto& shard : shards_) {
     const auto tail = shard->flush(now);
     events.insert(events.end(), tail.begin(), tail.end());
-  }
-  // Each freed id leaves the router and its placement together (the
-  // handle_of invariant). Ascending id order — a pure function of the id
-  // set, so the router's free list (and thus future id reuse) is
-  // shard-count-invariant.
-  for (const GlobalHandle gid : freed) {
-    router_.erase(pair_of_[gid]);
-    shard_of_[gid] = kUnplaced;
   }
   canonicalize_events(events);
   publish();
@@ -309,7 +280,7 @@ std::size_t ShardedDetector::migrate_range(GlobalHandle lo, GlobalHandle hi,
       std::min<GlobalHandle>(hi, static_cast<GlobalHandle>(shard_of_.size()));
   for (GlobalHandle gid = lo; gid < end; ++gid) {
     const std::uint32_t from = shard_of_[gid];
-    if (from == kUnplaced || from == to) continue;
+    if (from == to) continue;
     local_of_[gid] =
         shards_[to]->adopt_pair(shards_[from]->extract_pair(local_of_[gid]));
     shard_of_[gid] = static_cast<std::uint32_t>(to);

@@ -12,11 +12,12 @@
 //
 //  1. *Stable global ids.* A router `common::FlatPairTable` — the
 //     analyzer's one pair index — assigns every pair a dense global id in
-//     discovery order. Discovery order depends only on the probe schedule,
-//     never on the shard count, so the id a pair gets (and everything
-//     keyed off it) is shard-count-invariant. A new id lands on shard
-//     `id % N`, a pure function of (id, shard count) that splits fresh ids
-//     evenly; a migrated id keeps the shard it moved to. Each shard is a
+//     discovery order, kept for the facade's lifetime. Discovery order
+//     depends only on the probe schedule, never on the shard count, so the
+//     id a pair gets (and everything keyed off it) is shard-count-invariant.
+//     A new id lands on shard `id % N`, a pure function of (id, shard
+//     count) that splits fresh ids evenly; a migrated id keeps the shard
+//     it moved to. Each shard is a
 //     slot-indexed store with no pair lookup of its own: the facade keeps
 //     every id's shard-local slot.
 //  2. *Order-preserving batches.* `ingest_batch` partitions a probe round
@@ -73,14 +74,14 @@
 namespace skh::core {
 
 /// Detector-shaped facade over N pair-space shards. Drop-in for
-/// `AnomalyDetector` in the hunter: same handle/retire/flush/snapshot
-/// surface, same counters, with ingest by probe-round batch, plus the
-/// rebalance API. One shard runs the same partition, shard job and sparse
+/// `AnomalyDetector` in the hunter: same handle/flush/snapshot surface,
+/// same counters, with ingest by probe-round batch, plus the rebalance
+/// API. One shard runs the same partition, shard job and sparse
 /// merge as N.
 class ShardedDetector {
  public:
   /// Stable *global* pair id from the router table — shard-count-invariant
-  /// (see file header), valid until the pair is recycled at `flush`.
+  /// (see file header) and never reused for another pair.
   using GlobalHandle = common::FlatPairTable::SlotId;
 
   explicit ShardedDetector(DetectorConfig cfg = {}, std::size_t n_shards = 1,
@@ -103,7 +104,7 @@ class ShardedDetector {
   /// Get-or-create the global handle for a pair; a newly discovered pair
   /// is added to shard `id % N`. Order-learned: the id returned
   /// after the previous call's id last time is tried first, and accepted
-  /// only if it is placed and names `pair` — the router maps every placed
+  /// only if it is mapped and names `pair` — the router maps every mapped
   /// id's pair to that id, so a hit is exactly the id a table lookup
   /// returns. A miss does the lookup and records the successor.
   [[nodiscard]] GlobalHandle handle_of(const EndpointPair& pair);
@@ -144,20 +145,16 @@ class ShardedDetector {
                            std::vector<AnomalyEvent>& events,
                            std::vector<std::uint32_t>& fired_per_item);
 
-  /// See AnomalyDetector::retire_pair.
-  void retire_pair(const EndpointPair& pair);
-
-  /// Force-close all open windows on every shard and recycle still-retired
-  /// pairs: their shard slots, then their global ids in ascending order.
-  /// Events are returned in canonical order (`canonicalize_events`) —
-  /// identical at any shard count.
+  /// Force-close all open windows on every shard; every pair keeps its
+  /// global id and slot. Events are returned in canonical order
+  /// (`canonicalize_events`) — identical at any shard count.
   [[nodiscard]] std::vector<AnomalyEvent> flush(SimTime now);
 
   [[nodiscard]] const DetectorConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
   }
-  /// Live (mapped) pairs, including retired-but-not-yet-recycled ones.
+  /// Mapped pairs: every pair ever routed.
   [[nodiscard]] std::size_t pair_count() const noexcept {
     return router_.size();
   }
@@ -199,8 +196,6 @@ class ShardedDetector {
   void restore(const Snapshot& snap);
 
  private:
-  /// Placement of one mapped global id; kUnplaced marks a recycled id.
-  static constexpr std::uint32_t kUnplaced = static_cast<std::uint32_t>(-1);
   /// DetectorCounters fields published as `detector.*` series. The LOF
   /// scoring counts stay `counters()`-only (the scrape carries no LOF
   /// split).
@@ -216,9 +211,8 @@ class ShardedDetector {
   std::vector<std::unique_ptr<AnomalyDetector>> shards_;
   common::FlatPairTable router_;  ///< pair -> global id, discovery order
   // Dense by global id: owning shard, the pair's slot there, and the pair
-  // itself (flush unmaps freed ids by key). Invariant: for every placed id
-  // g (shard_of_[g] != kUnplaced) the router maps pair_of_[g] to g —
-  // handle_of sets both, flush clears both, restore copies both.
+  // itself. Invariant: for every id g below pair_of_.size() the router
+  // maps pair_of_[g] to g — handle_of sets both, restore copies both.
   std::vector<std::uint32_t> shard_of_;
   std::vector<AnomalyDetector::PairHandle> local_of_;
   std::vector<EndpointPair> pair_of_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_set>
 
 #include "common/flat_table.h"
 #include "common/logging.h"
@@ -200,8 +199,9 @@ void SkeletonHunter::distribute_list(TaskId task) {
   // Plan-time capacity for the detector's flat pair table: the list being
   // distributed fixes the pair population this task will probe, so size
   // the table now and ingest performs zero rehashes. The mapped pairs
-  // (retired ones included, until flush) plus the listed pairs not mapped
-  // yet: a re-listed pair is counted once.
+  // (churned ones included: a pair keeps its slot for the detector's
+  // lifetime) plus the listed pairs not mapped yet: a re-listed pair is
+  // counted once.
   std::size_t pairs = detector_.pair_count();
   for (const auto& p : m.current_list) {
     if (detector_.find_handle(p) == common::FlatPairTable::kNoSlot) ++pairs;
@@ -320,23 +320,6 @@ void SkeletonHunter::degrade_to_basic(TaskId task) {
     if (ci.state == cluster::ContainerState::kDead) continue;
     const auto eps = ci.endpoints();
     m.endpoints.insert(m.endpoints.end(), eps.begin(), eps.end());
-  }
-  // Detector pairs whose endpoints vanished with the churn (a dead
-  // container, or a migration victim's old RNIC binding) can never be
-  // probed again: retire them so the analyzer recycles their slots once
-  // their final windows have been judged at flush. Retirement only parks —
-  // a straggling in-flight result still lands on the retained state.
-  {
-    std::unordered_set<Endpoint> alive(m.endpoints.begin(),
-                                       m.endpoints.end());
-    std::vector<EndpointPair> vanished;
-    detector_.for_each_pair([&](const EndpointPair& p) {
-      if (orch_.container(p.src.container).task != task) return;
-      if (!alive.contains(p.src) || !alive.contains(p.dst)) {
-        vanished.push_back(p);
-      }
-    });
-    for (const EndpointPair& p : vanished) detector_.retire_pair(p);
   }
   m.current_list = basic_ping_list(
       m.endpoints, [this](const Endpoint& ep) { return rank_of(ep); });

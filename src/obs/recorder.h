@@ -6,8 +6,9 @@
 //
 //   * per-pair window rings — the last `window_depth` closed-window
 //     summaries of every probe pair, keyed by the detector's stable dense
-//     pair id (gid). Records carry the EndpointPair identity so a recycled
-//     gid (pair retired by churn, slot reused) never attributes a stale
+//     pair id (gid). Records carry the EndpointPair identity so a gid that
+//     names another pair after a restore (the restored router re-issues
+//     the ids discovered since its snapshot) never attributes a stale
 //     window to the wrong pair: readers filter on identity.
 //   * a global event ring — recent anomaly events as routed by the hunter.
 //
@@ -94,7 +95,7 @@ class FlightRecorder {
   void record_event(const EventRecord& rec);
 
   /// Chronological (oldest-first) surviving window records for `gid` whose
-  /// identity matches `pair` (recycled-slot records are skipped).
+  /// identity matches `pair` (another pair's records are skipped).
   [[nodiscard]] std::vector<WindowRecord> windows_of(
       std::uint32_t gid, const EndpointPair& pair) const;
 

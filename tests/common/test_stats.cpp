@@ -43,20 +43,6 @@ TEST(Percentile, OutOfRangeQClamps) {
   EXPECT_DOUBLE_EQ(percentile(v, 150.0), 2.0);
 }
 
-TEST(Summarize, SevenNumberSummary) {
-  std::vector<double> v;
-  for (int i = 1; i <= 100; ++i) v.push_back(static_cast<double>(i));
-  const auto s = summarize(v);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_NEAR(s.p25, 25.75, 1e-9);
-  EXPECT_NEAR(s.p50, 50.5, 1e-9);
-  EXPECT_NEAR(s.p75, 75.25, 1e-9);
-  EXPECT_DOUBLE_EQ(s.mean, 50.5);
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_EQ(s.as_feature_vector().size(), 7u);
-}
-
 TEST(RunningStats, MatchesBatchComputation) {
   RngStream rng{5};
   std::vector<double> v;
@@ -95,36 +81,6 @@ TEST(RunningStats, MergeWithEmptyIsIdentity) {
   EXPECT_DOUBLE_EQ(a.mean(), 2.0);
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.5);   // bin 9
-  h.add(-3.0);  // clamps to bin 0
-  h.add(25.0);  // clamps to bin 9
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 4.0);
-}
-
-TEST(Histogram, CdfIsMonotone) {
-  Histogram h(0.0, 1.0, 4);
-  RngStream rng{8};
-  for (int i = 0; i < 1000; ++i) h.add(rng.uniform());
-  double prev = 0.0;
-  for (std::size_t b = 0; b < h.bins(); ++b) {
-    EXPECT_GE(h.cdf_at(b), prev);
-    prev = h.cdf_at(b);
-  }
-  EXPECT_DOUBLE_EQ(h.cdf_at(3), 1.0);
-}
-
-TEST(Histogram, RejectsDegenerateConfig) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(Ecdf, StepFunction) {
   const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(ecdf(v, 0.5), 0.0);
@@ -155,54 +111,6 @@ TEST(RunningStats, PopulationVarianceIsBiasedForm) {
   EXPECT_NEAR(s.population_variance(), 4.0, 1e-12);
   EXPECT_NEAR(s.variance(), 4.0 * 8.0 / 7.0, 1e-12);
   EXPECT_DOUBLE_EQ(RunningStats{}.population_variance(), 0.0);
-}
-
-TEST(WindowAccumulator, EmptySummaryMatchesSummarize) {
-  const WindowAccumulator acc;
-  const auto batch = summarize({});
-  EXPECT_EQ(acc.summary().count, batch.count);
-  EXPECT_DOUBLE_EQ(acc.summary().mean, batch.mean);
-}
-
-TEST(WindowAccumulator, MatchesSummarizeOnRandomWindows) {
-  // Property: streaming summaries equal the batch sort-based summary —
-  // order statistics exactly (same sorted array, same interpolation),
-  // mean/stddev to FP rounding (Welford vs two-pass).
-  RngStream rng{31};
-  for (int trial = 0; trial < 200; ++trial) {
-    const auto n = static_cast<std::size_t>(rng.uniform(1.0, 120.0));
-    WindowAccumulator acc;
-    std::vector<double> raw;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = 16.0 * std::exp(rng.normal(0.0, 0.3));
-      acc.add(x);
-      raw.push_back(x);
-    }
-    const WindowSummary s = acc.summary();
-    const WindowSummary b = summarize(raw);
-    ASSERT_EQ(s.count, b.count);
-    EXPECT_DOUBLE_EQ(s.min, b.min);
-    EXPECT_DOUBLE_EQ(s.max, b.max);
-    EXPECT_DOUBLE_EQ(s.p25, b.p25);
-    EXPECT_DOUBLE_EQ(s.p50, b.p50);
-    EXPECT_DOUBLE_EQ(s.p75, b.p75);
-    EXPECT_NEAR(s.mean, b.mean, 1e-10 * std::abs(b.mean));
-    EXPECT_NEAR(s.stddev, b.stddev, 1e-8 * std::max(1e-9, b.stddev));
-  }
-}
-
-TEST(WindowAccumulator, ResetReusesCleanly) {
-  WindowAccumulator acc;
-  for (double x : {9.0, 1.0, 5.0}) acc.add(x);
-  acc.reset();
-  EXPECT_EQ(acc.count(), 0u);
-  for (double x : {2.0, 4.0, 6.0}) acc.add(x);
-  const auto s = acc.summary();
-  EXPECT_DOUBLE_EQ(s.min, 2.0);
-  EXPECT_DOUBLE_EQ(s.p50, 4.0);
-  EXPECT_DOUBLE_EQ(s.max, 6.0);
-  EXPECT_DOUBLE_EQ(s.mean, 4.0);
-  EXPECT_EQ(acc.sorted().size(), 3u);
 }
 
 TEST(SortSmall, ZeroOnePrincipleExhaustive) {

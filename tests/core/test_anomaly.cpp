@@ -728,59 +728,6 @@ TEST(AnomalyChurn, ReservePairsMakesIngestAllocationFree) {
   for (const auto& e : out) EXPECT_EQ(e.kind, AnomalyKind::kLatencyShortTerm);
 }
 
-TEST(AnomalyChurn, StragglerRevivesRetiredPairWithContinuity) {
-  AnomalyDetector det;
-  RngStream rng{7};
-  const auto h = det.add_pair(pair());
-  std::vector<AnomalyEvent> out;
-  std::uint64_t seq = 0;
-  for (double t = 0; t < 90; t += 1.0) {
-    const double rtt = 16.0 * std::exp(rng.normal(0.0, 0.05));
-    (void)det.ingest(h, {++seq, SimTime::seconds(t), true, rtt}, out);
-  }
-  det.retire_pair(h);
-  EXPECT_TRUE(det.parked(h));
-  EXPECT_EQ(det.pair_count(), 1U);  // parked, still resident
-
-  // A replayed duplicate of the last delivery must NOT revive the pair:
-  // rejection runs before revival, and a lying delivery is not evidence
-  // the endpoints came back.
-  (void)det.ingest(h, {seq, SimTime::seconds(89.0), true, 16.0}, out);
-  EXPECT_EQ(det.counters().duplicates_rejected, 1U);
-  EXPECT_TRUE(det.parked(h));
-
-  // A genuine straggling in-flight result revives the pair in place —
-  // same handle, history intact: the duplicate above was only recognized
-  // because the pre-retirement sequence state survived parking.
-  (void)det.ingest(h, {++seq, SimTime::seconds(90.0), true, 16.0}, out);
-  EXPECT_FALSE(det.parked(h));
-}
-
-TEST(AnomalyChurn, FlushRecyclesRetiredSlotsForReuse) {
-  AnomalyDetector det;
-  det.reserve_pairs(64);
-  std::vector<AnomalyEvent> out;
-  std::vector<AnomalyDetector::PairHandle> hs;
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    hs.push_back(det.add_pair(pair_n(i)));
-    (void)det.ingest(hs.back(), obs(1.0, true), out);
-  }
-  det.retire_pair(hs[3]);
-  det.retire_pair(hs[6]);
-  // Handles stay valid while parked; recycling happens only at flush.
-  EXPECT_EQ(det.pair_count(), 8U);
-  (void)det.flush(SimTime::seconds(120.0));
-  EXPECT_EQ(det.pair_count(), 6U);
-  EXPECT_FALSE(det.parked(hs[3]));
-  EXPECT_FALSE(det.parked(hs[6]));
-  // The recycled slots serve the next pairs, last recycled first, instead
-  // of growing the arrays.
-  EXPECT_EQ(det.add_pair(pair_n(100)), hs[6]);
-  EXPECT_EQ(det.add_pair(pair_n(101)), hs[3]);
-  EXPECT_EQ(det.add_pair(pair_n(102)), 8U);
-  EXPECT_EQ(det.pair_count(), 9U);
-}
-
 TEST(AnomalyChurn, RecycledIdStartsWithAnEmptyLookback) {
   // A recycled id keeps its look-back block's stale doubles; only the
   // reset ring keeps them out of reach. So the next tenant of the id must
@@ -812,8 +759,8 @@ TEST(AnomalyChurn, RecycledIdStartsWithAnEmptyLookback) {
 
   // The predecessor fills its whole ring with windows at 1.25x the
   // tenant's healthy latency — medians that would move the tenant's gate,
-  // points close enough to join its neighborhoods — then retires and is
-  // recycled at flush.
+  // points close enough to join its neighborhoods — then migrates away,
+  // which recycles its slot.
   AnomalyDetector det;
   det.set_window_logging(true);
   const auto h0 = det.add_pair(pair_n(0));
@@ -824,8 +771,7 @@ TEST(AnomalyChurn, RecycledIdStartsWithAnEmptyLookback) {
       (void)det.ingest(h0, obs(30.0 * w + 5.0 * s, true, rtt), out);
     }
   }
-  det.retire_pair(h0);
-  (void)det.flush(SimTime::seconds(360.0));
+  (void)det.extract_pair(h0);
   ASSERT_EQ(det.pair_count(), 0U);
   const auto h1 = det.add_pair(pair_n(1));
   EXPECT_EQ(h1, h0);  // the tenant gets the slot
@@ -853,8 +799,8 @@ TEST(AnomalyChurn, RecycledIdStartsWithAnEmptyLookback) {
 }
 
 TEST(AnomalyChurn, SnapshotCarriesParkedStateBitIdentically) {
-  // Retirement parking is analysis state: a warm restart across a churn
-  // sweep must recycle the same slots at flush and fire the same final
+  // The slot free list is analysis state: a warm restart after a
+  // migration must hand the next pair the same slot and fire the same
   // windows as the uninterrupted run.
   RngStream rng{13};
   AnomalyDetector live;
@@ -867,15 +813,30 @@ TEST(AnomalyChurn, SnapshotCarriesParkedStateBitIdentically) {
       (void)live.ingest(hs[i], obs(t, true, rtt), live_events);
     }
   }
-  live.retire_pair(hs[1]);
-  live.retire_pair(hs[2]);
+  (void)live.extract_pair(hs[1]);
+  (void)live.extract_pair(hs[2]);
   const auto snap = live.snapshot();
+  const std::size_t at_snap = live_events.size();
 
   AnomalyDetector restored;
   restored.restore(snap);
-  EXPECT_EQ(restored.pair_count(), 4U);
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(restored.parked(hs[i]), i == 1 || i == 2);
+  EXPECT_EQ(restored.pair_count(), 2U);
+  // The restored free list serves the same slot, last freed first.
+  const auto fresh = live.add_pair(pair_n(4));
+  EXPECT_EQ(fresh, hs[2]);
+  EXPECT_EQ(restored.add_pair(pair_n(4)), fresh);
+  std::vector<AnomalyEvent> rest_events;
+  for (double t = 300; t < 400; t += 1.0) {
+    for (const auto h : {hs[0], hs[3], fresh}) {
+      const double rtt = 16.0 * std::exp(rng.normal(0.0, 0.05));
+      (void)live.ingest(h, obs(t, true, rtt), live_events);
+      (void)restored.ingest(h, obs(t, true, rtt), rest_events);
+    }
+  }
+  ASSERT_EQ(live_events.size() - at_snap, rest_events.size());
+  for (std::size_t i = 0; i < rest_events.size(); ++i) {
+    EXPECT_TRUE(live_events[at_snap + i].pair == rest_events[i].pair);
+    EXPECT_EQ(live_events[at_snap + i].score, rest_events[i].score);
   }
 
   const auto live_tail = live.flush(SimTime::seconds(400.0));
@@ -886,8 +847,8 @@ TEST(AnomalyChurn, SnapshotCarriesParkedStateBitIdentically) {
     EXPECT_EQ(live_tail[i].kind, rest_tail[i].kind);
     EXPECT_EQ(live_tail[i].score, rest_tail[i].score);
   }
-  EXPECT_EQ(live.pair_count(), 2U);
-  EXPECT_EQ(restored.pair_count(), 2U);
+  EXPECT_EQ(live.pair_count(), 3U);
+  EXPECT_EQ(restored.pair_count(), 3U);
 }
 
 TEST(AnomalyPaths, OffByDefaultAndPairEventsStayPathAgnostic) {

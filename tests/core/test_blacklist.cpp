@@ -12,7 +12,7 @@ TEST(Blacklist, AddContainsClear) {
   bl.add(rnic, SimTime::seconds(10));
   EXPECT_TRUE(bl.contains(rnic));
   EXPECT_EQ(bl.size(), 1u);
-  bl.clear(rnic);
+  bl.clear(rnic, SimTime::seconds(20));
   EXPECT_FALSE(bl.contains(rnic));
   EXPECT_EQ(bl.size(), 0u);
 }

@@ -321,85 +321,27 @@ TEST(ShardedDetector, SnapshotRestoreResumesBitIdentically) {
   EXPECT_THROW(wrong.restore(snap), std::logic_error);
 }
 
-TEST(ShardedDetector, RetireAndFlushRecycleGlobalIds) {
+TEST(ShardedDetector, FlushKeepsEveryPairOnItsId) {
   common::ThreadPool pool(2);
   ShardedDetector det({}, 4, &pool);
   std::vector<ShardedDetector::BatchItem> batch;
+  std::vector<ShardedDetector::GlobalHandle> gid;
   for (std::uint32_t i = 0; i < 8; ++i) {
-    batch.push_back({det.handle_of(pair_n(i)),
-                     {1 + i, SimTime::seconds(0), true, 16.0}});
+    gid.push_back(det.handle_of(pair_n(i)));
+    batch.push_back({gid.back(), {1 + i, SimTime::seconds(0), true, 16.0}});
   }
   std::vector<AnomalyEvent> events;
   std::vector<std::uint32_t> fired;
   det.ingest_batch(batch, events, fired);
-  EXPECT_EQ(det.pair_count(), 8u);
-  det.retire_pair(pair_n(3));
-  det.retire_pair(pair_n(5));
-  EXPECT_EQ(det.pair_count(), 8u);  // parked, still mapped
   (void)det.flush(SimTime::seconds(120));
-  EXPECT_EQ(det.pair_count(), 6u);
-  EXPECT_EQ(det.pair_table().find(pair_n(3)), common::FlatPairTable::kNoSlot);
-  EXPECT_EQ(det.pair_table().find(pair_n(5)), common::FlatPairTable::kNoSlot);
-  // Recycled global ids are reissued to newly discovered pairs.
-  const auto gid = det.handle_of(pair_n(100));
-  EXPECT_LT(gid, 8u);
-  EXPECT_EQ(det.pair_count(), 7u);
-}
-
-// Flush frees exactly the ids whose slots are still parked — read by slot
-// before the shards recycle them — whichever shard holds them: one parked
-// before a migration (the parking moves with the state), one parked after
-// it, two never moved. A pair revived by a straggler keeps its id. The
-// freed ids come back to new pairs in the same order at every shard count.
-TEST(ShardedDetector, FlushFreesExactlyTheStillParkedIds) {
-  constexpr std::uint32_t kPairs = 12;
-  const std::set<std::uint32_t> freed = {1, 2, 5, 9};
-  std::vector<std::vector<ShardedDetector::GlobalHandle>> reuse;
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    ShardedDetector det({}, shards);
-    std::vector<ShardedDetector::BatchItem> batch;
-    std::vector<ShardedDetector::GlobalHandle> gid(kPairs);
-    for (std::uint32_t i = 0; i < kPairs; ++i) {
-      gid[i] = det.handle_of(pair_n(i));
-      batch.push_back({gid[i], {1 + i, SimTime::seconds(0), true, 16.0}});
-    }
-    std::vector<AnomalyEvent> events;
-    std::vector<std::uint32_t> fired;
-    det.ingest_batch(batch, events, fired);
-    det.retire_pair(pair_n(2));
-    (void)det.migrate_range(0, 4, shards - 1);
-    for (const std::uint32_t i : {1u, 5u, 6u, 9u}) det.retire_pair(pair_n(i));
-    // A straggler revives pair 6.
-    const std::vector<ShardedDetector::BatchItem> straggler = {
-        {gid[6], {100, SimTime::seconds(1), true, 16.0}}};
-    det.ingest_batch(straggler, events, fired);
-    EXPECT_EQ(det.pair_count(), kPairs) << shards << " shards";
-
-    (void)det.flush(SimTime::seconds(120));
-    EXPECT_EQ(det.pair_count(), kPairs - freed.size()) << shards << " shards";
-    for (std::uint32_t i = 0; i < kPairs; ++i) {
-      const auto found = det.find_handle(pair_n(i));
-      if (freed.contains(i)) {
-        EXPECT_EQ(found, common::FlatPairTable::kNoSlot)
-            << "pair " << i << " at " << shards << " shards";
-      } else {
-        EXPECT_EQ(found, gid[i]) << "pair " << i << " at " << shards
-                                 << " shards";
-      }
-    }
-
-    std::vector<ShardedDetector::GlobalHandle> got;
-    for (std::uint32_t i = 100; i < 100 + freed.size(); ++i) {
-      got.push_back(det.handle_of(pair_n(i)));
-    }
-    std::set<ShardedDetector::GlobalHandle> want_ids;
-    for (const std::uint32_t i : freed) want_ids.insert(gid[i]);
-    EXPECT_EQ(std::set(got.begin(), got.end()), want_ids)
-        << shards << " shards";
-    reuse.push_back(got);
+  EXPECT_EQ(det.pair_count(), 8u);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(det.find_handle(pair_n(i)), gid[i]) << "pair " << i;
+    EXPECT_EQ(det.handle_of(pair_n(i)), gid[i]) << "pair " << i;
   }
-  EXPECT_EQ(reuse[1], reuse[0]);
-  EXPECT_EQ(reuse[2], reuse[0]);
+  // A newly discovered pair takes the next id; none is reused.
+  EXPECT_EQ(det.handle_of(pair_n(100)), 8u);
+  EXPECT_EQ(det.pair_count(), 9u);
 }
 
 // The window-log drain is one canonical sequence whatever produced it:
@@ -566,24 +508,22 @@ TEST(ShardedDetector, PublishesTheDetectorSeriesAfterEveryBatch) {
 // Routing scenario for HandleOfMatchesRouterUnderAnyOrder, 1 s rounds.
 constexpr std::size_t kMixInRound = 40;   ///< odd pairs < 32 first sighted
 constexpr std::size_t kSnapRound = 90;    ///< snapshot taken
-constexpr std::size_t kRecycleRound = 120;  ///< retire + flush + re-sight
+constexpr std::size_t kChurnRound = 120;    ///< pairs leave and join
 constexpr std::size_t kMigrateRound = 150;  ///< migrate_range
 constexpr std::size_t kRestoreRound = 170;  ///< back to the snapshot, once
 constexpr std::size_t kRoutingRounds = 300;
 
 /// The pairs probed in round t, in canonical (pair-ascending) order. Even
 /// pairs below 64 run from the start and odd pairs below 32 join at
-/// kMixInRound. At kRecycleRound the pairs i % 8 == 2 are retired and
-/// flushed: those with i % 16 == 2 are probed again in the same round (so
-/// the id they had is unplaced while the last round's order still points
-/// at it), the rest are gone, and pairs 64..75 appear, taking recycled ids.
+/// kMixInRound. At kChurnRound the pairs i % 16 == 10 are gone and pairs
+/// 64..75 appear, taking fresh ids.
 std::vector<std::uint32_t> routing_round(std::size_t t) {
   std::vector<std::uint32_t> live;
   for (std::uint32_t i = 0; i < 76; ++i) {
     const bool first_wave = i < 64 && i % 2 == 0;
     const bool mixed_in = i < 32 && i % 2 == 1 && t >= kMixInRound;
-    const bool gone = i % 16 == 10 && t >= kRecycleRound;
-    const bool fresh = i >= 64 && t >= kRecycleRound;
+    const bool gone = i % 16 == 10 && t >= kChurnRound;
+    const bool fresh = i >= 64 && t >= kChurnRound;
     if ((first_wave && !gone) || mixed_in || fresh) live.push_back(i);
   }
   return live;
@@ -605,10 +545,9 @@ Observation routing_obs(std::uint32_t i, std::size_t t) {
 // order, every id it returns must be the router's id for the pair, and the
 // per-pair verdicts must be those of an in-order run. The scenario breaks
 // the learned order every way the hunter can: per-round shuffles, first
-// sightings mixed into known pairs, retire + flush recycling (a recycled id
-// then names a different pair, and a re-sighted pair's old id is unplaced),
-// a restore to an older snapshot (learned successors name ids that mean
-// something else again), and a migrate_range.
+// sightings mixed into known pairs, pairs that stop being probed while
+// fresh ones join, a restore to an older snapshot (learned successors name
+// ids the restored router has not issued yet), and a migrate_range.
 TEST(ShardedDetector, HandleOfMatchesRouterUnderAnyOrder) {
   DetectorConfig cfg;
   cfg.short_window = SimTime::seconds(10);
@@ -629,7 +568,6 @@ TEST(ShardedDetector, HandleOfMatchesRouterUnderAnyOrder) {
       for (const auto& e : evs) streams[e.pair].push_back(key_of(e));
     };
     for (std::size_t t = 0; t < kRoutingRounds; ++t) {
-      const SimTime now = SimTime::seconds(static_cast<std::int64_t>(t));
       if (t == kSnapRound && !restored) {
         snap = det.snapshot();
         at_snap = streams;
@@ -640,10 +578,6 @@ TEST(ShardedDetector, HandleOfMatchesRouterUnderAnyOrder) {
         restored = true;
         t = kSnapRound - 1;
         continue;
-      }
-      if (t == kRecycleRound) {
-        for (std::uint32_t i = 2; i < 64; i += 8) det.retire_pair(pair_n(i));
-        record(det.flush(now));
       }
       if (t == kMigrateRound) {
         const std::size_t moved = det.migrate_range(0, 24, shards - 1);
@@ -693,8 +627,8 @@ TEST(ShardedDetector, HandleOfMatchesRouterUnderAnyOrder) {
   }
 }
 
-// for_each_pair iterates the router, so retirement sweeps (the hunter's
-// churn path) see the same pair order at any shard count.
+// for_each_pair iterates the router, so its pair order is the same at any
+// shard count.
 TEST(ShardedDetector, ForEachPairOrderIsShardCountInvariant) {
   std::vector<std::uint32_t> order1, order4;
   for (auto* order : {&order1, &order4}) {

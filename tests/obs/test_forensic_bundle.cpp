@@ -7,6 +7,7 @@
 
 #include <regex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/forensic.h"
@@ -30,8 +31,8 @@ ExperimentConfig drill_config() {
   return cfg;
 }
 
-/// Launch the task, inject the RNIC fault, run to completion.
-void run_drill(Experiment& exp) {
+/// Launch the drill's task, run it to running and apply its skeleton.
+TaskId launch_drill_task(Experiment& exp) {
   cluster::TaskRequest req;
   req.num_containers = 4;
   req.gpus_per_container = 8;
@@ -44,11 +45,21 @@ void run_drill(Experiment& exp) {
   par.pp = 2;
   par.dp = 2;
   (void)exp.apply_skeleton(*task, exp.layout_of(*task, par));
+  return *task;
+}
 
-  const auto victim = exp.orchestrator().endpoints_of_task(*task)[9];
+/// Take the RNIC of the task's endpoint 9 (in its container 1) down from
+/// minute 3 until `until`.
+void inject_rnic_down(Experiment& exp, TaskId task, SimTime until) {
+  const auto victim = exp.orchestrator().endpoints_of_task(task)[9];
   exp.faults().inject(sim::IssueType::kRnicPortDown,
                       {sim::ComponentKind::kRnic, victim.rnic.value()},
-                      SimTime::minutes(3), SimTime::minutes(11));
+                      SimTime::minutes(3), until);
+}
+
+/// Launch the task, inject the RNIC fault, run to completion.
+void run_drill(Experiment& exp) {
+  inject_rnic_down(exp, launch_drill_task(exp), SimTime::minutes(11));
 
   exp.hunter().start(exp.events().now() + SimTime::minutes(20));
   exp.events().run_all();
@@ -146,6 +157,64 @@ TEST(ForensicBundle, BundlesMatchAcrossShardCountsModuloShardSeries) {
     EXPECT_EQ(b.find("shard"), std::string::npos);
   }
   EXPECT_EQ(bundles_at(4), one);
+}
+
+/// The recorded windows a bundle lists per pair, as pair label -> count.
+std::vector<std::pair<std::string, std::size_t>> windows_per_pair(
+    const std::string& bundle) {
+  std::vector<std::pair<std::string, std::size_t>> out;
+  const auto begin = bundle.find("\"windows\":{");
+  const auto end = bundle.find("\"votes\":", begin);
+  if (begin == std::string::npos || end == std::string::npos) return out;
+  const std::string section = bundle.substr(begin, end - begin);
+  static const std::regex kPair("\"([^\"]+)\":\\[([^\\]]*)\\]");
+  for (std::sregex_iterator it(section.begin(), section.end(), kPair), last;
+       it != last; ++it) {
+    const std::string body = (*it)[2];
+    std::size_t n = 0;
+    for (std::size_t at = body.find("\"flags\":"); at != std::string::npos;
+         at = body.find("\"flags\":", at + 1)) {
+      ++n;
+    }
+    out.emplace_back((*it)[1], n);
+  }
+  return out;
+}
+
+TEST(ForensicBundle, ChurnedPairKeepsItsWindowsInTheFinalBundle) {
+  // The RNIC-down drill with the fault held to the end of the run and the
+  // victim's container migrated mid-fault: the migration rebinds the
+  // victim's RNICs, so its pairs are never probed again, and their last
+  // open windows are judged only when the run ends. A case filed then must
+  // still show the windows recorded for every one of its pairs.
+  Experiment exp(drill_config());
+  const TaskId task = launch_drill_task(exp);
+  const SimTime t0 = exp.events().now();
+  inject_rnic_down(exp, task, t0 + SimTime::minutes(30));
+  sim::ChurnEvent migrate;
+  migrate.kind = sim::ChurnKind::kMigrate;
+  migrate.container_index = 1;  // the victim's container
+  migrate.at = t0 + SimTime::minutes(6);
+  exp.schedule_churn(task, {migrate});
+
+  exp.hunter().start(t0 + SimTime::minutes(30));
+  exp.events().run_all();
+  const SimTime end = exp.events().now();
+  exp.hunter().finalize();
+
+  std::size_t filed_at_end = 0;
+  for (const auto& c : exp.hunter().failure_cases()) {
+    if (c.closed_at != end) continue;
+    ++filed_at_end;
+    const std::string* bundle = exp.obs().recorder.bundle_of(c.id);
+    ASSERT_NE(bundle, nullptr) << "case " << c.id;
+    const auto windows = windows_per_pair(*bundle);
+    EXPECT_EQ(windows.size(), c.pairs.size()) << "case " << c.id;
+    for (const auto& [pair, n] : windows) {
+      EXPECT_GT(n, 0u) << "case " << c.id << " lists no window for " << pair;
+    }
+  }
+  EXPECT_GT(filed_at_end, 0u);
 }
 
 TEST(ForensicBundle, DisabledRecorderEmitsNoBundles) {

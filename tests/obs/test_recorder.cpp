@@ -50,7 +50,8 @@ TEST(FlightRecorder, RecycledGidNeverMisattributesWindows) {
   const auto old_pair = pair_of(1, 2);
   const auto new_pair = pair_of(7, 8);
   rec.record_window(0, window_at(old_pair, 100));
-  // Churn retires the pair; the detector recycles gid 0 for a new pair.
+  // A restore to a snapshot older than gid 0's discovery re-issues it to
+  // another pair.
   rec.record_window(0, window_at(new_pair, 500));
   const auto ws_new = rec.windows_of(0, new_pair);
   ASSERT_EQ(ws_new.size(), 1u);

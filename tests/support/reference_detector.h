@@ -11,7 +11,7 @@
 // (sample strips, resident LOF model, median ring, log-domain moments) is
 // reused, so the differential suites in tests/core and
 // bench_anomaly_throughput compare two independent computations of the
-// same rules. Per-path sub-series, churn retirement, snapshots, the window
+// same rules. Per-path sub-series, pair migration, snapshots, the window
 // log and observability are left out: no differential check needs them.
 #pragma once
 
