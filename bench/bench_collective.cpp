@@ -125,7 +125,7 @@ int main() {
               best_off, best_on, static_cast<unsigned long long>(on_steps));
   std::printf("  plane overhead       : %.1f%%\n\n", overhead_pct);
 
-  // Greppable summary (scripts/bench_to_json.sh -> BENCH_collective.json).
+  // Greppable summary, one KEY=value per line.
   std::printf("COLLECTIVE_STEPS=%llu\n",
               static_cast<unsigned long long>(steps));
   std::printf("COLLECTIVE_INGEST_NS_PER_STEP=%.1f\n", ns_per_step);

@@ -1,17 +1,14 @@
 // Ingest-to-verdict latency bench: run a multi-fault Monte-Carlo fleet
 // with the full observability plane attached and report the sim-time
-// latency of every pipeline stage (telemetry channel delay, window
-// residence, detection lag, first-event-to-verdict, and the end-to-end
-// ingest-to-verdict span), plus the wall-clock cost of the flight recorder
-// itself (recorder on vs recorder off, same campaigns).
+// latency of every pipeline stage (telemetry channel delay, detection lag,
+// first-event-to-verdict, and the end-to-end ingest-to-verdict span).
 //
 // Output is greppable: the line `P99_VERDICT_S=<x>` carries the headline
-// p99 end-to-end latency (README row; consumed by scripts/bench_to_json.sh
-// for BENCH_obs.json). Fails if no case reached a verdict — a latency
-// plane with zero observations gates nothing.
-#include <algorithm>
-#include <chrono>
+// p99 end-to-end latency (README row). Fails if no case reached a verdict
+// — a latency plane with zero observations gates nothing.
 #include <cstdio>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -44,15 +41,6 @@ CampaignConfig base_config() {
   return cfg;
 }
 
-double run_once(const CampaignConfig& cfg,
-                const std::vector<std::uint64_t>& seeds) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const CampaignSet set = run_many(cfg, seeds, 1);
-  const auto t1 = std::chrono::steady_clock::now();
-  if (set.runs.empty()) std::abort();  // keep the work live
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
 const obs::HistogramSample* find_hist(const obs::MetricsSnapshot& snap,
                                       const char* name) {
   for (const auto& h : snap.histograms) {
@@ -76,7 +64,6 @@ int main() {
   };
   const Stage stages[] = {
       {"latency.telemetry_delay_s", "telemetry channel delay"},
-      {"latency.window_residence_s", "window residence"},
       {"latency.detect_s", "detection lag"},
       {"latency.localize_s", "first event -> verdict"},
       {"latency.ingest_to_verdict_s", "ingest -> verdict (end to end)"},
@@ -106,26 +93,7 @@ int main() {
     return 1;
   }
 
-  // Recorder overhead: identical campaigns with the flight recorder on
-  // (default) vs off; same interleaved best-of-N protocol as the obs
-  // overhead gate. Report-only — the hard <1% gate lives in
-  // bench_obs_overhead, which runs with the recorder on.
-  CampaignConfig rec_off = base_config();
-  rec_off.obs.recorder.enabled = false;
-  constexpr int kReps = 3;
-  (void)run_once(rec_off, seeds);  // warm caches / page-in
-  double best_off = 1e300;
-  double best_on = 1e300;
-  for (int rep = 0; rep < kReps; ++rep) {
-    best_off = std::min(best_off, run_once(rec_off, seeds));
-    best_on = std::min(best_on, run_once(cfg, seeds));
-  }
-  const double overhead_pct = 100.0 * (best_on - best_off) / best_off;
-
-  std::printf("\nflight recorder wall cost: %.3f s off, %.3f s on "
-              "(%+.2f%%)\n", best_off, best_on, overhead_pct);
   std::printf("\nP99_VERDICT_S=%.1f\n", p99_verdict);
   std::printf("VERDICTS=%llu\n", static_cast<unsigned long long>(verdicts));
-  std::printf("RECORDER_OVERHEAD_PCT=%.2f\n", overhead_pct);
   return 0;
 }

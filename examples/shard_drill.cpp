@@ -6,9 +6,7 @@
 // faults. The FULL verdict stream — every failure case with its window
 // events, localization method, culprit set, and confidence — is serialized
 // to a canonical text form and diffed across analyzer_shards = 1, 4, and
-// 16, plus a 4-shard run that live-migrates a third of the pair-id space
-// between shards mid-campaign. Any byte of difference fails the gate
-// (ctest: shard.identity_gate).
+// 16. Any byte of difference fails the gate (ctest: shard.identity_gate).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -28,7 +26,6 @@ struct DrillOutcome {
   std::size_t pairs = 0;   ///< pairs resident in the sharded detector
   std::size_t cases = 0;   ///< non-suppressed failure cases
   std::size_t detected = 0;
-  std::size_t rebalanced = 0;  ///< pairs moved by the mid-campaign migration
   DetectorCounters counters{};
 };
 
@@ -76,7 +73,7 @@ std::string serialize_verdicts(const SkeletonHunter& hunter) {
   return out;
 }
 
-DrillOutcome run_drill(std::size_t shards, bool rebalance) {
+DrillOutcome run_drill(std::size_t shards) {
   ExperimentConfig cfg;
   cfg.topology.num_hosts = 4096;
   cfg.topology.rails_per_host = 8;
@@ -126,22 +123,11 @@ DrillOutcome run_drill(std::size_t shards, bool rebalance) {
        exp.topology().uplink_of(ep2.rnic).value()},
       t0 + SimTime::minutes(8), t0 + SimTime::minutes(13));
 
-  DrillOutcome out;
-  if (rebalance) {
-    // Mid-campaign shard rebalance: move the first third of the global
-    // pair-id space to the last shard while cases are in flight. Verdicts
-    // must not notice.
-    exp.events().schedule_at(t0 + SimTime::minutes(9), [&exp, &out, shards] {
-      const auto range =
-          static_cast<std::uint32_t>(exp.hunter().detector().pair_count() / 3);
-      out.rebalanced = exp.hunter().rebalance_pairs(0, range, shards - 1);
-    });
-  }
-
   exp.hunter().start(t0 + SimTime::minutes(16));
   exp.events().run_all();
   exp.hunter().finalize();
 
+  DrillOutcome out;
   out.verdicts = serialize_verdicts(exp.hunter());
   out.pairs = exp.hunter().detector().pair_count();
   out.cases = exp.hunter().failure_cases().size();
@@ -154,7 +140,7 @@ DrillOutcome run_drill(std::size_t shards, bool rebalance) {
 
 int run_shard_gate() {
   std::puts("Shard identity drill: 4096 hosts, ~97k pairs, 3 faults\n");
-  const DrillOutcome base = run_drill(1, false);
+  const DrillOutcome base = run_drill(1);
   std::printf("  shards=1           : %zu pairs, %zu case(s), %zu detected, "
               "%llu probes ingested\n",
               base.pairs, base.cases, base.detected,
@@ -165,7 +151,7 @@ int run_shard_gate() {
     return 1;
   }
   for (const std::size_t shards : {4UL, 16UL}) {
-    const DrillOutcome d = run_drill(shards, false);
+    const DrillOutcome d = run_drill(shards);
     const bool same = d.verdicts == base.verdicts &&
                       d.counters == base.counters && d.pairs == base.pairs;
     std::printf("  shards=%-2zu          : verdict stream %s (%zu bytes)\n",
@@ -173,13 +159,6 @@ int run_shard_gate() {
                 d.verdicts.size());
     pass = pass && same;
   }
-  const DrillOutcome moved = run_drill(4, true);
-  const bool same = moved.verdicts == base.verdicts &&
-                    moved.counters == base.counters;
-  std::printf("  shards=4 +rebalance: verdict stream %s (%zu pairs migrated "
-              "mid-campaign)\n",
-              same ? "identical" : "DIVERGED", moved.rebalanced);
-  pass = pass && same && moved.rebalanced > 0;
   std::printf("\nshard identity gate: %s\n", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

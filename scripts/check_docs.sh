@@ -4,9 +4,10 @@
 # Fails when a src/<subsystem>/ directory is missing from ARCHITECTURE.md's
 # module map, when a bench_* target is missing from README.md's
 # figure-mapping table, or when ARCHITECTURE.md, README.md or EXPERIMENTS.md
-# names a gtest `Suite.Test` that no test under tests/ defines — so adding
-# a subsystem or bench without documenting it, or renaming a test the docs
-# cite as proof, breaks the default test run.
+# names a gtest `Suite.Test` that no test under tests/ defines, or a
+# backticked `Type::member` whose member appears in no file under src/ — so
+# adding a subsystem or bench without documenting it, or renaming a test or
+# an API the docs cite, breaks the default test run.
 set -u
 
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
@@ -144,7 +145,23 @@ for doc in "$arch" "$readme" "$experiments"; do
   done
 done
 
+# An API the docs cite must still exist: a deleted or renamed function
+# leaves a name no reader can find. Every `Type::member` inside a backtick
+# span of the three documents must name a member that appears as a word in
+# some file under src/.
+for doc in "$arch" "$readme" "$experiments"; do
+  [[ -f "$doc" ]] || continue
+  for ref in $(grep -oE '`[^`]*`' "$doc" |
+               grep -oE '\b[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' |
+               sort -u); do
+    if ! grep -rqw -- "${ref##*::}" "$root/src"; then
+      echo "FAIL: $(basename "$doc") names $ref, but no file under src/ has ${ref##*::}"
+      status=1
+    fi
+  done
+done
+
 if [[ $status -eq 0 ]]; then
-  echo "OK: every src/ subsystem is in ARCHITECTURE.md, every bench is in README.md, and every cited test exists"
+  echo "OK: every src/ subsystem is in ARCHITECTURE.md, every bench is in README.md, and every cited test and API exists"
 fi
 exit $status

@@ -9,10 +9,10 @@
 # flattened pair storage and reused buffers,
 # the churn degrade/re-infer lifecycle, the traceroute-refinement
 # partial-result edge cases in test_localize, the gray-telemetry defense
-# paths in test_anomaly, slot recycling after a pair migrates, and
+# paths in test_anomaly, and
 # the detector/hunter snapshot round-trips, and the sharded-detector
-# batch partition and sparse event merge, pair migration, snapshot paths,
-# the order-learned handle_of successor array read against stale and
+# batch partition and sparse event merge, snapshot paths and the slots
+# restored and re-issued ids land in, the order-learned handle_of successor array read against stale and
 # restored ids, and the in-place per-shard window-log sort
 # and heap merge in test_sharded_detector),
 # obs (per-thread shard cells — including the bound-cell
@@ -23,7 +23,7 @@
 # bundle builder's string assembly over a full drilled experiment in
 # test_forensic_bundle), sim (churn plans and
 # fault/telemetry episode windows), cluster (the restart/migrate/crash
-# deregistration paths), and probe (per-target retry/backoff state plus
+# deregistration paths), and probe (the agents' per-target state plus
 # the telemetry channel's drop/dup/reorder/skew buffer juggling in
 # test_telemetry), and topo (the equal-cost path enumeration, the
 # route_via/static_path_id stability contract, the dense switch-link

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <span>
-#include <stdexcept>
-#include <utility>
 
 namespace skh::core {
 
@@ -98,23 +96,13 @@ AnomalyDetector::AnomalyDetector(DetectorConfig cfg)
 
 AnomalyDetector::PairHandle AnomalyDetector::add_pair(
     const EndpointPair& pair) {
-  PairHandle id;
-  if (!free_.empty()) {
-    // A recycled slot, already reset by `recycle` (its look-back block may
-    // hold stale values, but every read is bounded by the reset ring).
-    id = free_.back();
-    free_.pop_back();
-  } else {
-    // A fresh slot: extend the slot-indexed arrays.
-    id = static_cast<PairHandle>(hot_.size());
-    hot_.resize(id + 1);
-    cold_.resize(id + 1);
-    samples_.resize(static_cast<std::size_t>(id + 1) * kStride, 0.0);
-    lookback_.resize(static_cast<std::size_t>(id + 1) * lookback_stride_, 0.0);
-    if (cfg_.track_paths) {
-      paths_.resize(static_cast<std::size_t>(id + 1) * kPathSlots);
-    }
-  }
+  const auto id = static_cast<PairHandle>(hot_.size());
+  const std::size_t n = static_cast<std::size_t>(id) + 1;
+  hot_.resize(n);
+  cold_.resize(n);
+  samples_.resize(n * kStride, 0.0);
+  lookback_.resize(n * lookback_stride_, 0.0);
+  if (cfg_.track_paths) paths_.resize(n * kPathSlots);
   cold_[id].pair = pair;
   return id;
 }
@@ -554,26 +542,12 @@ void AnomalyDetector::close_long_window(PairHandle h, SimTime at,
   cold.long_seen = 0;
 }
 
-void AnomalyDetector::recycle(PairHandle h) {
-  hot_[h] = PairHot{};
-  cold_[h] = PairCold{};
-  // The strip needs no reset: short_count == 0 makes it dead storage. The
-  // path slots DO reset — their keys would otherwise leak a dead pair's
-  // members into the slot's next tenant.
-  if (cfg_.track_paths) {
-    std::fill_n(paths_.begin() + static_cast<std::size_t>(h) * kPathSlots,
-                kPathSlots, PathSlot{});
-  }
-  free_.push_back(h);
-}
-
 std::vector<AnomalyEvent> AnomalyDetector::flush(SimTime now) {
   std::vector<AnomalyEvent> events;
   for (std::size_t h = 0; h < hot_.size(); ++h) {
     PairHot& hot = hot_[h];
     // A still-open window is only judged when it actually reached its span:
     // a few-second partial window must not fire (say) a 30-minute Z-test.
-    // Free slots are naturally skipped (no open windows).
     if (hot.short_open && now - hot.short_start >= cfg_.short_window) {
       close_short_window(static_cast<PairHandle>(h),
                          hot.short_start + cfg_.short_window, events);
@@ -587,44 +561,6 @@ std::vector<AnomalyEvent> AnomalyDetector::flush(SimTime now) {
   return events;
 }
 
-AnomalyDetector::PairState AnomalyDetector::extract_pair(PairHandle h) {
-  PairState out;
-  out.hot_ = hot_[h];
-  out.cold_ = std::move(cold_[h]);
-  const double* strip = samples_.data() + static_cast<std::size_t>(h) * kStride;
-  out.samples_.assign(strip, strip + kStride);
-  const double* block =
-      lookback_.data() + static_cast<std::size_t>(h) * lookback_stride_;
-  out.lookback_.assign(block, block + lookback_stride_);
-  if (cfg_.track_paths) {
-    const PathSlot* ps =
-        paths_.data() + static_cast<std::size_t>(h) * kPathSlots;
-    out.paths_.assign(ps, ps + kPathSlots);
-  }
-  recycle(h);
-  return out;
-}
-
-AnomalyDetector::PairHandle AnomalyDetector::adopt_pair(PairState&& st) {
-  if (st.lookback_.size() != lookback_stride_ ||
-      st.paths_.size() != (cfg_.track_paths ? kPathSlots : 0u)) {
-    throw std::logic_error(
-        "adopt_pair: strip geometry mismatch (detector configs differ)");
-  }
-  const PairHandle h = add_pair(st.cold_.pair);
-  hot_[h] = st.hot_;
-  cold_[h] = std::move(st.cold_);
-  std::copy(st.samples_.begin(), st.samples_.end(),
-            samples_.begin() + static_cast<std::size_t>(h) * kStride);
-  std::copy(st.lookback_.begin(), st.lookback_.end(),
-            lookback_.begin() + static_cast<std::size_t>(h) * lookback_stride_);
-  if (cfg_.track_paths) {
-    std::copy(st.paths_.begin(), st.paths_.end(),
-              paths_.begin() + static_cast<std::size_t>(h) * kPathSlots);
-  }
-  return h;
-}
-
 AnomalyDetector::Snapshot AnomalyDetector::snapshot() const {
   Snapshot s;
   s.hot_ = hot_;
@@ -632,7 +568,6 @@ AnomalyDetector::Snapshot AnomalyDetector::snapshot() const {
   s.samples_ = samples_;
   s.lookback_ = lookback_;
   s.paths_ = paths_;
-  s.free_ = free_;
   return s;
 }
 
@@ -642,7 +577,6 @@ void AnomalyDetector::restore(const Snapshot& snap) {
   samples_ = snap.samples_;
   lookback_ = snap.lookback_;
   paths_ = snap.paths_;
-  free_ = snap.free_;
 }
 
 }  // namespace skh::core

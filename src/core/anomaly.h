@@ -27,12 +27,11 @@
 // plan time (`reserve_pairs`) — a contiguous 64-byte-aligned `PairHot`
 // array (one cache line per pair, all a rollover-free probe touches), a
 // fixed-stride sample-strip arena, a fixed-stride look-back arena, and a
-// parallel cold array, the last two read only at window closes. A pair
-// keeps its slot until it migrates to another detector (`extract_pair`),
-// which frees the slot for the next `add_pair`; churn frees nothing. The
-// layout contract (slot reuse, handle stability across
-// migration and snapshot/restore) is documented in ARCHITECTURE.md under
-// "Memory layout & hot path".
+// parallel cold array, the last two read only at window closes. The
+// store is append-only: a pair keeps its slot for the detector's lifetime
+// and `add_pair` always extends the arrays. The layout contract (slot
+// stability across flush and snapshot/restore) is documented in
+// ARCHITECTURE.md under "Memory layout & hot path".
 #pragma once
 
 #include <cstdint>
@@ -213,14 +212,13 @@ struct DetectorCounters {
 class AnomalyDetector {
  public:
   /// Dense per-pair slot from `add_pair`. The owner keeps it and ingests
-  /// by it; a slot survives snapshot/restore and is freed only by
-  /// `extract_pair`.
+  /// by it; a slot is never freed and survives flush and snapshot/restore.
   using PairHandle = std::uint32_t;
 
   explicit AnomalyDetector(DetectorConfig cfg = {});
 
-  /// Enable/disable the closed-window log feeding the flight recorder and
-  /// the window-residence latency histogram. Off by default; the sharded
+  /// Enable/disable the closed-window log feeding the flight recorder.
+  /// Off by default; the sharded
   /// facade turns it on when an obs context is attached. The log is
   /// bounded (see `window_log`), costs one bounded push per window close
   /// when on, and nothing when off.
@@ -240,9 +238,9 @@ class AnomalyDetector {
     return window_log_drops_;
   }
 
-  /// Start tracking `pair` in a fresh slot: the last one recycled, else
-  /// one past the highest. The caller keeps the slot — the detector has no
-  /// pair lookup — and adds each pair once.
+  /// Start tracking `pair` in a fresh slot, one past the highest: slots
+  /// are handed out 0, 1, 2, ... in call order. The caller keeps the slot
+  /// — the detector has no pair lookup — and adds each pair once.
   [[nodiscard]] PairHandle add_pair(const EndpointPair& pair);
 
   /// Pre-size the slot-indexed state arrays for `pairs` concurrent pairs.
@@ -272,9 +270,9 @@ class AnomalyDetector {
 
   [[nodiscard]] const DetectorConfig& config() const noexcept { return cfg_; }
 
-  /// Pairs holding a slot.
+  /// Pairs holding a slot: every pair ever added.
   [[nodiscard]] std::size_t pair_count() const noexcept {
-    return hot_.size() - free_.size();
+    return hot_.size();
   }
 
   /// Ingest counters, including the LOF scoring counts.
@@ -283,37 +281,21 @@ class AnomalyDetector {
   }
 
   /// Opaque copy of the full per-pair analysis state (hot lines, sample
-  /// strips, LOF look-back blocks, long-term baselines, sequence tracking,
-  /// the slot free list). Every piece of pair state is value-semantic —
-  /// the strip and look-back arenas copy as flat bytes — so a plain copy
-  /// IS the serialized form; restoring it and continuing
-  /// is bit-identical to never having stopped, and slots handed out before
-  /// the snapshot name the same pairs after a restore. Config,
-  /// counters and the window log are not part of the snapshot (they belong
-  /// to the process, not the analysis), so restoring a freshly constructed
-  /// detector's snapshot is a cold reset that keeps them.
+  /// strips, LOF look-back blocks, long-term baselines, sequence tracking).
+  /// Every piece of pair state is value-semantic — the strip and look-back
+  /// arenas copy as flat bytes — so a plain copy IS the serialized form;
+  /// restoring it and continuing is bit-identical to never having stopped.
+  /// Slots handed out before the snapshot name the same pairs after a
+  /// restore, and the next `add_pair` takes the slot it took after the
+  /// snapshot was made. Config, counters and the window log are not part
+  /// of the snapshot (they belong to the process, not the analysis), so
+  /// restoring a freshly constructed detector's snapshot is a cold reset
+  /// that keeps them.
   class Snapshot;
   [[nodiscard]] Snapshot snapshot() const;
   /// Overwrite the analysis state with `snap`. Counters are NOT rolled
   /// back: they are monotonic process telemetry, not analysis state.
   void restore(const Snapshot& snap);
-
-  /// Movable container for one pair's complete analysis state: hot line
-  /// (with the look-back ring state), cold state (baselines, spill),
-  /// sample strip, look-back block. The unit of shard rebalance: a pair
-  /// extracted from one detector and adopted by another (with the same
-  /// config geometry) continues its analysis bit-identically, as if it
-  /// had lived there all along. Counters stay with the detector that did
-  /// the counted work, so fleet-summed counters are rebalance-invariant.
-  class PairState;
-  /// Move the full state of the pair in slot `h` out; the slot is
-  /// recycled.
-  [[nodiscard]] PairState extract_pair(PairHandle h);
-  /// Add a previously extracted pair in a fresh slot and return it. The
-  /// state's look-back and path-slot geometry must match this detector's
-  /// config (std::logic_error otherwise — a rebalance that trips it is a
-  /// routing bug, not a data condition).
-  PairHandle adopt_pair(PairState&& st);
 
  private:
   /// A per-pair array: cache-line aligned, and on pages of its own once
@@ -402,10 +384,6 @@ class AnomalyDetector {
   /// sorted in place (the common, allocation-free case) or merged with the
   /// spill into reused scratch. Valid until the next ingest/close.
   [[nodiscard]] std::span<const double> window_sorted(PairHandle h);
-  /// Reset slot `h` to freshly-constructed state and return it to the
-  /// free list. The look-back block keeps its stale doubles: the reset
-  /// ring makes them unreachable.
-  void recycle(PairHandle h);
   /// Append one closed-window record to the bounded log (no-op when
   /// logging is off; counts a drop when the log is full).
   void log_window(const EndpointPair& pair, SimTime start, SimTime end,
@@ -449,8 +427,6 @@ class AnomalyDetector {
   /// when cfg.track_paths (empty otherwise, so the single-path deployment
   /// pays no memory and no cache traffic for the feature).
   PairArray<PathSlot> paths_;
-  /// Slots freed by extract_pair, reused last-in first-out by add_pair.
-  std::vector<PairHandle> free_;
   std::vector<double> sort_scratch_;  ///< spill-merge buffer, reused
   // Closed-window log (flight-recorder feed). Not analysis state: excluded
   // from Snapshot, like the counters. Capacity tracks reserve_pairs so a
@@ -459,7 +435,7 @@ class AnomalyDetector {
   PairArray<obs::WindowRecord> window_log_;
   std::size_t window_log_cap_ = 4096;
   std::uint64_t window_log_drops_ = 0;
-  // Monotonic process telemetry, untouched by restore, extract and adopt.
+  // Monotonic process telemetry, untouched by restore.
   // On its own cache line: the shards of a `ShardedDetector` bump their
   // counters from different pool threads on every probe.
   alignas(64) DetectorCounters counters_;
@@ -478,27 +454,6 @@ class AnomalyDetector {
     PairArray<double> samples_;
     PairArray<double> lookback_;
     PairArray<PathSlot> paths_;
-    std::vector<PairHandle> free_;
-  };
-
-  class PairState {
-   public:
-    PairState() = default;
-    PairState(PairState&&) = default;
-    PairState& operator=(PairState&&) = default;
-
-    /// The migrating pair (valid only after a successful extract).
-    [[nodiscard]] const EndpointPair& pair() const noexcept {
-      return cold_.pair;
-    }
-
-   private:
-    friend class AnomalyDetector;
-    PairHot hot_{};
-    PairCold cold_;
-    std::vector<double> samples_;   ///< the pair's strip, kStride doubles
-    std::vector<double> lookback_;  ///< the pair's look-back block
-    std::vector<PathSlot> paths_;   ///< kPathSlots slots iff track_paths
   };
 };
 

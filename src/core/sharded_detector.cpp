@@ -50,7 +50,7 @@ ShardedDetector::ShardedDetector(DetectorConfig cfg, std::size_t n_shards,
       router_(common::FlatTableConfig{.capacity = cfg.expected_pairs}) {
   static_assert(std::size(kPublishedSeries) == kPublished);
   const std::size_t n = std::max<std::size_t>(1, n_shards);
-  // Fresh ids split evenly (`id % n`), so each shard plans for its share.
+  // Ids split evenly (`id % n`), so each shard plans for its share.
   DetectorConfig shard_cfg = cfg;
   shard_cfg.expected_pairs = (cfg.expected_pairs + n - 1) / n;
   shards_.reserve(n);
@@ -118,10 +118,9 @@ ShardedDetector::GlobalHandle ShardedDetector::handle_of(
   const auto [gid, inserted] = router_.insert(pair);
   if (inserted) {
     // Ids are issued in order, so a new id is the next index of every
-    // per-id array.
-    const std::size_t s = gid % shards_.size();
-    shard_of_.push_back(static_cast<std::uint32_t>(s));
-    local_of_.push_back(shards_[s]->add_pair(pair));
+    // per-id array, and the shard it lands on appends it in slot
+    // `gid / N`.
+    (void)shards_[shard_of(gid)]->add_pair(pair);
     pair_of_.push_back(pair);
     next_of_.push_back(common::FlatPairTable::kNoSlot);
   }
@@ -131,9 +130,7 @@ ShardedDetector::GlobalHandle ShardedDetector::handle_of(
 
 void ShardedDetector::reserve_pairs(std::size_t pairs) {
   router_.reserve(pairs);
-  if (pairs > shard_of_.capacity()) {
-    shard_of_.reserve(pairs);
-    local_of_.reserve(pairs);
+  if (pairs > pair_of_.capacity()) {
     pair_of_.reserve(pairs);
     next_of_.reserve(pairs);
   }
@@ -147,17 +144,20 @@ std::size_t ShardedDetector::ingest_batch(
   events.clear();
   fired_per_item.assign(items.size(), 0);
   const std::size_t n = shards_.size();
+  // Ids are 32-bit, so the placement arithmetic is too.
+  const auto n32 = static_cast<std::uint32_t>(n);
   for (std::size_t s = 0; s < n; ++s) {
     batch_items_[s].clear();
     batch_events_[s].clear();
     batch_fired_[s].clear();
     cursor_[s] = 0;
   }
-  // Partition by owning shard, preserving round order within each shard —
-  // same-pair results share a shard, so per-pair ingest order (the only
-  // order verdicts depend on) is exactly the sequential one.
+  // Partition by owning shard (`handle % N`), preserving round order
+  // within each shard — same-pair results share a shard, so per-pair
+  // ingest order (the only order verdicts depend on) is exactly the
+  // sequential one.
   for (std::size_t i = 0; i < items.size(); ++i) {
-    batch_items_[shard_of_[items[i].handle]].push_back(i);
+    batch_items_[items[i].handle % n32].push_back(i);
   }
   // Load/skew accounting: items routed per shard, and how many item-slots
   // the merge barrier wasted waiting for the most-loaded shard this batch.
@@ -167,7 +167,7 @@ std::size_t ShardedDetector::ingest_batch(
     max_items = std::max(max_items, batch_items_[s].size());
   }
   m_merge_stall_.add(max_items * n - items.size());
-  const auto run_shard = [this, items](std::size_t s) {
+  const auto run_shard = [this, items, n32](std::size_t s) {
     AnomalyDetector& det = *shards_[s];
     auto& fired = batch_fired_[s];
     auto& out = batch_events_[s];
@@ -175,7 +175,7 @@ std::size_t ShardedDetector::ingest_batch(
       const BatchItem& it = items[i];
       const auto first = static_cast<std::uint32_t>(out.size());
       const auto count = static_cast<std::uint32_t>(
-          det.ingest(local_of_[it.handle], it.obs, out));
+          det.ingest(it.handle / n32, it.obs, out));
       if (count > 0) fired.push_back(Fired{i, first, count});
     }
   };
@@ -270,32 +270,11 @@ DetectorCounters ShardedDetector::counters() const {
   return total;
 }
 
-std::size_t ShardedDetector::migrate_range(GlobalHandle lo, GlobalHandle hi,
-                                           std::size_t to) {
-  if (to >= shards_.size()) {
-    throw std::out_of_range("migrate_range: no such shard");
-  }
-  std::size_t moved = 0;
-  const GlobalHandle end =
-      std::min<GlobalHandle>(hi, static_cast<GlobalHandle>(shard_of_.size()));
-  for (GlobalHandle gid = lo; gid < end; ++gid) {
-    const std::uint32_t from = shard_of_[gid];
-    if (from == to) continue;
-    local_of_[gid] =
-        shards_[to]->adopt_pair(shards_[from]->extract_pair(local_of_[gid]));
-    shard_of_[gid] = static_cast<std::uint32_t>(to);
-    ++moved;
-  }
-  return moved;
-}
-
 ShardedDetector::Snapshot ShardedDetector::snapshot() const {
   Snapshot s;
   s.shards_.reserve(shards_.size());
   for (const auto& shard : shards_) s.shards_.push_back(shard->snapshot());
   s.router_ = router_;
-  s.shard_of_ = shard_of_;
-  s.local_of_ = local_of_;
   s.pair_of_ = pair_of_;
   return s;
 }
@@ -310,12 +289,10 @@ void ShardedDetector::restore(const Snapshot& snap) {
     shards_[s]->restore(snap.shards_[s]);
   }
   router_ = snap.router_;
-  shard_of_ = snap.shard_of_;
-  local_of_ = snap.local_of_;
   pair_of_ = snap.pair_of_;
   // The routing hints survive as they are: handle_of checks every guess
   // against the restored router/pair_of_ pair.
-  next_of_.resize(shard_of_.size(), common::FlatPairTable::kNoSlot);
+  next_of_.resize(pair_of_.size(), common::FlatPairTable::kNoSlot);
 }
 
 }  // namespace skh::core

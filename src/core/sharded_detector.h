@@ -15,11 +15,12 @@
 //     discovery order, kept for the facade's lifetime. Discovery order
 //     depends only on the probe schedule, never on the shard count, so the
 //     id a pair gets (and everything keyed off it) is shard-count-invariant.
-//     A new id lands on shard `id % N`, a pure function of (id, shard
-//     count) that splits fresh ids evenly; a migrated id keeps the shard
-//     it moved to. Each shard is a
-//     slot-indexed store with no pair lookup of its own: the facade keeps
-//     every id's shard-local slot.
+//     Id `g` lives on shard `g % N` in slot `g / N`, for the facade's
+//     lifetime. Each shard is an append-only slot store with no pair
+//     lookup of its own, and ids reach shard `s` in the order s, s + N,
+//     s + 2N, ..., so the slot it appends is the id's quotient. Placement
+//     is arithmetic — the facade stores none — and no shard holds more
+//     than one pair above any other.
 //  2. *Order-preserving batches.* `ingest_batch` partitions a probe round
 //     by shard, preserving round order within each shard (same-pair
 //     results always land in the same shard, so per-pair order holds),
@@ -42,12 +43,6 @@
 // Input that breaks the order (telemetry reordering, drops and duplicates,
 // replans) only falls back to the table lookup or a per-shard sort — never
 // to other output.
-//
-// Rebalance rides the PR-5 state machinery: `migrate_range` moves a
-// global-id range between shards via `AnomalyDetector::extract_pair` /
-// `adopt_pair` mid-campaign. The moved pairs continue their windows
-// bit-identically (the unit of state is the pair, and it travels whole),
-// so a rebalanced campaign's verdicts match an unbalanced one's.
 //
 // Observability: every shard counts into its own plain `DetectorCounters`
 // block (one cache line apart, since pool threads bump them on every
@@ -75,9 +70,8 @@ namespace skh::core {
 
 /// Detector-shaped facade over N pair-space shards. Drop-in for
 /// `AnomalyDetector` in the hunter: same handle/flush/snapshot surface,
-/// same counters, with ingest by probe-round batch, plus the rebalance
-/// API. One shard runs the same partition, shard job and sparse
-/// merge as N.
+/// same counters, with ingest by probe-round batch. One shard runs the
+/// same partition, shard job and sparse merge as N.
 class ShardedDetector {
  public:
   /// Stable *global* pair id from the router table — shard-count-invariant
@@ -102,11 +96,11 @@ class ShardedDetector {
   void attach_obs(obs::Context* ctx);
 
   /// Get-or-create the global handle for a pair; a newly discovered pair
-  /// is added to shard `id % N`. Order-learned: the id returned
-  /// after the previous call's id last time is tried first, and accepted
-  /// only if it is mapped and names `pair` — the router maps every mapped
-  /// id's pair to that id, so a hit is exactly the id a table lookup
-  /// returns. A miss does the lookup and records the successor.
+  /// is appended to shard `id % N`, in slot `id / N`. Order-learned: the
+  /// id returned after the previous call's id last time is tried first,
+  /// and accepted only if it is mapped and names `pair` — the router maps
+  /// every mapped id's pair to that id, so a hit is exactly the id a table
+  /// lookup returns. A miss does the lookup and records the successor.
   [[nodiscard]] GlobalHandle handle_of(const EndpointPair& pair);
 
   /// Find-only lookup: the global handle of a mapped pair, or
@@ -162,9 +156,9 @@ class ShardedDetector {
   [[nodiscard]] const common::FlatPairTable& pair_table() const noexcept {
     return router_;
   }
-  /// Which shard currently owns a mapped pair (rebalance bookkeeping).
+  /// The shard that owns id `h`: always `h % N`.
   [[nodiscard]] std::size_t shard_of(GlobalHandle h) const noexcept {
-    return shard_of_[h];
+    return h % static_cast<std::uint32_t>(shards_.size());
   }
   /// Visit every mapped pair as f(pair) — router slot order, deterministic
   /// AND shard-count-invariant (single table, shard placement irrelevant).
@@ -174,23 +168,20 @@ class ShardedDetector {
         [&f](const EndpointPair& p, common::FlatPairTable::SlotId) { f(p); });
   }
 
-  /// Summed ingest counters across shards. Rebalance-invariant: each
-  /// close is counted once, by the shard that owned the pair at the time.
-  /// Like the shards' own, they survive `restore`.
+  /// Summed ingest counters across shards. Like the shards' own, they
+  /// survive `restore`.
   [[nodiscard]] DetectorCounters counters() const;
 
-  /// Rebalance: move every mapped pair whose global id lies in [lo, hi)
-  /// onto shard `to`, mid-campaign, via extract/adopt. Window state moves
-  /// whole, so verdicts are unperturbed. Returns pairs moved.
-  std::size_t migrate_range(GlobalHandle lo, GlobalHandle hi, std::size_t to);
-
-  /// Opaque copy of the full analysis state: router, placement, and every
-  /// shard's snapshot. Same contract as AnomalyDetector::Snapshot —
+  /// Opaque copy of the full analysis state: the router and every shard's
+  /// snapshot. Same contract as AnomalyDetector::Snapshot —
   /// restore-and-continue is bit-identical to never having stopped, and
   /// restoring a freshly constructed facade's snapshot is a cold reset
-  /// that keeps counters, obs bindings and window-log capacity. Restore
-  /// requires the same shard count (it is config, like the detector's
-  /// window geometry).
+  /// that keeps counters, obs bindings and window-log capacity. The router
+  /// and the shards are restored together, so id `g` is still in slot
+  /// `g / N` of shard `g % N`; after a restore to an older snapshot the
+  /// router re-issues the later ids and each shard appends them again in
+  /// the same order. Restore requires the same shard count (it is config,
+  /// like the detector's window geometry).
   class Snapshot;
   [[nodiscard]] Snapshot snapshot() const;
   void restore(const Snapshot& snap);
@@ -210,11 +201,9 @@ class ShardedDetector {
   common::ThreadPool* pool_ = nullptr;  ///< not owned; may be null
   std::vector<std::unique_ptr<AnomalyDetector>> shards_;
   common::FlatPairTable router_;  ///< pair -> global id, discovery order
-  // Dense by global id: owning shard, the pair's slot there, and the pair
-  // itself. Invariant: for every id g below pair_of_.size() the router
-  // maps pair_of_[g] to g — handle_of sets both, restore copies both.
-  std::vector<std::uint32_t> shard_of_;
-  std::vector<AnomalyDetector::PairHandle> local_of_;
+  // Dense by global id: the pair itself. Invariant: for every id g below
+  // pair_of_.size() the router maps pair_of_[g] to g — handle_of sets
+  // both, restore copies both.
   std::vector<EndpointPair> pair_of_;
   // Order-learned routing hints, not analysis state (no snapshot): the id
   // handle_of returned right after returning g, and the id it returned
@@ -246,12 +235,11 @@ class ShardedDetector {
   obs::Context* obs_ = nullptr;
   DetectorCounters published_;  ///< summed counters already published
   std::array<obs::Counter, kPublished> m_detector_;
-  // Per-shard load/skew series for rebalance decisions (facade-side, so
-  // they exist at any shard count): pairs owned, batch items routed, and
-  // the merge stall — how many item-slots the batch barrier wasted waiting
-  // on the most-loaded shard, summed over batches as (max shard items ×
-  // shards − total items). Zero means perfectly even routing; growth is
-  // the data a `migrate_range` decision wants. Every name carries
+  // Per-shard load/skew series (facade-side, so they exist at any shard
+  // count): pairs owned, batch items routed, and the merge stall — how
+  // many item-slots the batch barrier wasted waiting on the most-loaded
+  // shard, summed over batches as (max shard items × shards − total
+  // items). Zero means perfectly even routing. Every name carries
   // ".shard": the scrape-identity contract exempts exactly these.
   std::vector<obs::Gauge> m_pairs_owned_;
   std::vector<obs::Counter> m_items_routed_;
@@ -266,8 +254,6 @@ class ShardedDetector {
     friend class ShardedDetector;
     std::vector<AnomalyDetector::Snapshot> shards_;
     common::FlatPairTable router_;
-    std::vector<std::uint32_t> shard_of_;
-    std::vector<AnomalyDetector::PairHandle> local_of_;
     std::vector<EndpointPair> pair_of_;
   };
 };

@@ -65,8 +65,6 @@ bool touches(const EndpointPair& p, const collective::CollectiveVerdict& v) {
 // Ingest-to-verdict latency plane bucket bounds. Small on purpose: a
 // handful of bounds keeps the per-observation cost a short linear scan,
 // protecting the <1% overhead gate.
-constexpr double kResidenceBounds[] = {5.0,   15.0,  30.0,   60.0,
-                                       300.0, 900.0, 1800.0, 3600.0};
 constexpr double kDetectBounds[] = {0.5, 1.0, 2.0, 5.0, 10.0, 30.0};
 constexpr double kLocalizeBounds[] = {30.0,  60.0,  90.0, 120.0,
                                       300.0, 600.0, 1800.0};
@@ -154,8 +152,6 @@ SkeletonHunter::Instruments::Instruments(obs::Context& ctx) {
   coll_agreements = counter("collective.agreements");
   coll_silent_cases = counter("collective.cases_network_silent");
   coll_absorbed = counter("collective.cases_absorbed");
-  window_residence_s =
-      histogram("latency.window_residence_s", kResidenceBounds);
   detect_s = histogram("latency.detect_s", kDetectBounds);
   localize_s = histogram("latency.localize_s", kLocalizeBounds);
   verdict_s = histogram("latency.ingest_to_verdict_s", kVerdictBounds);
@@ -597,7 +593,7 @@ void SkeletonHunter::route_events(TaskId task,
                         "first anomalous window on " + pair_label(e.pair));
     target.pairs.insert(e.pair);
     target.events.push_back(e);
-    // Stage 4 of the latency plane: detection-to-routing lag (a window
+    // Stage 2 of the latency plane: detection-to-routing lag (a window
     // closing mid-round surfaces here on the same tick; the lag is the
     // intra-tick remainder).
     ins_.detect_s.observe((now - e.detected_at).to_seconds());
@@ -860,7 +856,7 @@ void SkeletonHunter::close_case(FailureCase& c) {
                        " collective verdict(s) corroborate the probe plane",
                    c.localization.confidence);
   }
-  // Stages 5 of the latency plane: first event to verdict, and the
+  // Stage 3 of the latency plane: first event to verdict, and the
   // end-to-end ingest-to-verdict span measured from the *opening* of the
   // first anomalous window (detected_at stamps its close).
   ins_.localize_s.observe((c.closed_at - c.first_event).to_seconds());
@@ -912,15 +908,11 @@ void SkeletonHunter::drain_windows() {
   if (obs_ == nullptr) return;
   window_scratch_.clear();
   detector_.drain_window_log(window_scratch_);
+  if (ins_.recorder == nullptr) return;
   for (const auto& w : window_scratch_) {
-    // Stage 3 of the latency plane: how long a sample batch sat inside its
-    // detection window before being judged.
-    ins_.window_residence_s.observe((w.end - w.start).to_seconds());
-    if (ins_.recorder != nullptr) {
-      const auto gid = detector_.find_handle(w.pair);
-      if (gid != common::FlatPairTable::kNoSlot) {
-        ins_.recorder->record_window(gid, w);
-      }
+    const auto gid = detector_.find_handle(w.pair);
+    if (gid != common::FlatPairTable::kNoSlot) {
+      ins_.recorder->record_window(gid, w);
     }
   }
 }

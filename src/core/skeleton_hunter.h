@@ -53,10 +53,11 @@ struct SkeletonHunterConfig {
   /// expose.
   probe::EngineConfig engine{};
   DetectorConfig detector{};
-  /// Analyzer shards the pair space is partitioned across (a new pair's
-  /// stable global id modulo the shard count; see core/sharded_detector.h).
+  /// Analyzer shards the pair space is partitioned across (a pair's stable
+  /// global id modulo the shard count; see core/sharded_detector.h).
   /// Verdicts are bit-identical at any shard count — sharding buys ingest
-  /// parallelism, never behavior. 1 keeps the classic single-analyzer path.
+  /// parallelism, never behavior. 1 runs the same partition, shard job and
+  /// merge as N, inline, with no worker pool.
   std::size_t analyzer_shards = 1;
   InferenceConfig inference{};
   bool incremental_activation = true;   ///< ablation: registration gating
@@ -177,13 +178,6 @@ class SkeletonHunter {
   [[nodiscard]] const ShardedDetector& detector() const noexcept {
     return detector_;
   }
-  /// Shard rebalance: move the global-pair-id range [lo, hi) onto
-  /// `to_shard` mid-campaign. Per-pair window state migrates whole
-  /// (extract/adopt), so verdicts are unperturbed. Returns pairs moved.
-  std::size_t rebalance_pairs(std::uint32_t lo, std::uint32_t hi,
-                              std::size_t to_shard) {
-    return detector_.migrate_range(lo, hi, to_shard);
-  }
   /// Repair completed: lift the ban on a component.
   void mark_repaired(sim::ComponentRef ref);
 
@@ -297,8 +291,8 @@ class SkeletonHunter {
   /// and case.close timeline entries, the case.close trace instant, the
   /// blacklist (probe plane only) and the final forensic bundle.
   void file_ticket(FailureCase& c);
-  /// Drain the detector's closed-window log: feed the window-residence
-  /// stage histogram and the flight recorder's per-pair rings.
+  /// Drain the detector's closed-window log into the flight recorder's
+  /// per-pair rings.
   void drain_windows();
   /// Build this case's forensic bundle from the case and the recorder's
   /// rings and store it (replacing any earlier emission for the case).
@@ -382,12 +376,11 @@ class SkeletonHunter {
     obs::Counter coll_agreements;
     obs::Counter coll_silent_cases;
     obs::Counter coll_absorbed;
-    /// Ingest-to-verdict latency plane, stages 2-5 (stage 1, the telemetry
+    /// Ingest-to-verdict latency plane, stages 2-3 (stage 1, the telemetry
     /// channel delay, lives on TelemetryChannel). All sim-time seconds.
-    obs::Histogram window_residence_s;  ///< window close - window open
-    obs::Histogram detect_s;            ///< event routed - event detected
-    obs::Histogram localize_s;          ///< verdict - first event
-    obs::Histogram verdict_s;           ///< verdict - first window open
+    obs::Histogram detect_s;    ///< event routed - event detected
+    obs::Histogram localize_s;  ///< verdict - first event
+    obs::Histogram verdict_s;   ///< verdict - first window open
     /// The context's flight recorder when enabled (nullptr otherwise):
     /// bundles, window rings and the event ring flow through here.
     obs::FlightRecorder* recorder = nullptr;

@@ -36,10 +36,7 @@ void Agent::set_ping_list(std::vector<EndpointPair> pairs) {
 void Agent::activate_destination(ContainerId peer) {
   peer_registered_[peer] = true;
   for (auto& t : targets_) {
-    if (t.pair.dst.container != peer) continue;
-    t.active = true;
-    t.consecutive_failures = 0;
-    t.next_attempt = SimTime{};
+    if (t.pair.dst.container == peer) t.active = true;
   }
 }
 
@@ -52,34 +49,11 @@ void Agent::deactivate_destination(ContainerId peer) {
 
 void Agent::run_round(ProbeEngine& engine, SimTime now,
                       std::vector<ProbeResult>& round) {
-  const EngineConfig& cfg = engine.config();
-  const std::size_t threshold = cfg.retry_failure_threshold;
   for (auto& t : targets_) {
     if (!t.active) continue;
-    if (threshold > 0 && t.consecutive_failures >= threshold &&
-        now < t.next_attempt) {
-      continue;  // backed off; retry once next_attempt arrives
-    }
     round.push_back(engine.probe(t.pair.src, t.pair.dst, now));
     round.back().seq = t.next_seq++;
     ++probes_sent_;
-    if (round.back().delivered) {
-      t.consecutive_failures = 0;
-      t.next_attempt = SimTime{};
-    } else {
-      ++t.consecutive_failures;
-      if (threshold > 0 && t.consecutive_failures >= threshold) {
-        // Exponential: base * 2^(failures - threshold), clamped to the max.
-        SimTime backoff = cfg.retry_backoff_base;
-        for (std::size_t k = threshold; k < t.consecutive_failures &&
-                                        backoff < cfg.retry_backoff_max;
-             ++k) {
-          backoff += backoff;
-        }
-        if (backoff > cfg.retry_backoff_max) backoff = cfg.retry_backoff_max;
-        t.next_attempt = now + backoff;
-      }
-    }
   }
 }
 
@@ -87,13 +61,6 @@ std::size_t Agent::active_targets() const {
   return static_cast<std::size_t>(
       std::count_if(targets_.begin(), targets_.end(),
                     [](const Target& t) { return t.active; }));
-}
-
-std::size_t Agent::backed_off_targets(SimTime now) const {
-  return static_cast<std::size_t>(std::count_if(
-      targets_.begin(), targets_.end(), [&](const Target& t) {
-        return t.active && now < t.next_attempt;
-      }));
 }
 
 }  // namespace skh::probe

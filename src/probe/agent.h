@@ -29,17 +29,15 @@ class Agent {
   void set_ping_list(std::vector<EndpointPair> pairs);
 
   /// Registration: activate all targets destined to `peer`'s endpoints.
-  /// Also clears any retry backoff toward the peer — a reregistered target
-  /// gets a fresh start, unlike a still-unreachable one.
   void activate_destination(ContainerId peer);
   /// Deregistration (peer stopping/crashed): deactivate its targets.
   void deactivate_destination(ContainerId peer);
 
   /// Probe every active target once, appending the results to `round` in
   /// target order after whatever it already holds (the caller owns and
-  /// reuses the buffer across agents and ticks). When the engine's retry
-  /// backoff is enabled, targets past the consecutive-failure threshold are
-  /// skipped until their next scheduled attempt.
+  /// reuses the buffer across agents and ticks). A failing target is
+  /// probed every round like any other: the anomaly detector's loss-streak
+  /// and unreachability rules need every round sampled.
   void run_round(ProbeEngine& engine, SimTime now,
                  std::vector<ProbeResult>& round);
 
@@ -48,8 +46,6 @@ class Agent {
     return targets_.size();
   }
   [[nodiscard]] std::size_t active_targets() const;
-  /// Active targets currently held in retry backoff (waiting, not probing).
-  [[nodiscard]] std::size_t backed_off_targets(SimTime now) const;
   [[nodiscard]] std::size_t probes_sent() const noexcept {
     return probes_sent_;
   }
@@ -58,8 +54,6 @@ class Agent {
   struct Target {
     EndpointPair pair;
     bool active = false;
-    std::size_t consecutive_failures = 0;
-    SimTime next_attempt;  ///< probing allowed once now >= next_attempt
     std::uint64_t next_seq = 1;  ///< next ProbeResult.seq for this pair
   };
 

@@ -32,20 +32,6 @@
 namespace skh::probe {
 
 struct EngineConfig {
-  // --- per-target retry/backoff (churn reconciliation) ---------------------
-  // A target that keeps failing is either genuinely unreachable (a fault the
-  // detector must keep sampling to confirm) or deregistered-then-reregistered
-  // churn the control plane will resolve. With backoff enabled, an agent
-  // stops hammering a target after `retry_failure_threshold` consecutive
-  // failures and retries on an exponential schedule instead; a
-  // re-registration (activate_destination) clears the backoff immediately,
-  // which is what distinguishes the two. 0 disables backoff (default): the
-  // anomaly detector's loss-streak and unconnectivity rules assume
-  // continuous per-round sampling.
-  std::size_t retry_failure_threshold = 0;
-  SimTime retry_backoff_base = SimTime::seconds(5);  ///< first backoff delay
-  SimTime retry_backoff_max = SimTime::minutes(2);   ///< backoff ceiling
-
   // --- routing mode (path diversity) ---------------------------------------
   // How a flow maps probes onto its equal-cost members (see
   // topo::RoutingMode). kStaticEcmp keeps the historical single-path
@@ -74,8 +60,6 @@ class ProbeEngine {
   /// Healthy-baseline RTT of the pair (no faults, no jitter); used by tests
   /// and the case-study bench.
   [[nodiscard]] double baseline_rtt_us(Endpoint src, Endpoint dst) const;
-
-  [[nodiscard]] const EngineConfig& config() const noexcept { return cfg_; }
 
  private:
   struct PathDegradation {

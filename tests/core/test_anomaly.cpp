@@ -728,129 +728,6 @@ TEST(AnomalyChurn, ReservePairsMakesIngestAllocationFree) {
   for (const auto& e : out) EXPECT_EQ(e.kind, AnomalyKind::kLatencyShortTerm);
 }
 
-TEST(AnomalyChurn, RecycledIdStartsWithAnEmptyLookback) {
-  // A recycled id keeps its look-back block's stale doubles; only the
-  // reset ring keeps them out of reach. So the next tenant of the id must
-  // judge its windows exactly as the same pair on a fresh detector does.
-  RngStream rng{19};
-  // The tenant: five healthy windows (more than k, so the next close
-  // scores), one 50% slow window, and one sample to close it — too few
-  // windows to overwrite the predecessor's slots.
-  std::vector<std::pair<double, double>> tenant;  // (t, rtt)
-  for (int w = 0; w < 7; ++w) {
-    const double base = w == 5 ? 24.0 : 16.0;
-    for (int s = 0; s < (w == 6 ? 1 : 6); ++s) {
-      tenant.emplace_back(1000.0 + 30.0 * w + 5.0 * s,
-                          base * std::exp(rng.normal(0.0, 0.05)));
-    }
-  }
-  const auto run_tenant = [&tenant](AnomalyDetector& det,
-                                    AnomalyDetector::PairHandle h) {
-    std::vector<AnomalyEvent> events;
-    for (const auto& [t, rtt] : tenant) {
-      (void)det.ingest(h, obs(t, true, rtt), events);
-    }
-    std::vector<obs::WindowRecord> windows;
-    for (const auto& r : det.window_log()) {
-      if (r.pair == pair_n(1)) windows.push_back(r);
-    }
-    return std::pair{events, windows};
-  };
-
-  // The predecessor fills its whole ring with windows at 1.25x the
-  // tenant's healthy latency — medians that would move the tenant's gate,
-  // points close enough to join its neighborhoods — then migrates away,
-  // which recycles its slot.
-  AnomalyDetector det;
-  det.set_window_logging(true);
-  const auto h0 = det.add_pair(pair_n(0));
-  std::vector<AnomalyEvent> out;
-  for (int w = 0; w < 12; ++w) {
-    for (int s = 0; s < 6; ++s) {
-      const double rtt = 20.0 * std::exp(rng.normal(0.0, 0.05));
-      (void)det.ingest(h0, obs(30.0 * w + 5.0 * s, true, rtt), out);
-    }
-  }
-  (void)det.extract_pair(h0);
-  ASSERT_EQ(det.pair_count(), 0U);
-  const auto h1 = det.add_pair(pair_n(1));
-  EXPECT_EQ(h1, h0);  // the tenant gets the slot
-
-  AnomalyDetector fresh;
-  fresh.set_window_logging(true);
-  const auto [got, got_windows] = run_tenant(det, h1);
-  const auto [want, want_windows] =
-      run_tenant(fresh, fresh.add_pair(pair_n(1)));
-  ASSERT_FALSE(want.empty());
-  EXPECT_EQ(want[0].kind, AnomalyKind::kLatencyShortTerm);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].kind, want[i].kind);
-    EXPECT_EQ(got[i].detected_at.raw_nanos(), want[i].detected_at.raw_nanos());
-    EXPECT_EQ(got[i].score, want[i].score);
-  }
-  ASSERT_EQ(got_windows.size(), want_windows.size());
-  for (std::size_t i = 0; i < got_windows.size(); ++i) {
-    EXPECT_EQ(got_windows[i].end.raw_nanos(), want_windows[i].end.raw_nanos());
-    EXPECT_EQ(got_windows[i].p50_us, want_windows[i].p50_us);
-    EXPECT_EQ(got_windows[i].score, want_windows[i].score);
-    EXPECT_EQ(got_windows[i].flags, want_windows[i].flags);
-  }
-}
-
-TEST(AnomalyChurn, SnapshotCarriesParkedStateBitIdentically) {
-  // The slot free list is analysis state: a warm restart after a
-  // migration must hand the next pair the same slot and fire the same
-  // windows as the uninterrupted run.
-  RngStream rng{13};
-  AnomalyDetector live;
-  std::vector<AnomalyEvent> live_events;
-  std::vector<AnomalyDetector::PairHandle> hs;
-  for (std::uint32_t i = 0; i < 4; ++i) hs.push_back(live.add_pair(pair_n(i)));
-  for (double t = 0; t < 300; t += 1.0) {
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      const double rtt = 16.0 * std::exp(rng.normal(0.0, 0.05));
-      (void)live.ingest(hs[i], obs(t, true, rtt), live_events);
-    }
-  }
-  (void)live.extract_pair(hs[1]);
-  (void)live.extract_pair(hs[2]);
-  const auto snap = live.snapshot();
-  const std::size_t at_snap = live_events.size();
-
-  AnomalyDetector restored;
-  restored.restore(snap);
-  EXPECT_EQ(restored.pair_count(), 2U);
-  // The restored free list serves the same slot, last freed first.
-  const auto fresh = live.add_pair(pair_n(4));
-  EXPECT_EQ(fresh, hs[2]);
-  EXPECT_EQ(restored.add_pair(pair_n(4)), fresh);
-  std::vector<AnomalyEvent> rest_events;
-  for (double t = 300; t < 400; t += 1.0) {
-    for (const auto h : {hs[0], hs[3], fresh}) {
-      const double rtt = 16.0 * std::exp(rng.normal(0.0, 0.05));
-      (void)live.ingest(h, obs(t, true, rtt), live_events);
-      (void)restored.ingest(h, obs(t, true, rtt), rest_events);
-    }
-  }
-  ASSERT_EQ(live_events.size() - at_snap, rest_events.size());
-  for (std::size_t i = 0; i < rest_events.size(); ++i) {
-    EXPECT_TRUE(live_events[at_snap + i].pair == rest_events[i].pair);
-    EXPECT_EQ(live_events[at_snap + i].score, rest_events[i].score);
-  }
-
-  const auto live_tail = live.flush(SimTime::seconds(400.0));
-  const auto rest_tail = restored.flush(SimTime::seconds(400.0));
-  ASSERT_EQ(live_tail.size(), rest_tail.size());
-  for (std::size_t i = 0; i < live_tail.size(); ++i) {
-    EXPECT_TRUE(live_tail[i].pair == rest_tail[i].pair);
-    EXPECT_EQ(live_tail[i].kind, rest_tail[i].kind);
-    EXPECT_EQ(live_tail[i].score, rest_tail[i].score);
-  }
-  EXPECT_EQ(live.pair_count(), 3U);
-  EXPECT_EQ(restored.pair_count(), 3U);
-}
-
 TEST(AnomalyPaths, OffByDefaultAndPairEventsStayPathAgnostic) {
   // track_paths defaults off: path ids fed through ingest are ignored, no
   // path-scoped events appear, and whole-pair verdicts carry kAnyPath.
@@ -931,10 +808,9 @@ TEST(AnomalyPaths, SlowMemberFiresPathScopedLatencyShift) {
   EXPECT_TRUE(member_latency);
 }
 
-TEST(AnomalyPaths, SnapshotAndMigrationCarryPathAccumulators) {
-  // Path accumulators are analysis state: a restore (or an extract/adopt
-  // shard rebalance) mid-evidence must reproduce the exact path-scoped
-  // verdicts of the uninterrupted run.
+TEST(AnomalyPaths, SnapshotCarriesPathAccumulators) {
+  // Path accumulators are analysis state: a restore mid-evidence must
+  // reproduce the exact path-scoped verdicts of the uninterrupted run.
   DetectorConfig cfg;
   cfg.track_paths = true;
   const auto feed = [](AnomalyDetector& det, AnomalyDetector::PairHandle h,
@@ -959,25 +835,15 @@ TEST(AnomalyPaths, SnapshotAndMigrationCarryPathAccumulators) {
 
   AnomalyDetector restored(cfg);
   restored.restore(snap);
-  AnomalyDetector adopted(cfg);
-  AnomalyDetector::PairHandle adopted_h;
-  {
-    AnomalyDetector from_snap(cfg);
-    from_snap.restore(snap);
-    adopted_h = adopted.adopt_pair(from_snap.extract_pair(h));
-    EXPECT_EQ(from_snap.pair_count(), 0U);
-  }
 
-  std::uint64_t seq_r = seq, seq_a = seq;
-  std::vector<AnomalyEvent> restored_events, adopted_events;
+  std::uint64_t seq_r = seq;
+  std::vector<AnomalyEvent> restored_events;
   feed(live, h, 200, 480, seq, live_events);
   feed(restored, h, 200, 480, seq_r, restored_events);
-  feed(adopted, adopted_h, 200, 480, seq_a, adopted_events);
 
   ASSERT_FALSE(restored_events.empty());
   ASSERT_GE(live_events.size(), restored_events.size());
   const std::size_t offset = live_events.size() - restored_events.size();
-  ASSERT_EQ(restored_events.size(), adopted_events.size());
   for (std::size_t i = 0; i < restored_events.size(); ++i) {
     const auto& a = live_events[offset + i];
     EXPECT_TRUE(a.pair == restored_events[i].pair);
@@ -986,8 +852,6 @@ TEST(AnomalyPaths, SnapshotAndMigrationCarryPathAccumulators) {
     EXPECT_EQ(a.score, restored_events[i].score);
     EXPECT_EQ(a.detected_at.raw_nanos(),
               restored_events[i].detected_at.raw_nanos());
-    EXPECT_EQ(restored_events[i].path_id, adopted_events[i].path_id);
-    EXPECT_EQ(restored_events[i].score, adopted_events[i].score);
   }
 }
 

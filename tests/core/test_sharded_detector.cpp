@@ -137,39 +137,62 @@ bool canonical_before(const obs::WindowRecord& a, const obs::WindowRecord& b) {
          std::tuple{b.end, b.start, b.pair, b.flags};
 }
 
-// Placement: a new id lands on shard id % N, so fresh ids split as evenly
-// as they can at any shard count, and a migrated id stays where it was
-// moved — through a flush and through a restore of a snapshot taken after
-// the move.
-TEST(ShardedDetector, FreshIdsSplitEvenlyAndMigratedIdsKeepTheirShard) {
-  constexpr std::uint32_t kPairs = 1001;
-  for (const std::size_t shards : {1u, 2u, 4u, 16u}) {
-    ShardedDetector det({}, shards);
-    std::vector<std::size_t> owned(shards, 0);
-    for (std::uint32_t i = 0; i < kPairs; ++i) {
-      const auto gid = det.handle_of(pair_n(i));
-      ASSERT_LT(det.shard_of(gid), shards);
-      ++owned[det.shard_of(gid)];
-    }
-    for (const std::size_t n : owned) {
-      EXPECT_GE(n, kPairs / shards) << shards << " shards";
-      EXPECT_LE(n, (kPairs + shards - 1) / shards) << shards << " shards";
-    }
+/// Checks that every mapped id g is on shard g % N and that the slot the
+/// facade ingests g into holds g's pair. One probe per id, id g's at
+/// t0 + g ms, opens one short window per pair; the window the flush closes
+/// carries its slot's pair, which must be the router's pair for g. Expects
+/// no pair to have an open window on entry.
+void expect_ids_in_place(ShardedDetector& det, SimTime t0, const char* when) {
+  const std::size_t n = det.pair_count();
+  std::vector<ShardedDetector::BatchItem> batch;
+  for (ShardedDetector::GlobalHandle g = 0; g < n; ++g) {
+    EXPECT_EQ(det.shard_of(g), g % det.shard_count()) << when << ", id " << g;
+    batch.push_back({g, {0, t0 + SimTime::millis(g), true, 16.0}});
+  }
+  std::vector<AnomalyEvent> events;
+  std::vector<std::uint32_t> fired;
+  det.ingest_batch(batch, events, fired);
+  (void)det.flush(t0 + SimTime::seconds(60));
+  std::vector<obs::WindowRecord> windows;
+  det.drain_window_log(windows);
+  ASSERT_EQ(windows.size(), n) << when;
+  for (const obs::WindowRecord& w : windows) {
+    const auto g = det.find_handle(w.pair);
+    ASSERT_NE(g, common::FlatPairTable::kNoSlot) << when;
+    EXPECT_EQ(w.start.raw_nanos(), (t0 + SimTime::millis(g)).raw_nanos())
+        << when << ", id " << g;
+  }
+}
 
-    const std::size_t to = shards - 1;
-    (void)det.migrate_range(0, 40, to);
-    const auto snap = det.snapshot();
-    const auto on_target = [&det, to] {
-      for (ShardedDetector::GlobalHandle gid = 0; gid < 40; ++gid) {
-        if (det.shard_of(gid) != to) return false;
-      }
-      return true;
-    };
-    EXPECT_TRUE(on_target()) << shards << " shards";
+// Placement is arithmetic: id g lives on shard g % N in slot g / N for the
+// facade's lifetime, so ids split as evenly as they can at any shard
+// count. The mapping holds after a flush, after a restore to an older
+// snapshot followed by new pairs (the router re-issues the later ids and
+// each shard appends them again), and after the cold reset of restoring a
+// fresh facade's snapshot.
+TEST(ShardedDetector, EveryIdStaysOnItsRemainderShard) {
+  for (const std::size_t shards : {1u, 2u, 4u, 16u}) {
+    obs::Context ctx;
+    ShardedDetector det({}, shards);
+    det.attach_obs(&ctx);
+    const auto fresh = det.snapshot();
+    for (std::uint32_t i = 0; i < 600; ++i) (void)det.handle_of(pair_n(i));
+    const auto older = det.snapshot();
+    for (std::uint32_t i = 600; i < 1001; ++i) (void)det.handle_of(pair_n(i));
     (void)det.flush(SimTime::seconds(1));
-    EXPECT_TRUE(on_target()) << shards << " shards, after flush";
-    det.restore(snap);
-    EXPECT_TRUE(on_target()) << shards << " shards, after restore";
+    expect_ids_in_place(det, SimTime::seconds(10), "after a flush");
+
+    // Pairs the restored router never saw take the ids 600.. again.
+    det.restore(older);
+    for (std::uint32_t i = 2000; i < 2400; ++i) (void)det.handle_of(pair_n(i));
+    ASSERT_EQ(det.pair_count(), 1000u);
+    expect_ids_in_place(det, SimTime::seconds(10),
+                        "after restoring an older snapshot");
+
+    det.restore(fresh);
+    ASSERT_EQ(det.pair_count(), 0u);
+    for (std::uint32_t i = 0; i < 37; ++i) (void)det.handle_of(pair_n(3000 + i));
+    expect_ids_in_place(det, SimTime::seconds(10), "after a cold reset");
   }
 }
 
@@ -209,61 +232,6 @@ TEST(ShardedDetector, EventStreamInvariantAcrossShardCounts) {
           << "at " << shards << " shards, pool " << (p != nullptr);
     }
   }
-}
-
-// Rebalance mid-campaign: moving half the pair-id space onto one shard
-// must not perturb a single verdict, and the summed counters must carry
-// over with the moved state.
-TEST(ShardedDetector, MigrationPreservesVerdictsAndCounters) {
-  constexpr std::uint32_t kPairs = 64;
-  constexpr double kSeconds = 400.0;
-  const auto obs = synthetic_campaign(kPairs, kSeconds);
-  common::ThreadPool pool(4);
-
-  ShardedDetector plain({}, 4, &pool);
-  const auto want = keys_of(replay(plain, obs, kPairs, kSeconds));
-  const auto want_counters = plain.counters();
-
-  ShardedDetector det({}, 4, &pool);
-  std::vector<AnomalyEvent> all;
-  std::vector<ShardedDetector::BatchItem> batch;
-  std::vector<AnomalyEvent> events;
-  std::vector<std::uint32_t> fired;
-  det.reserve_pairs(kPairs);
-  std::size_t next = 0;
-  bool migrated = false;
-  for (double t = 0.0; t < kSeconds; t += 1.0) {
-    if (!migrated && t >= kSeconds / 2) {
-      // Drain half the id space onto shard 3 (a failover/rebalance).
-      EXPECT_GT(det.migrate_range(0, kPairs / 2, 3), 0u);
-      for (std::uint32_t gid = 0; gid < kPairs / 2; ++gid) {
-        EXPECT_EQ(det.shard_of(gid), 3u);
-      }
-      migrated = true;
-    }
-    batch.clear();
-    while (next < obs.size() && obs[next].t <= t) {
-      const Obs& o = obs[next++];
-      batch.push_back(ShardedDetector::BatchItem{det.handle_of(pair_n(o.pair)),
-                                                 o.observation()});
-    }
-    det.ingest_batch(batch, events, fired);
-    all.insert(all.end(), events.begin(), events.end());
-  }
-  const auto tail = det.flush(SimTime::seconds(kSeconds));
-  all.insert(all.end(), tail.begin(), tail.end());
-  EXPECT_EQ(keys_of(all), want);
-
-  const auto got = det.counters();
-  EXPECT_EQ(got.probes_ingested, want_counters.probes_ingested);
-  EXPECT_EQ(got.samples_delivered, want_counters.samples_delivered);
-  EXPECT_EQ(got.short_windows_closed, want_counters.short_windows_closed);
-  EXPECT_EQ(got.long_windows_closed, want_counters.long_windows_closed);
-  EXPECT_EQ(got.events_emitted, want_counters.events_emitted);
-  // The LOF scoring counts stay with the shard that scored each close, so
-  // the summed totals cannot tell where a pair lived.
-  EXPECT_EQ(got.lof_fast_path + got.lof_fallback,
-            want_counters.lof_fast_path + want_counters.lof_fallback);
 }
 
 // Snapshot/restore across shards: resuming from a mid-campaign checkpoint
@@ -506,10 +474,9 @@ TEST(ShardedDetector, PublishesTheDetectorSeriesAfterEveryBatch) {
 }
 
 // Routing scenario for HandleOfMatchesRouterUnderAnyOrder, 1 s rounds.
-constexpr std::size_t kMixInRound = 40;   ///< odd pairs < 32 first sighted
-constexpr std::size_t kSnapRound = 90;    ///< snapshot taken
+constexpr std::size_t kMixInRound = 40;     ///< odd pairs < 32 first sighted
+constexpr std::size_t kSnapRound = 90;      ///< snapshot taken
 constexpr std::size_t kChurnRound = 120;    ///< pairs leave and join
-constexpr std::size_t kMigrateRound = 150;  ///< migrate_range
 constexpr std::size_t kRestoreRound = 170;  ///< back to the snapshot, once
 constexpr std::size_t kRoutingRounds = 300;
 
@@ -546,8 +513,9 @@ Observation routing_obs(std::uint32_t i, std::size_t t) {
 // per-pair verdicts must be those of an in-order run. The scenario breaks
 // the learned order every way the hunter can: per-round shuffles, first
 // sightings mixed into known pairs, pairs that stop being probed while
-// fresh ones join, a restore to an older snapshot (learned successors name
-// ids the restored router has not issued yet), and a migrate_range.
+// fresh ones join, and a restore to an older snapshot (learned successors
+// name ids the restored router has not issued yet, and the shards append
+// the re-issued ids again).
 TEST(ShardedDetector, HandleOfMatchesRouterUnderAnyOrder) {
   DetectorConfig cfg;
   cfg.short_window = SimTime::seconds(10);
@@ -578,12 +546,6 @@ TEST(ShardedDetector, HandleOfMatchesRouterUnderAnyOrder) {
         restored = true;
         t = kSnapRound - 1;
         continue;
-      }
-      if (t == kMigrateRound) {
-        const std::size_t moved = det.migrate_range(0, 24, shards - 1);
-        if (shards > 1) {
-          EXPECT_GT(moved, 0u);
-        }
       }
       auto live = routing_round(t);
       if (shuffled) {

@@ -147,8 +147,8 @@ TEST_F(AgentRound, AppendsAfterExistingResultsInTargetOrder) {
   EXPECT_EQ(round[3].pair, (EndpointPair{b_, a_}));
 }
 
-/// Two-endpoint world for the retry/backoff tests: agent at a (host 0)
-/// probing b (host 1), with a fault injector the tests can aim at b.
+/// Two-endpoint world: agent at a (host 0) probing b (host 1), with a
+/// fault injector the tests can aim at b.
 class AgentRetryTest : public ::testing::Test {
  protected:
   AgentRetryTest()
@@ -168,17 +168,6 @@ class AgentRetryTest : public ::testing::Test {
     agent_.activate_destination(ContainerId{1});
   }
 
-  /// Engine with backoff after `threshold` consecutive failures.
-  ProbeEngine engine(std::size_t threshold,
-                     SimTime base = SimTime::seconds(5),
-                     SimTime max = SimTime::minutes(2)) {
-    EngineConfig cfg;
-    cfg.retry_failure_threshold = threshold;
-    cfg.retry_backoff_base = base;
-    cfg.retry_backoff_max = max;
-    return ProbeEngine{topo_, overlay_, faults_, RngStream{7}, cfg};
-  }
-
   /// Hard-break container 1 for [start, end).
   void break_b(SimTime start, SimTime end) {
     sim::FaultEffect eff;
@@ -196,75 +185,21 @@ class AgentRetryTest : public ::testing::Test {
   std::vector<ProbeResult> round_;
 };
 
-TEST_F(AgentRetryTest, BacksOffAfterThresholdAndRetriesOnSchedule) {
-  break_b(SimTime{}, SimTime::hours(10));
-  auto eng = engine(/*threshold=*/2);
-  agent_.run_round(eng, SimTime::seconds(0), round_);  // failure 1: no backoff
-  agent_.run_round(eng, SimTime::seconds(1), round_);  // failure 2: backoff 5s
-  EXPECT_EQ(agent_.probes_sent(), 2u);
-  EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(2)), 1u);
-
-  agent_.run_round(eng, SimTime::seconds(2), round_);  // in backoff: skipped
-  EXPECT_EQ(agent_.probes_sent(), 2u);
-
-  // next_attempt = 1s + 5s: the 6s round retries (and fails again, doubling
-  // the backoff to 10s from now).
-  agent_.run_round(eng, SimTime::seconds(6), round_);
-  EXPECT_EQ(agent_.probes_sent(), 3u);
-  EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(15)), 1u);
-  EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(16)), 0u);
-}
-
-TEST_F(AgentRetryTest, DeliveredProbeResetsFailureState) {
-  break_b(SimTime{}, SimTime::seconds(5));
-  auto eng = engine(/*threshold=*/2);
-  agent_.run_round(eng, SimTime::seconds(0), round_);
-  agent_.run_round(eng, SimTime::seconds(1), round_);  // backed off until 6s
-  agent_.run_round(eng, SimTime::seconds(6), round_);  // fault gone: delivered
-  EXPECT_EQ(agent_.probes_sent(), 3u);
-  EXPECT_TRUE(round_.back().delivered);
-  EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(7)), 0u);
-  agent_.run_round(eng, SimTime::seconds(7), round_);  // continuous again
-  EXPECT_EQ(agent_.probes_sent(), 4u);
-}
-
-TEST_F(AgentRetryTest, ReregistrationClearsBackoffImmediately) {
-  // The churn case: the peer was deregistered-then-reregistered, not
-  // unreachable. Re-registration must resume probing at once rather than
-  // waiting out the backoff window.
-  break_b(SimTime{}, SimTime::hours(10));
-  auto eng = engine(/*threshold=*/2);
-  agent_.run_round(eng, SimTime::seconds(0), round_);
-  agent_.run_round(eng, SimTime::seconds(1), round_);
-  EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(2)), 1u);
-
-  agent_.activate_destination(ContainerId{1});  // re-registration
-  EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(2)), 0u);
-  agent_.run_round(eng, SimTime::seconds(2), round_);
-  EXPECT_EQ(agent_.probes_sent(), 3u);
-}
-
-TEST_F(AgentRetryTest, BackoffClampsAtConfiguredMax) {
-  break_b(SimTime{}, SimTime::hours(10));
-  auto eng = engine(/*threshold=*/1, SimTime::seconds(5), SimTime::seconds(12));
-  agent_.run_round(eng, SimTime::seconds(0), round_);    // fail 1: backoff 5s
-  agent_.run_round(eng, SimTime::seconds(5), round_);    // fail 2: backoff 10s
-  agent_.run_round(eng, SimTime::seconds(15), round_);   // fail 3: clamped 12s
-  EXPECT_EQ(agent_.probes_sent(), 3u);
-  EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(26)), 1u);
-  EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(27)), 0u);
-}
-
 TEST_F(AgentRetryTest, ThresholdZeroKeepsContinuousSampling) {
-  // Default config: the anomaly detector's loss-streak and unconnectivity
-  // rules need every round sampled, so failures never trigger a backoff.
+  // The anomaly detector's loss-streak and unconnectivity rules need every
+  // round sampled, so a target that keeps failing is probed every round.
   break_b(SimTime{}, SimTime::hours(10));
-  auto eng = engine(/*threshold=*/0);
+  ProbeEngine eng{topo_, overlay_, faults_, RngStream{7}};
   for (int s = 0; s < 5; ++s) {
     agent_.run_round(eng, SimTime::seconds(s), round_);
   }
   EXPECT_EQ(agent_.probes_sent(), 5u);
-  EXPECT_EQ(agent_.backed_off_targets(SimTime::seconds(5)), 0u);
+  ASSERT_EQ(round_.size(), 5u);
+  for (std::size_t i = 0; i < round_.size(); ++i) {
+    EXPECT_FALSE(round_[i].delivered) << "round " << i;
+    EXPECT_EQ(round_[i].sent_at.raw_nanos(),
+              SimTime::seconds(static_cast<double>(i)).raw_nanos());
+  }
 }
 
 TEST(PingLists, FullMeshExcludesOwnContainer) {
